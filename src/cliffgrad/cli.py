@@ -101,7 +101,10 @@ def _document(args: argparse.Namespace, payload: dict, input_paths: dict) -> dic
 
 
 def _emit(doc: dict, out: str | None) -> None:
-    text = json.dumps(doc, indent=1, sort_keys=True) + "\n"
+    try:
+        text = json.dumps(doc, indent=1, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as exc:  # NaN or infinity, which strict JSON cannot hold
+        raise _CliError(EXIT_GENERIC, f"output document not written: {exc}")
     if out:
         Path(out).write_text(text)
     else:
@@ -194,7 +197,7 @@ def _load_result(path: str) -> ExpansionResult:
     try:
         doc = json.loads(_read_text(path))
         return ExpansionResult.from_dict(doc)
-    except (json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
         raise _CliError(EXIT_INPUT, f"{path}: invalid result document: {exc}")
 
 

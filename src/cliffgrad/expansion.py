@@ -1,11 +1,12 @@
 """Quadratic model of the cost surface at the Clifford point.
 
 Computes the exact gradient g and Hessian A of <O(theta)> at theta = 0 for
-an ansatz of Clifford gates and single-qubit Pauli rotations, using
-Heisenberg conjugation of the rotation generators and stabilizer-state
-expectations. The quadratic model is then minimized at its stationary
-point theta* = -pinv(A) g, giving the second-order estimate <O>* of the
-optimum.
+an ansatz of Clifford gates and single-qubit Pauli rotations, from
+stabilizer-state expectations. One left-to-right sweep conjugates all K
+rotation generators as a block of packed Pauli rows with
+tableau.conjugate_rows, the gate update that also evolves the state.
+The quadratic model is then minimized at its stationary point
+theta* = -pinv(A) g, giving the second-order estimate <O>* of the optimum.
 
 Derivative identities (R_k(t) = exp(i t P_k), P'_k the generator conjugated
 through everything applied after it):
@@ -32,8 +33,8 @@ import numpy as np
 from .circuit import AnsatzCircuit, RotationGate
 from .errors import SolveError
 from .observable import Observable
-from .pauli import PauliString, pauli_mul
-from .tableau import CliffordGate, CliffordImageMap, StabilizerTableau
+from .pauli import PauliString, _n_words, pauli_mul
+from .tableau import StabilizerTableau, _check_wires, conjugate_rows
 
 
 @dataclass
@@ -49,28 +50,29 @@ class ConjugatedGenerators:
 
 
 def conjugate_generators(ansatz: AnsatzCircuit) -> ConjugatedGenerators:
-    """Single right-to-left sweep carrying the suffix conjugation map.
+    """Single left-to-right sweep over a packed block of K rows.
 
-    For each rotation at position p with generator P, records the image of
-    P under conjugation by the Clifford content after position p (rotations
-    at zero are identity). Every P'_k comes out Hermitian.
+    Row k is seeded with rotation k's generator when the sweep reaches it,
+    and every later Clifford gate conjugates the whole block, so row k ends
+    as the image of the generator under the Clifford content after its
+    rotation (rotations at zero are identity). Unseeded rows are the
+    identity, which no gate changes. Every P'_k comes out Hermitian.
     """
     n = ansatz.n_qubits
-    suffix = CliffordImageMap(n)
-    by_param: dict = {}
-    for pos in range(len(ansatz.elements) - 1, -1, -1):
-        e = ansatz.elements[pos]
+    K = ansatz.n_params
+    x = np.zeros((K, _n_words(n)), dtype=np.uint64)
+    z = np.zeros_like(x)
+    r = np.zeros(K, dtype=np.uint8)
+    positions = [0] * K
+    for pos, e in enumerate(ansatz.elements):
         if isinstance(e, RotationGate):
-            by_param[e.param] = (suffix.image_of_letter(e.axis, e.wire), pos)
+            seed = PauliString.single(n, e.axis, e.wire)
+            x[e.param], z[e.param] = seed.x, seed.z
+            positions[e.param] = pos
         else:
-            suffix.prepend(e)
-    paulis = []
-    positions = []
-    for k in range(len(by_param)):
-        p, pos = by_param[k]
-        assert p.is_hermitian
-        paulis.append(p)
-        positions.append(pos)
+            _check_wires(e, n)
+            conjugate_rows(x, z, r, e)
+    paulis = [PauliString(n, x[k], z[k], 2 * int(r[k])) for k in range(K)]
     return ConjugatedGenerators(paulis, positions)
 
 
@@ -303,29 +305,58 @@ class ExpansionResult:
         }
 
     @classmethod
-    def from_dict(cls, doc: dict, n_qubits: int = 0) -> "ExpansionResult":
-        gradient = np.asarray(doc["gradient"], dtype=float)
-        K = gradient.size
+    def from_dict(cls, doc: dict) -> "ExpansionResult":
+        """Inverse of to_dict; the width is read from ``counters.n_qubits``.
+
+        A document to_dict could not have written raises KeyError, TypeError
+        (a field of the wrong type) or ValueError (a wrong shape, index or
+        non-finite number).
+        """
+        counters = dict(doc["counters"])
+        n_qubits, rank = counters["n_qubits"], doc["rank"]
+        kept = list(doc["hessian"]["kept_indices"])
+        stable_subspace = doc.get("stable_subspace", False)
+        if any(type(v) is not int for v in [n_qubits, rank, *kept]):
+            raise TypeError("n_qubits, rank and hessian.kept_indices must be integers")
+        if not isinstance(stable_subspace, bool):
+            raise TypeError("stable_subspace must be true or false")
+        gradient = _finite(doc["gradient"], "gradient", 1)
+        theta_star = _finite(doc["theta_star"], "theta_star", 1)
+        K, nk = gradient.size, len(kept)
+        rows = _finite(doc["hessian"]["rows"], "hessian.rows", 2 if nk else 1)
+        if n_qubits < 1 or kept != sorted(set(kept)) or not all(0 <= i < K for i in kept):
+            raise ValueError("n_qubits or hessian.kept_indices out of range or unsorted")
+        if rows.shape[0] != nk or rows.size != nk * nk or theta_star.size != K:
+            raise ValueError("hessian.rows or theta_star does not match the parameter count")
         mask = np.zeros(K, dtype=bool)
-        mask[np.asarray(doc["hessian"]["kept_indices"], dtype=int)] = True
+        mask[kept] = True
         return cls(
             n_qubits=n_qubits,
-            e0=float(doc["e0"]),
+            e0=float(_finite(doc["e0"], "e0", 0)),
             gradient=gradient,
-            hessian_kept=np.asarray(doc["hessian"]["rows"], dtype=float).reshape(
-                int(mask.sum()), int(mask.sum())
-            ),
+            hessian_kept=rows.reshape(nk, nk),
             dropout_mask=mask,
-            dropout_threshold=float(doc["dropout"]["threshold"]),
-            theta_star=np.asarray(doc["theta_star"], dtype=float),
-            perturbative_optimum=float(doc["perturbative_optimum"]),
-            rank=int(doc["rank"]),
-            rtol=float(doc["rtol"]),
-            stable_subspace=bool(doc.get("stable_subspace", False)),
+            dropout_threshold=float(_finite(doc["dropout"]["threshold"], "threshold", 0)),
+            theta_star=theta_star,
+            perturbative_optimum=float(_finite(doc["perturbative_optimum"], "optimum", 0)),
+            rank=rank,
+            rtol=float(_finite(doc["rtol"], "rtol", 0)),
+            stable_subspace=stable_subspace,
             timings=dict(doc.get("timings", {})),
-            counters=dict(doc.get("counters", {})),
+            counters=counters,
             warnings=list(doc.get("warnings", [])),
         )
+
+
+def _finite(value, name: str, ndim: int) -> np.ndarray:
+    """value as a float array of ndim dimensions; ValueError unless finite numbers."""
+    a = np.asarray(value)  # ValueError for ragged nested lists
+    if a.ndim != ndim or (a.size and a.dtype.kind not in "iuf"):
+        raise ValueError(f"{name} must be a {ndim}-d array of numbers")
+    a = a.astype(float)
+    if not np.isfinite(a).all():
+        raise ValueError(f"{name} must be finite")
+    return a
 
 
 def expand(

@@ -1,9 +1,13 @@
-"""Tableau-based Clifford simulation.
+"""Tableau-based Clifford simulation on bit-packed Pauli rows.
 
-Implements the standard destabilizer/stabilizer tableau with sign-exact
-updates, Heisenberg-picture conjugation of Pauli strings through Clifford
-circuits, and exact evaluation of <psi|Q|psi> for a phase-tracked Pauli Q
-on a stabilizer state.
+Every Pauli row uses PauliString's layout: x and z bits packed 64 qubits to
+a uint64 word, plus a sign bit. conjugate_rows, the one row-batched gate
+update, conjugates any number of rows through a Clifford gate; the
+destabilizer/stabilizer tableau and the generator sweep in expansion.py
+both use it. Expectations <psi|Q|psi> are exact: one popcount parity over
+the packed words finds the rows Q anticommutes with, and a sign-exact
+reconstruction gives the value. conjugate_pauli is an independent
+bit-at-a-time conjugation of one Pauli string, kept as the reference.
 
 All gates reduce to the primitives {H, S, CNOT}; the 24 single-qubit
 Clifford gates are enumerated by a fixed table of H/S words (see
@@ -12,13 +16,13 @@ CLIFFORD_1Q_WORDS, also shipped as data/single_qubit_cliffords.txt).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Optional
 
 import numpy as np
 
 from .errors import WireError, DimensionMismatchError
-from .pauli import PHASES, PauliString, pauli_mul
+from .pauli import PHASES, PauliString, _n_words, pauli_mul
 
 # ---------------------------------------------------------------------------
 # Single-qubit Clifford table
@@ -177,46 +181,36 @@ def conjugate_pauli(circuit: Iterable[CliffordGate], p: PauliString) -> PauliStr
     return PauliString(n, x, z, phase)
 
 
-class CliffordImageMap:
-    """Conjugation map of a Clifford circuit, stored as images of X_q, Z_q.
+# ---------------------------------------------------------------------------
+# Row-batched conjugation
+# ---------------------------------------------------------------------------
 
-    Supports composing a gate on the *input* side (prepend), which is what a
-    right-to-left sweep over a circuit needs: after prepending gates
-    g_p, g_{p+1}, ..., image(P) equals (g_G ... g_p) P (g_G ... g_p)†.
+
+def conjugate_rows(x: np.ndarray, z: np.ndarray, r: np.ndarray, gate: CliffordGate) -> None:
+    """Replace every row P by g P g† in place, for the Clifford gate g.
+
+    Row i is the Hermitian Pauli (-1)^r[i] * (x[i], z[i]) in PauliString's
+    packed layout: x and z are (rows, words) uint64 arrays, r the (rows,)
+    sign bits. The caller checks the gate's wires against the width.
     """
-
-    def __init__(self, n_qubits: int):
-        self.n_qubits = n_qubits
-        self.im_x = [PauliString.single(n_qubits, "X", q) for q in range(n_qubits)]
-        self.im_z = [PauliString.single(n_qubits, "Z", q) for q in range(n_qubits)]
-
-    def prepend(self, gate: CliffordGate) -> None:
-        _check_wires(gate, self.n_qubits)
-        # Composing with Conj_g on the right means folding g's primitive
-        # word from its last letter to its first.
-        for name, wires in reversed(gate.primitives()):
-            if name == "H":
-                (q,) = wires
-                self.im_x[q], self.im_z[q] = self.im_z[q], self.im_x[q]
-            elif name == "S":
-                (q,) = wires
-                # S X S† = Y = i X Z, so new image(X_q) = i im_x[q] im_z[q]
-                prod = pauli_mul(self.im_x[q], self.im_z[q])
-                self.im_x[q] = prod.with_phase(prod.phase + 1)
-            else:  # CNOT
-                a, b = wires
-                self.im_x[a] = pauli_mul(self.im_x[a], self.im_x[b])
-                self.im_z[b] = pauli_mul(self.im_z[a], self.im_z[b])
-
-    def image_of_letter(self, letter: str, qubit: int) -> PauliString:
-        if letter == "X":
-            return self.im_x[qubit]
-        if letter == "Z":
-            return self.im_z[qubit]
-        if letter == "Y":
-            prod = pauli_mul(self.im_x[qubit], self.im_z[qubit])
-            return prod.with_phase(prod.phase + 1)
-        raise ValueError(f"no rotation generator for letter {letter!r}")
+    for name, wires in gate.primitives():
+        if name == "CNOT":
+            (wa, ba), (wb, bb) = divmod(wires[0], 64), divmod(wires[1], 64)
+            xa, za = (x[:, wa] >> ba) & 1, (z[:, wa] >> ba) & 1
+            xb, zb = (x[:, wb] >> bb) & 1, (z[:, wb] >> bb) & 1
+            r ^= xa & zb & (xb ^ za ^ 1)
+            x[:, wb] ^= xa << bb
+            z[:, wa] ^= zb << ba
+            continue
+        w, b = divmod(wires[0], 64)
+        xq, zq = (x[:, w] >> b) & 1, (z[:, w] >> b) & 1
+        r ^= xq & zq
+        if name == "H":
+            swap = (xq ^ zq) << b
+            x[:, w] ^= swap
+            z[:, w] ^= swap
+        else:  # S
+            z[:, w] ^= xq << b
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +221,8 @@ class CliffordImageMap:
 class StabilizerTableau:
     """Destabilizer/stabilizer tableau of a Clifford-evolved basis state.
 
-    Rows 0..n-1 are destabilizers, rows n..2n-1 stabilizers; r holds the
+    Rows 0..n-1 are destabilizers, rows n..2n-1 stabilizers. x and z are
+    (2n, words) uint64 arrays in PauliString's packed layout; r holds the
     sign bit of each row ((-1)^r, letter convention with Y at x=z=1).
     """
 
@@ -235,12 +230,13 @@ class StabilizerTableau:
         if n_qubits < 1:
             raise ValueError(f"n_qubits must be positive, got {n_qubits}")
         self.n = n_qubits
-        self.x = np.zeros((2 * n_qubits, n_qubits), dtype=np.uint8)
-        self.z = np.zeros((2 * n_qubits, n_qubits), dtype=np.uint8)
+        self.x = np.zeros((2 * n_qubits, _n_words(n_qubits)), dtype=np.uint64)
+        self.z = np.zeros_like(self.x)
         self.r = np.zeros(2 * n_qubits, dtype=np.uint8)
         for j in range(n_qubits):
-            self.x[j, j] = 1              # destabilizer X_j
-            self.z[n_qubits + j, j] = 1   # stabilizer Z_j
+            w, b = divmod(j, 64)
+            self.x[j, w] = 1 << b              # destabilizer X_j
+            self.z[n_qubits + j, w] = 1 << b   # stabilizer Z_j
         if bitstring is not None:
             if len(bitstring) != n_qubits or set(bitstring) - {"0", "1"}:
                 raise ValueError(f"bitstring {bitstring!r} invalid for {n_qubits} qubits")
@@ -262,21 +258,7 @@ class StabilizerTableau:
 
     def apply(self, gate: CliffordGate) -> "StabilizerTableau":
         _check_wires(gate, self.n)
-        x, z, r = self.x, self.z, self.r
-        for name, wires in gate.primitives():
-            if name == "H":
-                (q,) = wires
-                r ^= x[:, q] & z[:, q]
-                x[:, q], z[:, q] = z[:, q].copy(), x[:, q].copy()
-            elif name == "S":
-                (q,) = wires
-                r ^= x[:, q] & z[:, q]
-                z[:, q] ^= x[:, q]
-            else:  # CNOT
-                a, b = wires
-                r ^= x[:, a] & z[:, b] & (x[:, b] ^ z[:, a] ^ 1)
-                x[:, b] ^= x[:, a]
-                z[:, a] ^= z[:, b]
+        conjugate_rows(self.x, self.z, self.r, gate)
         self._row_cache = None
         return self
 
@@ -292,7 +274,7 @@ class StabilizerTableau:
             self._row_cache = {}
         ps = self._row_cache.get(i)
         if ps is None:
-            ps = PauliString.from_bits(self.x[i], self.z[i], 2 * int(self.r[i]))
+            ps = PauliString(self.n, self.x[i], self.z[i], 2 * int(self.r[i]))
             self._row_cache[i] = ps
         return ps
 
@@ -318,29 +300,15 @@ class StabilizerTableau:
             raise DimensionMismatchError(
                 f"Pauli on {q.n_qubits} qubits vs state on {self.n}"
             )
-        qx = _unpack(q.x, self.n).astype(np.int32)
-        qz = _unpack(q.z, self.n).astype(np.int32)
         n = self.n
-        sx = self.x[n:].astype(np.int32)
-        sz = self.z[n:].astype(np.int32)
-        anti_stab = (sx @ qz + sz @ qx) % 2
-        if anti_stab.any():
+        # Row i anticommutes with Q iff popcount(x_i&qz) + popcount(z_i&qx) is odd.
+        anti = np.bitwise_count((self.x & q.z) ^ (self.z & q.x)).sum(axis=1) & 1
+        if anti[n:].any():
             return 0j
-        dx = self.x[:n].astype(np.int32)
-        dz = self.z[:n].astype(np.int32)
-        select = ((dx @ qz + dz @ qx) % 2).astype(bool)
         acc = PauliString.identity(n)
-        for j in np.nonzero(select)[0]:
+        for j in np.flatnonzero(anti[:n]):
             acc = pauli_mul(acc, self.stabilizer(int(j)))
         if not (np.array_equal(acc.x, q.x) and np.array_equal(acc.z, q.z)):
             raise AssertionError("stabilizer reconstruction mismatch")
         sign = 1.0 if acc.phase == 0 else -1.0
         return PHASES[q.phase] * sign
-
-
-def _unpack(words: np.ndarray, n: int) -> np.ndarray:
-    bits = np.zeros(n, dtype=np.uint8)
-    for q in range(n):
-        w, b = divmod(q, 64)
-        bits[q] = (words[w] >> np.uint64(b)) & np.uint64(1)
-    return bits

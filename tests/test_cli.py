@@ -161,6 +161,27 @@ def test_verify_rejects_mismatched_result(tmp_path, toy):
     assert rc == 2
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("hessian", 5), ("theta_star", [float("nan")]), ("counters", {"n_qubits": True})],
+    ids=["hessian-int", "theta_star-nan", "n_qubits-bool"],
+)
+def test_verify_rejects_malformed_result(tmp_path, toy, capsys, field, value):
+    ham, ans = toy
+    res = tmp_path / "result.json"
+    assert main(["expand", "--hamiltonian", str(ham), "--ansatz", str(ans),
+                 "--reference", "0", "--out", str(res)]) == 0
+    doc = json.loads(res.read_text())
+    doc[field] = value
+    res.write_text(json.dumps(doc))  # writes NaN as the non-standard token NaN
+    capsys.readouterr()
+    rc = main(["verify", "--hamiltonian", str(ham), "--ansatz", str(ans),
+               "--reference", "0", "--result", str(res)])
+    out, err = capsys.readouterr()
+    assert rc == 2
+    assert out == "" and "invalid result document" in err
+
+
 def test_verify_cap_is_exit_5(tmp_path, toy, capsys):
     ham, ans = toy
     res = tmp_path / "result.json"

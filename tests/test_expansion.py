@@ -13,10 +13,10 @@ from cliffgrad.expansion import (
     solve_quadratic,
 )
 from cliffgrad.observable import Observable, parse_observable
-from cliffgrad.pauli import parse_pauli
-from cliffgrad.tableau import CliffordGate
+from cliffgrad.pauli import PauliString, parse_pauli
+from cliffgrad.tableau import CliffordGate, conjugate_pauli
 
-from conftest import dense_unitary, random_instance
+from conftest import dense_unitary, random_clifford_gates, random_instance
 
 
 def ry_circuit():
@@ -44,6 +44,27 @@ def test_generators_match_dense_suffix_conjugation(rng):
         U = dense_unitary(suffix, 3)
         base = parse_pauli(f"{rot.axis}{rot.wire}", 3)
         assert np.allclose(pk.to_matrix(), U @ base.to_matrix() @ U.conj().T, atol=1e-9)
+
+
+@pytest.mark.parametrize("n", (3, 65, 130))
+def test_generators_of_general_clifford_part_match_conjugate_pauli(rng, n):
+    # Random Clifford gates do not compose to the identity, unlike a
+    # generated ansatz; param ids are a permutation of element order.
+    gates = random_clifford_gates(rng, n, 3 * n)
+    slots = sorted(rng.integers(0, len(gates) + 1, 12))
+    params = rng.permutation(len(slots))
+    elements = list(gates)
+    for k, slot in zip(params[::-1], slots[::-1]):
+        axis = "XYZ"[rng.integers(0, 3)]
+        elements.insert(int(slot), RotationGate(axis, int(rng.integers(0, n)), int(k)))
+    circ = AnsatzCircuit(n, elements)
+    gens = conjugate_generators(circ)
+    for k, pk in enumerate(gens.paulis):
+        pos = gens.positions[k]
+        rot = circ.elements[pos]
+        assert isinstance(rot, RotationGate) and rot.param == k
+        suffix = [e for e in circ.elements[pos + 1 :] if isinstance(e, CliffordGate)]
+        assert pk == conjugate_pauli(suffix, PauliString.single(n, rot.axis, rot.wire))
 
 
 def test_gradient_analytic_examples():
@@ -198,7 +219,8 @@ def test_expand_counters_and_result_document(rng):
     doc = res.to_dict()
     from cliffgrad.expansion import ExpansionResult
 
-    back = ExpansionResult.from_dict(doc, n_qubits=4)
+    back = ExpansionResult.from_dict(doc)
+    assert back.n_qubits == 4
     assert np.array_equal(back.theta_star, res.theta_star)
     assert np.array_equal(back.hessian_full(), res.hessian_full())
 

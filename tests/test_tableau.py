@@ -2,17 +2,20 @@ import numpy as np
 import pytest
 
 from cliffgrad.errors import DimensionMismatchError, WireError
-from cliffgrad.pauli import PauliString, commutes, parse_pauli
+from cliffgrad.pauli import PHASES, PauliString, commutes, parse_pauli
 from cliffgrad.tableau import (
     CLIFFORD_1Q_INVERSE,
     CLIFFORD_1Q_WORDS,
     CliffordGate,
-    CliffordImageMap,
     StabilizerTableau,
     conjugate_pauli,
+    conjugate_rows,
 )
 
 from conftest import dense_unitary, random_clifford_gates, random_pauli, statevector_of
+
+# One packed word, two words, and three words with a partial last word.
+WIDTHS = (3, 65, 130)
 
 
 def test_initial_tableau_from_bitstring():
@@ -98,17 +101,42 @@ def test_conjugation_composes_and_preserves_commutation(rng):
         assert commutes(a, b) == commutes(conjugate_pauli(g1, a), conjugate_pauli(g1, b))
 
 
-def test_image_map_agrees_with_direct_conjugation(rng):
-    n = 3
-    for _ in range(30):
-        gates = random_clifford_gates(rng, n, 6)
-        m = CliffordImageMap(n)
-        for g in reversed(gates):
-            m.prepend(g)
-        for q in range(n):
-            for letter in "XYZ":
-                want = conjugate_pauli(gates, PauliString.single(n, letter, q))
-                assert m.image_of_letter(letter, q) == want
+@pytest.mark.parametrize("n", WIDTHS)
+def test_conjugate_rows_matches_conjugate_pauli(rng, n):
+    rows = [random_pauli(rng, n, hermitian=True) for _ in range(12)]
+    x = np.array([p.x for p in rows])
+    z = np.array([p.z for p in rows])
+    r = np.array([p.phase // 2 for p in rows], dtype=np.uint8)
+    gates = random_clifford_gates(rng, n, 60)
+    for g in gates:
+        conjugate_rows(x, z, r, g)
+    for i, p in enumerate(rows):
+        assert PauliString(n, x[i], z[i], 2 * int(r[i])) == conjugate_pauli(gates, p)
+
+
+def _input_frame_expectation(gates, bits: str, q: PauliString) -> complex:
+    """<b|C† Q C|b> from conjugating Q by C† bit by bit; no tableau involved."""
+    n = q.n_qubits
+    inverse = [g.inverse() for g in reversed(gates)]
+    qb = conjugate_pauli(inverse, q)
+    if qb.x.any():
+        return 0j
+    b = PauliString.from_bits([0] * n, [int(c) for c in bits]).z
+    return PHASES[qb.phase] * (-1) ** (int(np.bitwise_count(qb.z & b).sum()) % 2)
+
+
+@pytest.mark.parametrize("n", WIDTHS)
+def test_expectation_matches_input_frame_oracle(rng, n):
+    for _ in range(6):
+        bits = "".join(rng.choice(["0", "1"], n))
+        gates = random_clifford_gates(rng, n, 4 * n)
+        t = StabilizerTableau(n, bits).apply_circuit(gates)
+        # C D C† for a diagonal D has a nonzero expectation; a random Q rarely does.
+        diagonal = PauliString.from_bits([0] * n, rng.integers(0, 2, n), int(rng.integers(0, 4)))
+        nonzero = conjugate_pauli(gates, diagonal)
+        assert t.expectation(nonzero) != 0
+        for q in (nonzero, random_pauli(rng, n)):
+            assert t.expectation(q) == _input_frame_expectation(gates, bits, q)
 
 
 def test_expectation_basics():
