@@ -193,24 +193,26 @@ def cmd_expand(args) -> int:
     return EXIT_OK
 
 
-def _load_result(path: str) -> ExpansionResult:
+def _load_result(path: str, n_params: int) -> ExpansionResult:
+    """The expansion result at `path`, which must have the ansatz's n_params."""
     try:
         doc = json.loads(_read_text(path))
-        return ExpansionResult.from_dict(doc)
+        result = ExpansionResult.from_dict(doc)
     except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
         raise _CliError(EXIT_INPUT, f"{path}: invalid result document: {exc}")
+    if result.theta_star.size != n_params:
+        raise _CliError(
+            EXIT_INPUT,
+            f"{path}: result has {result.theta_star.size} parameters, ansatz has {n_params}",
+        )
+    return result
 
 
 def cmd_verify(args) -> int:
     obs = _load_observable(args.hamiltonian)
     circ = _load_ansatz(args.ansatz)
     reference = _check_reference(args.reference, circ.n_qubits)
-    result = _load_result(args.result)
-    if result.theta_star.size != circ.n_params:
-        raise _CliError(
-            EXIT_INPUT,
-            f"result has {result.theta_star.size} parameters, ansatz has {circ.n_params}",
-        )
+    result = _load_result(args.result, circ.n_params)
     try:
         e_circuit = energy(circ, result.theta_star, reference, obs, cap=args.cap)
     except ResourceCapError as exc:
@@ -248,7 +250,7 @@ def cmd_optimize(args) -> int:
     if args.init != "zero":
         if not args.result:
             raise _CliError(EXIT_INPUT, f"--init {args.init} requires --result")
-        expansion = _load_result(args.result)
+        expansion = _load_result(args.result, circ.n_params)
     try:
         trace = optimize_bfgs(
             circ,

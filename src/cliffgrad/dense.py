@@ -5,15 +5,20 @@ ansatz at arbitrary parameters, finite-difference derivative oracles,
 exact diagonalization of small observables, and the BFGS warm-start
 experiment (zero vs theta* vs theta* + initial Hessian).
 
+An ansatz is compiled once into an op list (each Clifford gate's matrix and
+each rotation's Pauli action). Forward sweeps over it simulate batches of
+parameter vectors; BFGS takes exact gradients from one forward and one
+backward (adjoint) sweep, while the finite-difference gradient and Hessian
+stay as the oracles the tests compare against.
+
 Rotation convention matches the expansion: R(theta) = exp(i theta P)
 = cos(theta) I + i sin(theta) P.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 import scipy.optimize
@@ -139,11 +144,85 @@ def _pauli_action(n: int, p: PauliString) -> Tuple[np.ndarray, np.ndarray]:
     return perm, phase.astype(complex)
 
 
-def apply_pauli(states: np.ndarray, p: PauliString, n: int) -> np.ndarray:
-    perm, phase = _pauli_action(n, p)
+def _apply_action(states: np.ndarray, perm: np.ndarray, phase: np.ndarray) -> np.ndarray:
     out = np.empty_like(states)
     out[:, perm] = states * phase
     return out
+
+
+class _Rotation(NamedTuple):
+    param: int
+    perm: np.ndarray
+    phase: np.ndarray
+
+
+class _Gate(NamedTuple):
+    u: np.ndarray
+    u_dag: np.ndarray
+    wires: Tuple[int, ...]
+
+
+def _op_list(ansatz: AnsatzCircuit, cap: int) -> list:
+    """The ansatz in time order as _Rotation / _Gate ops, each built once."""
+    n = ansatz.n_qubits
+    _check_cap(n, cap)
+    ops = []
+    for e in ansatz.elements:
+        if isinstance(e, RotationGate):
+            p = PauliString.single(n, e.axis, e.wire)
+            ops.append(_Rotation(e.param, *_pauli_action(n, p)))
+        else:
+            u = gate_matrix(e)
+            ops.append(_Gate(u, np.ascontiguousarray(u.conj().T), e.wires))
+    return ops
+
+
+def _forward(ops: list, amps: np.ndarray, thetas: np.ndarray, n: int) -> np.ndarray:
+    for op in ops:
+        if isinstance(op, _Rotation):
+            t = thetas[:, op.param]
+            amps = np.cos(t)[:, None] * amps + (1j * np.sin(t))[:, None] * _apply_action(
+                amps, op.perm, op.phase
+            )
+        else:
+            amps = _apply_matrix(amps, op.u, op.wires, n)
+    return amps
+
+
+def _observable_actions(observable: Observable) -> list:
+    n = observable.n_qubits
+    return [(c, *_pauli_action(n, p)) for c, p in observable.terms]
+
+
+def _energy_and_gradient(
+    ops: list, terms: list, reference: np.ndarray, theta: np.ndarray, n: int
+) -> Tuple[float, np.ndarray]:
+    """Energy and its exact gradient by adjoint differentiation.
+
+    One forward sweep gives psi and lambda = O psi. The backward sweep undoes
+    each op on the stacked pair (phi, lambda); at rotation k, where
+    d phi / d theta_k = i P_k phi, it reads g_k = -2 Im <lambda|P_k|phi>
+    (Jones & Gacon, arXiv:2009.02823). `reference` is the (1, 2^n) input state.
+    """
+    psi = _forward(ops, reference, theta[None, :], n)
+    # the energy sums term by term as energies_batch does, so it equals energy()
+    value = 0.0
+    lam = np.zeros_like(psi)
+    for c, perm, phase in terms:
+        p_psi = _apply_action(psi, perm, phase)
+        value += c * np.einsum("bi,bi->b", psi.conj(), p_psi).real[0]
+        lam += c * p_psi
+    grad = np.zeros(theta.size)
+    states = np.vstack([psi, lam])
+    for op in reversed(ops):
+        if isinstance(op, _Rotation):
+            p_states = _apply_action(states, op.perm, op.phase)
+            grad[op.param] -= 2.0 * np.vdot(states[1], p_states[0]).imag
+            t = theta[op.param]
+            states = np.cos(t) * states - 1j * np.sin(t) * p_states
+        else:
+            states = _apply_matrix(states, op.u_dag, op.wires, n)
+    return float(value), grad
 
 
 def simulate(
@@ -168,19 +247,8 @@ def simulate_batch(
         raise ValueError(
             f"theta has {thetas.shape[1]} entries, ansatz has {ansatz.n_params} parameters"
         )
-    n = ansatz.n_qubits
     state = DenseState.from_bitstring(reference, batch=thetas.shape[0], cap=cap)
-    amps = state.amps
-    for e in ansatz.elements:
-        if isinstance(e, RotationGate):
-            p = PauliString.single(n, e.axis, e.wire)
-            t = thetas[:, e.param]
-            amps = np.cos(t)[:, None] * amps + (1j * np.sin(t))[:, None] * apply_pauli(
-                amps, p, n
-            )
-        else:
-            amps = _apply_matrix(amps, gate_matrix(e), e.wires, n)
-    return amps
+    return _forward(_op_list(ansatz, cap), state.amps, thetas, ansatz.n_qubits)
 
 
 def energy(
@@ -203,20 +271,10 @@ def energies_batch(
     cap: int = DEFAULT_QUBIT_CAP,
 ) -> np.ndarray:
     amps = simulate_batch(ansatz, thetas, reference, cap)
-    n = ansatz.n_qubits
     vals = np.zeros(amps.shape[0])
-    for c, p in observable.terms:
-        vals += c * np.einsum("bi,bi->b", amps.conj(), apply_pauli(amps, p, n)).real
+    for c, perm, phase in _observable_actions(observable):
+        vals += c * np.einsum("bi,bi->b", amps.conj(), _apply_action(amps, perm, phase)).real
     return vals
-
-
-def observable_expectation(state: np.ndarray, observable: Observable) -> complex:
-    n = observable.n_qubits
-    amps = state[None, :]
-    total = 0j
-    for c, p in observable.terms:
-        total += c * np.einsum("bi,bi->b", amps.conj(), apply_pauli(amps, p, n))[0]
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -325,6 +383,7 @@ class OptimizationTrace:
     converged: bool = False
     message: str = ""
     gtol: float = 1e-6
+    n_evaluations: int = 0         # energy-and-gradient sweeps run
 
     def to_dict(self) -> dict:
         return {
@@ -333,6 +392,7 @@ class OptimizationTrace:
             "iterations": list(self.iterations),
             "final_cost": self.final_cost,
             "n_iterations": self.n_iterations,
+            "n_evaluations": self.n_evaluations,
             "converged": self.converged,
             "message": self.message,
         }
@@ -360,7 +420,6 @@ def optimize_bfgs(
     expansion: Optional[ExpansionResult] = None,
     gtol: float = 1e-6,
     max_iterations: int = 500,
-    fd_step: float = 1e-6,
     cap: int = DEFAULT_QUBIT_CAP,
 ) -> OptimizationTrace:
     """Run BFGS on the dense energy with the chosen initialization.
@@ -368,7 +427,9 @@ def optimize_bfgs(
     init "zero" starts at theta = 0; "theta_star" at the quadratic model's
     stationary point; "theta_star_with_hessian" additionally seeds the
     optimizer's inverse-Hessian estimate from the model Hessian. Gradients
-    are central finite differences on the dense simulator (step fd_step).
+    are exact, from one forward and one backward (adjoint) statevector sweep
+    each; the trace records the values of the last sweep, so it adds none.
+    Raises ValueError when theta* or the Hessian does not match the ansatz.
     """
     K = ansatz.n_params
     if init not in ("zero", "theta_star", "theta_star_with_hessian"):
@@ -376,33 +437,45 @@ def optimize_bfgs(
     if init != "zero" and expansion is None:
         raise ValueError(f"init={init!r} requires an expansion result")
 
-    x0 = np.zeros(K) if init == "zero" else expansion.theta_star.copy()
     options = {"gtol": gtol, "maxiter": max_iterations}
+    if init == "zero":
+        x0 = np.zeros(K)
+    else:
+        x0 = np.array(expansion.theta_star, dtype=float)
+        if x0.shape != (K,):
+            raise ValueError(f"theta* has shape {x0.shape}, ansatz has {K} parameters")
     if init == "theta_star_with_hessian":
-        options["hess_inv0"] = warm_start_hess_inv(expansion.hessian_full())
+        hessian = expansion.hessian_full()
+        if hessian.shape != (K, K):
+            raise ValueError(f"Hessian has shape {hessian.shape}, ansatz has {K} parameters")
+        options["hess_inv0"] = warm_start_hess_inv(hessian)
 
-    def cost(theta: np.ndarray) -> float:
-        return energy(ansatz, theta, reference, observable, cap)
-
-    def grad(theta: np.ndarray) -> np.ndarray:
-        return finite_diff_gradient(
-            ansatz, observable, reference, h=fd_step, theta0=theta, cap=cap
-        )
-
+    ops = _op_list(ansatz, cap)
+    terms = _observable_actions(observable)
+    ref = DenseState.from_bitstring(reference, cap=cap).amps
     trace = OptimizationTrace(init=init, gtol=gtol)
+    last = {}
+
+    def cost_and_grad(theta: np.ndarray) -> Tuple[float, np.ndarray]:
+        if "theta" not in last or not np.array_equal(theta, last["theta"]):
+            last["theta"] = np.array(theta, dtype=float)
+            last["value"] = _energy_and_gradient(ops, terms, ref, last["theta"], ansatz.n_qubits)
+            trace.n_evaluations += 1
+        return last["value"]
 
     def record(theta: np.ndarray) -> None:
+        cost, grad = cost_and_grad(theta)
         trace.iterations.append(
             {
                 "iteration": len(trace.iterations),
-                "cost": cost(theta),
-                "grad_norm": float(np.linalg.norm(grad(theta), np.inf)),
+                "cost": cost,
+                "grad_norm": float(np.linalg.norm(grad, np.inf)),
             }
         )
 
     record(x0)
     res = scipy.optimize.minimize(
-        cost, x0, jac=grad, method="BFGS", options=options, callback=record
+        cost_and_grad, x0, jac=True, method="BFGS", options=options, callback=record
     )
     trace.final_cost = float(res.fun)
     trace.n_iterations = int(res.nit)

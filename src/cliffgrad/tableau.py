@@ -245,15 +245,6 @@ class StabilizerTableau:
                     self.r[n_qubits + j] = 1
         self._row_cache = None
 
-    def copy(self) -> "StabilizerTableau":
-        t = StabilizerTableau.__new__(StabilizerTableau)
-        t.n = self.n
-        t.x = self.x.copy()
-        t.z = self.z.copy()
-        t.r = self.r.copy()
-        t._row_cache = None
-        return t
-
     # -- gate application ---------------------------------------------------
 
     def apply(self, gate: CliffordGate) -> "StabilizerTableau":

@@ -141,24 +141,37 @@ def test_verify_zero_theta_gap_is_zero(tmp_path, toy):
     assert doc["exact_ground_energy"] == pytest.approx(-1.0)
 
 
-def test_verify_rejects_mismatched_result(tmp_path, toy):
-    ham, ans = toy
+def write_two_parameter_result(tmp_path, ham):
+    """Expand a 2-rotation ansatz on the toy Hamiltonian; the toy ansatz has 1."""
+    ans = tmp_path / "ansatz2.json"
+    doc = json.loads(TOY_ANSATZ)
+    doc["elements"].append({"type": "rotation", "axis": "X", "wire": 0, "param": 1})
+    ans.write_text(json.dumps(doc))
     res = tmp_path / "result.json"
-    res.write_text(json.dumps({
-        "e0": 0.0,
-        "gradient": [0.0, 0.0],
-        "hessian": {"kept_indices": [0, 1], "rows": [[1.0, 0.0], [0.0, 1.0]]},
-        "theta_star": [0.0, 0.0],
-        "perturbative_optimum": 0.0,
-        "dropout_threshold": 0.0,
-        "rank": 2,
-        "rtol": 1e-10,
-        "stable_subspace": False,
-        "warnings": [],
-    }))
+    assert main(["expand", "--hamiltonian", str(ham), "--ansatz", str(ans),
+                 "--reference", "0", "--out", str(res)]) == 0
+    return res
+
+
+def test_verify_rejects_mismatched_result(tmp_path, toy, capsys):
+    ham, ans = toy
+    res = write_two_parameter_result(tmp_path, ham)
+    capsys.readouterr()
     rc = main(["verify", "--hamiltonian", str(ham), "--ansatz", str(ans),
                "--reference", "0", "--result", str(res)])
     assert rc == 2
+    assert "result has 2 parameters, ansatz has 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("init", ("pert", "pert-hessian"))
+def test_optimize_rejects_mismatched_result(tmp_path, toy, capsys, init):
+    ham, ans = toy
+    res = write_two_parameter_result(tmp_path, ham)
+    capsys.readouterr()
+    rc = main(["optimize", "--hamiltonian", str(ham), "--ansatz", str(ans),
+               "--reference", "0", "--result", str(res), "--init", init])
+    assert rc == 2
+    assert "result has 2 parameters, ansatz has 1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

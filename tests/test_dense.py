@@ -1,8 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from cliffgrad import dense
 from cliffgrad.circuit import AnsatzCircuit, RotationGate, generate_hwe_ansatz
 from cliffgrad.dense import (
+    DEFAULT_QUBIT_CAP,
+    DenseState,
     energy,
     exact_ground_energy,
     finite_diff_gradient,
@@ -16,7 +21,7 @@ from cliffgrad.expansion import expand
 from cliffgrad.observable import Observable, parse_observable
 from cliffgrad.tableau import StabilizerTableau
 
-from conftest import random_bitstring, random_clifford_gates
+from conftest import random_bitstring, random_clifford_gates, random_observable
 
 
 def ry_circuit():
@@ -149,3 +154,79 @@ def test_trace_document_schema():
     doc = trace.to_dict()
     assert {"init", "iterations", "final_cost", "n_iterations", "converged"} <= doc.keys()
     assert all({"iteration", "cost", "grad_norm"} <= it.keys() for it in doc["iterations"])
+
+
+def adjoint_energy_and_gradient(circ, obs, ref, theta):
+    return dense._energy_and_gradient(
+        dense._op_list(circ, DEFAULT_QUBIT_CAP),
+        dense._observable_actions(obs),
+        DenseState.from_bitstring(ref).amps,
+        theta,
+        circ.n_qubits,
+    )
+
+
+def general_clifford_circuit(rng, n, n_rotations):
+    """Rotations between random Clifford gates, param ids shuffled.
+
+    Unlike a generated ansatz, the Clifford part is not the identity.
+    """
+    elements = []
+    for k in rng.permutation(n_rotations):
+        elements += random_clifford_gates(rng, n, int(rng.integers(0, 4)))
+        elements.append(RotationGate("XYZ"[rng.integers(0, 3)], int(rng.integers(0, n)), int(k)))
+    return AnsatzCircuit(n, elements + random_clifford_gates(rng, n, 3))
+
+
+@pytest.mark.parametrize("kind", ("real", "complex", "general"))
+def test_adjoint_gradient_matches_finite_differences(rng, kind):
+    for _ in range(4):
+        n = int(rng.integers(2, 7))
+        if kind == "general":
+            circ = general_clifford_circuit(rng, n, int(rng.integers(1, 13)))
+        else:
+            circ = generate_hwe_ansatz(n, int(rng.integers(1, 3)), int(rng.integers(0, 1000)), kind)
+        obs = random_observable(rng, n, max_terms=8)
+        ref = random_bitstring(rng, n)
+        theta = rng.uniform(-np.pi, np.pi, circ.n_params)
+        e, g = adjoint_energy_and_gradient(circ, obs, ref, theta)
+        assert e == pytest.approx(energy(circ, theta, ref, obs), abs=1e-12)
+        g_fd = finite_diff_gradient(circ, obs, ref, theta0=theta)
+        assert (np.abs(g - g_fd) / (1.0 + np.abs(g))).max() <= 1e-6
+
+
+def test_trace_records_without_extra_sweeps(monkeypatch):
+    swept = []
+    sweep = dense._energy_and_gradient
+
+    def counting(ops, terms, reference, theta, n):
+        swept.append(tuple(theta))
+        return sweep(ops, terms, reference, theta, n)
+
+    monkeypatch.setattr(dense, "_energy_and_gradient", counting)
+    circ = generate_hwe_ansatz(3, 1, 5, "real")
+    obs = Observable.from_strings(3, {"Z0 Z1": -1.0, "Z1 Z2": -1.0, "X0": -0.6, "X2": -0.6})
+    trace = optimize_bfgs(circ, obs, "010", init="zero")
+    assert trace.converged and trace.n_iterations >= 2
+    # every sweep is at a new point: recording an iteration re-evaluates nothing
+    assert len(swept) == len(set(swept)) == trace.n_evaluations
+    assert trace.to_dict()["n_evaluations"] == trace.n_evaluations
+
+
+@pytest.mark.parametrize(
+    "init, theta_star_width",
+    [("theta_star", 2), ("theta_star_with_hessian", 2), ("theta_star_with_hessian", 1)],
+)
+def test_optimize_rejects_expansion_of_another_width(monkeypatch, init, theta_star_width):
+    obs = parse_observable("qubits 1\n1.0 X0\n2.0 Z0\n")
+    wider = AnsatzCircuit(1, [RotationGate("Y", 0, 0), RotationGate("X", 0, 1)])
+    res = expand(wider, obs, "0", threshold=0.0)
+    # width 1 matches the ansatz, so only the 2 x 2 Hessian is of another width
+    res = dataclasses.replace(res, theta_star=res.theta_star[:theta_star_width])
+
+    def no_sweep(*args):
+        raise AssertionError("swept before the width check")
+
+    monkeypatch.setattr(dense, "_energy_and_gradient", no_sweep)
+    with pytest.raises(ValueError, match="ansatz has 1 parameters"):
+        optimize_bfgs(ry_circuit(), obs, "0", init=init, expansion=res)
