@@ -289,6 +289,16 @@ def _random_observable(n_qubits: int, n_terms: int, seed: int) -> Observable:
 def cmd_bench(args) -> int:
     qubit_list = [int(s) for s in args.qubits.split(",")]
     depth_list = [int(s) for s in args.depths.split(",")]
+    for n in qubit_list:
+        if n < 1:
+            raise _CliError(EXIT_INPUT, f"--qubits entries must be positive, got {n}")
+        # the random observable draws distinct strings, and only 4^n exist
+        if not args.hamiltonian and not 1 <= args.terms <= 4**n:
+            raise _CliError(
+                EXIT_INPUT,
+                f"--terms {args.terms} must be between 1 and 4^n, the number of "
+                f"Pauli strings on n={n} qubits",
+            )
     rows = []
     for n in qubit_list:
         if args.hamiltonian:
@@ -377,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dropout-threshold", type=float, default=1e-6)
     p.add_argument("--rtol", type=float, default=1e-10)
     p.add_argument("--stable-subspace", action="store_true")
-    p.add_argument("--jobs", type=int, default=None)
+    p.add_argument("--jobs", type=int, default=None, help="accepted and ignored")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_expand)
 

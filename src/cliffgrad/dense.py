@@ -13,6 +13,9 @@ stay as the oracles the tests compare against.
 
 Rotation convention matches the expansion: R(theta) = exp(i theta P)
 = cos(theta) I + i sin(theta) P.
+
+scipy is imported inside the functions that use it, so that commands
+which never call them (expand, select-ansatz, bench) do not load it.
 """
 
 from __future__ import annotations
@@ -21,9 +24,6 @@ from dataclasses import dataclass, field
 from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
-import scipy.optimize
-import scipy.sparse
-import scipy.sparse.linalg
 
 from .circuit import AnsatzCircuit, RotationGate
 from .errors import ResourceCapError
@@ -114,12 +114,6 @@ class DenseState:
         amps = np.zeros((batch, 2**n), dtype=complex)
         amps[:, idx] = 1.0
         return cls(n, amps, cap)
-
-    def vector(self) -> np.ndarray:
-        return self.amps[0]
-
-    def norms(self) -> np.ndarray:
-        return np.sqrt((np.abs(self.amps) ** 2).sum(axis=1))
 
 
 def _pauli_action(n: int, p: PauliString) -> Tuple[np.ndarray, np.ndarray]:
@@ -344,7 +338,9 @@ def finite_diff_hessian(
 # ---------------------------------------------------------------------------
 
 
-def _pauli_sparse(n: int, p: PauliString) -> scipy.sparse.csr_matrix:
+def _pauli_sparse(n: int, p: PauliString):
+    import scipy.sparse
+
     perm, phase = _pauli_action(n, p)
     dim = 2**n
     return scipy.sparse.csr_matrix((phase, (perm, np.arange(dim))), shape=(dim, dim))
@@ -363,6 +359,8 @@ def exact_ground_energy(observable: Observable, cap: int = 14) -> float:
         return 0.0
     if n <= 6:
         return float(np.linalg.eigvalsh(H.toarray()).min())
+    import scipy.sparse.linalg
+
     vals = scipy.sparse.linalg.eigsh(H, k=1, which="SA", return_eigenvectors=False)
     return float(vals[0])
 
@@ -449,6 +447,8 @@ def optimize_bfgs(
         if hessian.shape != (K, K):
             raise ValueError(f"Hessian has shape {hessian.shape}, ansatz has {K} parameters")
         options["hess_inv0"] = warm_start_hess_inv(hessian)
+
+    import scipy.optimize
 
     ops = _op_list(ansatz, cap)
     terms = _observable_actions(observable)

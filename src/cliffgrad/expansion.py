@@ -5,6 +5,10 @@ an ansatz of Clifford gates and single-qubit Pauli rotations, from
 stabilizer-state expectations. One left-to-right sweep conjugates all K
 rotation generators as a block of packed Pauli rows with
 tableau.conjugate_rows, the gate update that also evolves the state.
+The gradient maps the observable terms and the generators into the
+state's input frame once (StabilizerTableau.input_frame) and reads every
+<O_i P'_k> from one batched row product; the Hessian evaluates its
+products one at a time through a memo cache of tableau expectations.
 The quadratic model is then minimized at its stationary point
 theta* = -pinv(A) g, giving the second-order estimate <O>* of the optimum.
 
@@ -24,7 +28,6 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -33,7 +36,7 @@ import numpy as np
 from .circuit import AnsatzCircuit, RotationGate
 from .errors import SolveError
 from .observable import Observable
-from .pauli import PauliString, _n_words, pauli_mul
+from .pauli import PauliString, _n_words, mul_rows, pauli_mul, stack_rows
 from .tableau import StabilizerTableau, _check_wires, conjugate_rows
 
 
@@ -79,8 +82,7 @@ def conjugate_generators(ansatz: AnsatzCircuit) -> ConjugatedGenerators:
 class _ExpectationCache:
     """Memoized stabilizer expectations keyed by the unphased bit content.
 
-    Concurrent insert-or-read is safe: values are idempotent and dict
-    access is atomic under the GIL.
+    The Hessian's pair loop reads it; misses and hits count its lookups.
     """
 
     def __init__(self, state: StabilizerTableau):
@@ -107,14 +109,29 @@ def compute_gradient(
     gens: ConjugatedGenerators,
     cache: Optional[_ExpectationCache] = None,
 ) -> np.ndarray:
-    """g_k = -2 Im <psi(0)| O P'_k |psi(0)>, term by term."""
-    if cache is None:
-        cache = _ExpectationCache(state0)
+    """g_k = -2 Im <psi(0)| O P'_k |psi(0)>, in the state's input frame.
+
+    The N_o terms and the K generators are mapped through U† . U once each
+    (StabilizerTableau.input_frame), and one (K, N_o) broadcast product
+    gives every <O_i P'_k> as [x = 0] * i^k. Each term is exactly 0 or
+    ±c_i and math.fsum rounds correctly, so g is the same as summing
+    c_i Im <O_i P'_k> term by term. `cache` is accepted and not read; the
+    memo cache serves the Hessian.
+    """
+    n, n_obs = state0.n, obs.n_terms
+    coeffs = np.array([c for c, _ in obs.terms])
+    x, z, phase = state0.input_frame(*stack_rows([p for _, p in obs.terms] + gens.paulis, n))
+    # O_i P'_k: observable terms along axis 1, generators along axis 0
+    px, _, pp = mul_rows(
+        x[None, :n_obs], z[None, :n_obs], phase[None, :n_obs],
+        x[n_obs:, None], z[n_obs:, None], phase[n_obs:, None],
+    )
+    # Im i^k is +1 at k = 1 and -1 at k = 3
+    sign = np.where(px.any(axis=-1), 0, (pp == 1).astype(np.int8) - (pp == 3))
     g = np.empty(gens.n_params)
-    for k, pk in enumerate(gens.paulis):
-        g[k] = -2.0 * math.fsum(
-            c * cache.expectation(pauli_mul(p, pk)).imag for c, p in obs.terms
-        )
+    for k in range(gens.n_params):
+        nz = sign[k] != 0
+        g[k] = -2.0 * math.fsum((sign[k, nz] * coeffs[nz]).tolist())
     return g
 
 
@@ -137,9 +154,9 @@ def compute_hessian(
     """Hessian restricted to kept parameters, returned as a dense symmetric
     matrix over the kept index order.
 
-    Each unordered pair is evaluated once and mirrored; pairs may be
-    evaluated by a parallel worker pool, with results written to
-    preallocated slots so the output is independent of scheduling.
+    Each unordered pair is evaluated once and mirrored. `jobs` is accepted
+    and ignored: the pair loop is Python-bound, so threads under the GIL
+    only slowed it.
     """
     if cache is None:
         cache = _ExpectationCache(state0)
@@ -187,20 +204,9 @@ def compute_hessian(
         )
         return 2.0 * first - 2.0 * second
 
-    pairs = [(a, b) for a in range(nk) for b in range(a, nk)]
-
-    def fill(chunk):
-        for a, b in chunk:
-            v = entry(a, b)
-            A[a, b] = v
-            A[b, a] = v
-
-    if jobs is None or jobs <= 1 or len(pairs) < 64:
-        fill(pairs)
-    else:
-        chunks = [pairs[i::jobs] for i in range(jobs)]
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            list(pool.map(fill, chunks))
+    for a in range(nk):
+        for b in range(a, nk):
+            A[a, b] = A[b, a] = entry(a, b)
     return A
 
 
@@ -370,7 +376,8 @@ def expand(
 ) -> ExpansionResult:
     """Full pipeline: state -> generators -> g -> dropout -> A -> theta*.
 
-    Deterministic for fixed inputs regardless of `jobs`.
+    `jobs` is accepted and ignored (see compute_hessian). The memo cache
+    serves the Hessian only, so the two cache counters count its lookups.
     """
     if observable.n_qubits != ansatz.n_qubits:
         raise SolveError(
@@ -378,18 +385,20 @@ def expand(
         )
     t0 = time.perf_counter()
     state0 = ansatz.clifford_point_state(reference)
-    cache = _ExpectationCache(state0)
     e0 = observable.expectation_at_clifford_point(state0)
-    gens = conjugate_generators(ansatz)
-    gradient = compute_gradient(observable, state0, gens, cache)
     t1 = time.perf_counter()
-    mask = apply_dropout(gradient, threshold)
-    hessian = compute_hessian(observable, state0, gens, mask, e0, jobs, cache)
+    gens = conjugate_generators(ansatz)
     t2 = time.perf_counter()
+    gradient = compute_gradient(observable, state0, gens)
+    t3 = time.perf_counter()
+    mask = apply_dropout(gradient, threshold)
+    cache = _ExpectationCache(state0)
+    hessian = compute_hessian(observable, state0, gens, mask, e0, jobs, cache)
+    t4 = time.perf_counter()
     theta_star, optimum, rank = solve_quadratic(
         e0, gradient, hessian, mask, rtol, stable_subspace
     )
-    t3 = time.perf_counter()
+    t5 = time.perf_counter()
     warnings = []
     if mask.size and not mask.any():
         warnings.append("all parameters dropped; quadratic model is the constant e0")
@@ -406,9 +415,11 @@ def expand(
         rtol=rtol,
         stable_subspace=stable_subspace,
         timings={
-            "gradient_s": t1 - t0,
-            "hessian_s": t2 - t1,
-            "solve_s": t3 - t2,
+            "state_s": t1 - t0,
+            "conjugate_s": t2 - t1,
+            "gradient_s": t3 - t2,
+            "hessian_s": t4 - t3,
+            "solve_s": t5 - t4,
         },
         counters={
             "n_qubits": ansatz.n_qubits,

@@ -6,7 +6,9 @@ i^k * (L_0 ⊗ L_1 ⊗ ... ⊗ L_{n-1}), where the letter on qubit j is decoded
 from the bit pair (x_j, z_j): (0,0)=I, (1,0)=X, (0,1)=Z, (1,1)=Y.
 
 Qubit 0 is the leftmost wire in all textual forms. All phase arithmetic is
-integer (mod 4), so products of Pauli strings are exact.
+integer (mod 4), so products of Pauli strings are exact. pauli_mul
+multiplies two PauliStrings; mul_rows multiplies whole batches of packed
+rows with the same phase formula.
 """
 
 from __future__ import annotations
@@ -225,6 +227,45 @@ def pauli_mul(a: PauliString, b: PauliString) -> PauliString:
     )
     phase = (k_int - _popcount(x & z)) % 4
     return PauliString(a.n_qubits, x, z, phase)
+
+
+def stack_rows(paulis, n_qubits: int):
+    """Packed rows (x, z, phase) of a sequence of PauliStrings on n_qubits.
+
+    x and z are (M, words) uint64 arrays, phase the (M,) int64 exponents.
+    """
+    if any(p.n_qubits != n_qubits for p in paulis):
+        raise DimensionMismatchError(f"rows must all act on {n_qubits} qubits")
+    w = _n_words(n_qubits)
+    x = np.array([p.x for p in paulis], dtype=np.uint64).reshape(len(paulis), w)
+    z = np.array([p.z for p in paulis], dtype=np.uint64).reshape(len(paulis), w)
+    phase = np.array([p.phase for p in paulis], dtype=np.int64)
+    return x, z, phase
+
+
+def mul_rows(xa, za, pa, xb, zb, pb):
+    """Row-wise exact products a·b of packed Pauli rows, broadcast like numpy.
+
+    Each operand is (x, z, phase): uint64 words on the last axis and int64
+    (or int) phase exponents of i on the axes before it. The phase follows
+    pauli_mul's formula, which stays the scalar reference. Returns
+    (x, z, phase) with phase in {0, 1, 2, 3}.
+    """
+    x = xa ^ xb
+    z = za ^ zb
+    k = (
+        pa
+        + _row_popcount(xa & za)
+        + pb
+        + _row_popcount(xb & zb)
+        + 2 * _row_popcount(za & xb)
+        - _row_popcount(x & z)
+    )
+    return x, z, k % 4
+
+
+def _row_popcount(words: np.ndarray) -> np.ndarray:
+    return np.bitwise_count(words).sum(axis=-1, dtype=np.int64)
 
 
 def commutes(a: PauliString, b: PauliString) -> bool:

@@ -6,8 +6,10 @@ update, conjugates any number of rows through a Clifford gate; the
 destabilizer/stabilizer tableau and the generator sweep in expansion.py
 both use it. Expectations <psi|Q|psi> are exact: one popcount parity over
 the packed words finds the rows Q anticommutes with, and a sign-exact
-reconstruction gives the value. conjugate_pauli is an independent
-bit-at-a-time conjugation of one Pauli string, kept as the reference.
+reconstruction gives the value. input_frame maps a whole batch of rows
+Q to U†QU, the frame in which the state is |0...0>, for the batched
+gradient. conjugate_pauli is an independent bit-at-a-time conjugation of
+one Pauli string, kept as the reference.
 
 All gates reduce to the primitives {H, S, CNOT}; the 24 single-qubit
 Clifford gates are enumerated by a fixed table of H/S words (see
@@ -22,7 +24,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .errors import WireError, DimensionMismatchError
-from .pauli import PHASES, PauliString, _n_words, pauli_mul
+from .pauli import PHASES, PauliString, _n_words, _row_popcount, mul_rows, pauli_mul
 
 # ---------------------------------------------------------------------------
 # Single-qubit Clifford table
@@ -303,3 +305,35 @@ class StabilizerTableau:
             raise AssertionError("stabilizer reconstruction mismatch")
         sign = 1.0 if acc.phase == 0 else -1.0
         return PHASES[q.phase] * sign
+
+    def input_frame(self, x: np.ndarray, z: np.ndarray, phase: np.ndarray):
+        """Images U†QU of a batch of packed rows Q, where U|0...0> = |psi>.
+
+        U is the Clifford with U X_j U† = destabilizer j and U Z_j U† =
+        stabilizer j. Rows are given and returned as mul_rows takes them:
+        (M, words) uint64 x and z, (M,) phase exponents of i. The image of Q
+        is i^k~ (x~, z~): x~_j is Q's anticommutation parity with stabilizer
+        j, z~_j its parity with destabilizer j, and k~ comes from the
+        sign-exact product of the selected rows, destabilizers first, each
+        block in index order. Then <psi|Q|psi> = [x~ = 0] * i^k~ for any Q.
+        """
+        n = self.n
+        xt, zt = np.zeros_like(x), np.zeros_like(z)
+        acc_x, acc_z = np.zeros_like(x), np.zeros_like(z)
+        acc_p = np.zeros(x.shape[0], dtype=np.int64)
+        for i in range(2 * n):
+            # destabilizer j is selected by stabilizer j, and the other way round
+            j = (i + n) % (2 * n)
+            sel = (np.bitwise_count((self.x[j] & z) ^ (self.z[j] & x)).sum(axis=1) & 1) == 1
+            if not sel.any():
+                continue
+            w, b = divmod(i % n, 64)
+            (xt if i < n else zt)[sel, w] |= np.uint64(1 << b)
+            acc_x[sel], acc_z[sel], acc_p[sel] = mul_rows(
+                acc_x[sel], acc_z[sel], acc_p[sel], self.x[i], self.z[i], 2 * int(self.r[i])
+            )
+        if not (np.array_equal(acc_x, x) and np.array_equal(acc_z, z)):
+            raise AssertionError("stabilizer reconstruction mismatch")
+        # Q = i^phase L(x, z) = i^(phase - acc_p) U X^x~ Z^z~ U†, and X^x~ Z^z~
+        # is L(x~, z~) up to a factor i per Y site.
+        return xt, zt, (phase - acc_p - _row_popcount(xt & zt)) % 4

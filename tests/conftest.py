@@ -36,7 +36,8 @@ def random_pauli(rng: np.random.Generator, n: int, hermitian: bool = False) -> P
 
 
 def random_observable(rng: np.random.Generator, n: int, max_terms: int = 16) -> Observable:
-    n_terms = int(rng.integers(1, max_terms + 1))
+    # distinct strings are drawn, and only 4^n exist on n qubits
+    n_terms = int(rng.integers(1, min(max_terms, 4**n) + 1))
     terms = {}
     while len(terms) < n_terms:
         toks = []

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -281,3 +285,21 @@ def test_bench_csv_schema(tmp_path, capsys):
     fields = row.split(",")
     assert fields[0] == "3" and fields[1] == "1"
     assert int(fields[2]) == 9  # (2*1+1)*3 Y rotations, real variant default
+
+
+@pytest.mark.parametrize("terms", ("0", "17"))
+def test_bench_rejects_more_terms_than_pauli_strings(terms, capsys):
+    # only 4^2 = 16 distinct strings exist on 2 qubits
+    rc = main(["bench", "--qubits", "2", "--depths", "1", "--terms", terms])
+    assert rc == 2
+    assert "between 1 and 4^n" in capsys.readouterr().err
+
+
+def test_importing_the_cli_loads_no_scipy():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = "import sys, cliffgrad.cli; print([m for m in sys.modules if m.startswith('scipy')])"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

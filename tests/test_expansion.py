@@ -1,9 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from cliffgrad.circuit import AnsatzCircuit, RotationGate, generate_hwe_ansatz
 from cliffgrad.dense import energy, finite_diff_gradient, finite_diff_hessian
-from cliffgrad.errors import SolveError
+from cliffgrad.errors import DimensionMismatchError, SolveError
 from cliffgrad.expansion import (
     apply_dropout,
     compute_gradient,
@@ -13,10 +15,16 @@ from cliffgrad.expansion import (
     solve_quadratic,
 )
 from cliffgrad.observable import Observable, parse_observable
-from cliffgrad.pauli import PauliString, parse_pauli
+from cliffgrad.pauli import PauliString, parse_pauli, pauli_mul
 from cliffgrad.tableau import CliffordGate, conjugate_pauli
 
-from conftest import dense_unitary, random_clifford_gates, random_instance
+from conftest import (
+    dense_unitary,
+    random_bitstring,
+    random_clifford_gates,
+    random_instance,
+    random_observable,
+)
 
 
 def ry_circuit():
@@ -46,18 +54,25 @@ def test_generators_match_dense_suffix_conjugation(rng):
         assert np.allclose(pk.to_matrix(), U @ base.to_matrix() @ U.conj().T, atol=1e-9)
 
 
-@pytest.mark.parametrize("n", (3, 65, 130))
-def test_generators_of_general_clifford_part_match_conjugate_pauli(rng, n):
-    # Random Clifford gates do not compose to the identity, unlike a
-    # generated ansatz; param ids are a permutation of element order.
+def general_circuit(rng, n: int, n_rotations: int = 12) -> AnsatzCircuit:
+    """Random Clifford gates with rotations inserted at random slots.
+
+    The gates do not compose to the identity, unlike a generated ansatz;
+    param ids are a permutation of element order.
+    """
     gates = random_clifford_gates(rng, n, 3 * n)
-    slots = sorted(rng.integers(0, len(gates) + 1, 12))
+    slots = sorted(rng.integers(0, len(gates) + 1, n_rotations))
     params = rng.permutation(len(slots))
     elements = list(gates)
     for k, slot in zip(params[::-1], slots[::-1]):
         axis = "XYZ"[rng.integers(0, 3)]
         elements.insert(int(slot), RotationGate(axis, int(rng.integers(0, n)), int(k)))
-    circ = AnsatzCircuit(n, elements)
+    return AnsatzCircuit(n, elements)
+
+
+@pytest.mark.parametrize("n", (3, 65, 130))
+def test_generators_of_general_clifford_part_match_conjugate_pauli(rng, n):
+    circ = general_circuit(rng, n)
     gens = conjugate_generators(circ)
     for k, pk in enumerate(gens.paulis):
         pos = gens.positions[k]
@@ -75,6 +90,81 @@ def test_gradient_analytic_examples():
     gens = conjugate_generators(circ)
     assert compute_gradient(obs_z, state0, gens) == pytest.approx([0.0])
     assert compute_gradient(obs_x, state0, gens) == pytest.approx([-2.0])
+
+
+def direct_gradient(obs, state0, gens) -> np.ndarray:
+    """g_k = -2 fsum_i c_i Im <O_i P'_k>, one tableau expectation per term."""
+    return np.array([
+        -2.0 * math.fsum(c * state0.expectation(pauli_mul(p, pk)).imag for c, p in obs.terms)
+        for pk in gens.paulis
+    ])
+
+
+def signal_observable(rng, state0, gens, n_terms: int = 12) -> Observable:
+    """Terms s·P'_k for s in the stabilizer group, so that many g_k are nonzero."""
+    n = state0.n
+    terms = {}
+    for _ in range(n_terms):
+        s = PauliString.identity(n)
+        for j in np.flatnonzero(rng.integers(0, 2, n)):
+            s = pauli_mul(s, state0.stabilizer(int(j)))
+        pk = gens.paulis[int(rng.integers(0, gens.n_params))]
+        terms[pauli_mul(s, pk).to_text()] = float(rng.normal())
+    return Observable.from_strings(n, terms)
+
+
+def assert_bit_identical(a: np.ndarray, b: np.ndarray) -> None:
+    assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@pytest.mark.parametrize("variant", ("real", "complex"))
+def test_gradient_matches_direct_formula_on_generated_ansatzes(rng, variant):
+    for _ in range(6):
+        n = int(rng.integers(2, 7))
+        circ = generate_hwe_ansatz(n, int(rng.integers(1, 3)), int(rng.integers(0, 1 << 31)), variant)
+        state0 = circ.clifford_point_state(random_bitstring(rng, n))
+        gens = conjugate_generators(circ)
+        for obs in (random_observable(rng, n), signal_observable(rng, state0, gens)):
+            g = compute_gradient(obs, state0, gens)
+            assert_bit_identical(g, direct_gradient(obs, state0, gens))
+
+
+@pytest.mark.parametrize("n", (3, 65, 130))
+def test_gradient_matches_direct_formula_on_general_clifford_part(rng, n):
+    for _ in range(3):
+        circ = general_circuit(rng, n)
+        state0 = circ.clifford_point_state(random_bitstring(rng, n))
+        gens = conjugate_generators(circ)
+        obs = signal_observable(rng, state0, gens)
+        g = compute_gradient(obs, state0, gens)
+        assert np.count_nonzero(g) > 0
+        assert_bit_identical(g, direct_gradient(obs, state0, gens))
+
+
+def test_gradient_of_ansatz_without_rotations(rng):
+    circ = AnsatzCircuit(3, random_clifford_gates(rng, 3, 6))
+    obs = random_observable(rng, 3)
+    g = compute_gradient(obs, circ.clifford_point_state("010"), conjugate_generators(circ))
+    assert g.shape == (0,)
+
+
+def test_gradient_of_general_clifford_part_matches_finite_differences(rng):
+    for n in (3, 5):
+        circ = general_circuit(rng, n, n_rotations=8)
+        ref = random_bitstring(rng, n)
+        state0 = circ.clifford_point_state(ref)
+        gens = conjugate_generators(circ)
+        obs = signal_observable(rng, state0, gens)
+        g = compute_gradient(obs, state0, gens)
+        assert np.count_nonzero(g) > 0
+        assert np.abs(g - finite_diff_gradient(circ, obs, ref)).max() < 1e-6
+
+
+def test_gradient_rejects_an_observable_of_another_width():
+    circ = AnsatzCircuit(2, [RotationGate("Y", 0, 0)])
+    obs = parse_observable("qubits 3\n1.0 X0\n")
+    with pytest.raises(DimensionMismatchError):
+        compute_gradient(obs, circ.clifford_point_state("00"), conjugate_generators(circ))
 
 
 def test_gradient_zero_for_commuting_diagonal_observable():
@@ -216,6 +306,10 @@ def test_expand_counters_and_result_document(rng):
     c = res.counters
     assert c["K"] == circ.n_params and c["N_o"] == 2 and c["n_qubits"] == 4
     assert c["pauli_expectations_evaluated"] > 0
+    assert set(res.timings) == {"state_s", "conjugate_s", "gradient_s", "hessian_s", "solve_s"}
+    # the gradient reads no memo cache, so with nothing kept nothing is looked up
+    dropped = expand(circ, obs, "0000", threshold=1e9).counters
+    assert dropped["pauli_expectations_evaluated"] == dropped["expectation_cache_hits"] == 0
     doc = res.to_dict()
     from cliffgrad.expansion import ExpansionResult
 

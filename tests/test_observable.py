@@ -8,6 +8,13 @@ from cliffgrad.tableau import StabilizerTableau
 from conftest import random_clifford_gates, random_observable, statevector_of
 
 
+def test_random_observable_helper_terminates_on_one_qubit():
+    # only 4 distinct strings exist on one qubit, fewer than max_terms
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        assert 1 <= random_observable(rng, 1, max_terms=16).n_terms <= 4
+
+
 def test_duplicate_terms_merge():
     obs = parse_observable("qubits 2\n0.5 Z0\n0.5 Z0\n")
     assert obs.n_terms == 1

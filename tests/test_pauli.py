@@ -4,7 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cliffgrad.errors import DimensionMismatchError, PauliFormatError
-from cliffgrad.pauli import PauliString, commutes, parse_pauli, pauli_mul
+from cliffgrad.pauli import PauliString, commutes, mul_rows, parse_pauli, pauli_mul, stack_rows
+
+from conftest import random_pauli
 
 
 def test_single_qubit_identities():
@@ -102,3 +104,16 @@ def test_bit_packing_beyond_one_word():
     assert p.weight() == 3 and p.n_y() == 1
     q = parse_pauli("Z70", 200)
     assert not commutes(p, q)
+
+
+@pytest.mark.parametrize("n", (3, 65, 130))
+def test_mul_rows_broadcast_matches_pauli_mul(rng, n):
+    left = [random_pauli(rng, n) for _ in range(5)]
+    right = [random_pauli(rng, n) for _ in range(7)]
+    xa, za, pa = stack_rows(left, n)
+    xb, zb, pb = stack_rows(right, n)
+    x, z, phase = mul_rows(xa[:, None], za[:, None], pa[:, None], xb[None], zb[None], pb[None])
+    assert x.shape == (5, 7, xa.shape[1]) and phase.shape == (5, 7)
+    for i, a in enumerate(left):
+        for j, b in enumerate(right):
+            assert PauliString(n, x[i, j], z[i, j], int(phase[i, j])) == pauli_mul(a, b)

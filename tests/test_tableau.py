@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cliffgrad.errors import DimensionMismatchError, WireError
-from cliffgrad.pauli import PHASES, PauliString, commutes, parse_pauli
+from cliffgrad.pauli import PHASES, PauliString, commutes, parse_pauli, stack_rows
 from cliffgrad.tableau import (
     CLIFFORD_1Q_INVERSE,
     CLIFFORD_1Q_WORDS,
@@ -179,3 +179,32 @@ def test_tableau_invariants_after_random_circuit(rng):
             assert commutes(stabs[j], stabs[k])
             anti = not commutes(t.destabilizer(j), stabs[k])
             assert anti == (j == k)
+
+
+@pytest.mark.parametrize("n", WIDTHS)
+def test_input_frame_is_conjugation_by_the_state_clifford(rng, n):
+    # The state is C X^b |0...0>, so U†QU = X^b C† Q C X^b.
+    for _ in range(4):
+        bits = "".join(rng.choice(["0", "1"], n))
+        gates = random_clifford_gates(rng, n, 4 * n)
+        t = StabilizerTableau(n, bits).apply_circuit(gates)
+        undo = [g.inverse() for g in reversed(gates)]
+        undo += [CliffordGate("X", (j,)) for j, c in enumerate(bits) if c == "1"]
+        diagonal = PauliString.from_bits([0] * n, rng.integers(0, 2, n), int(rng.integers(0, 4)))
+        rows = [conjugate_pauli(gates, diagonal)] + [random_pauli(rng, n) for _ in range(8)]
+        xt, zt, kt = t.input_frame(*stack_rows(rows, n))
+        for i, q in enumerate(rows):
+            assert PauliString(n, xt[i], zt[i], int(kt[i])) == conjugate_pauli(undo, q)
+            want = 0j if xt[i].any() else PHASES[kt[i]]
+            assert t.expectation(q) == want
+        assert t.expectation(rows[0]) != 0
+
+
+def test_input_frame_and_expectation_reject_a_broken_tableau():
+    t = StabilizerTableau(2)
+    t.z[2] = 0  # stabilizer 0 becomes the identity
+    z0 = parse_pauli("Z0", 2)
+    with pytest.raises(AssertionError, match="reconstruction mismatch"):
+        t.expectation(z0)
+    with pytest.raises(AssertionError, match="reconstruction mismatch"):
+        t.input_frame(*stack_rows([z0], 2))
