@@ -160,7 +160,14 @@ def cmd_select_ansatz(args) -> int:
     return EXIT_OK
 
 
+def _check_non_negative(flag: str, value: float) -> None:
+    if not value >= 0:  # also rejects NaN
+        raise _CliError(EXIT_INPUT, f"{flag} must be >= 0, got {value!r}")
+
+
 def cmd_expand(args) -> int:
+    _check_non_negative("--dropout-threshold", args.dropout_threshold)
+    _check_non_negative("--rtol", args.rtol)
     obs = _load_observable(args.hamiltonian)
     circ = _load_ansatz(args.ansatz)
     reference = _check_reference(args.reference, circ.n_qubits)
@@ -243,6 +250,7 @@ _INIT_MODES = {"zero": "zero", "pert": "theta_star", "pert-hessian": "theta_star
 
 
 def cmd_optimize(args) -> int:
+    _check_non_negative("--gtol", args.gtol)
     obs = _load_observable(args.hamiltonian)
     circ = _load_ansatz(args.ansatz)
     reference = _check_reference(args.reference, circ.n_qubits)
@@ -286,14 +294,27 @@ def _random_observable(n_qubits: int, n_terms: int, seed: int) -> Observable:
     return Observable.from_strings(n_qubits, terms)
 
 
+def _int_list(flag: str, text: str) -> list:
+    try:
+        return [int(s) for s in text.split(",")]
+    except ValueError:
+        raise _CliError(EXIT_INPUT, f"{flag} must be comma-separated integers, got {text!r}")
+
+
 def cmd_bench(args) -> int:
-    qubit_list = [int(s) for s in args.qubits.split(",")]
-    depth_list = [int(s) for s in args.depths.split(",")]
+    qubit_list = _int_list("--qubits", args.qubits)
+    depth_list = _int_list("--depths", args.depths)
+    _check_non_negative("--dropout-threshold", args.dropout_threshold)
+    ham = _load_observable(args.hamiltonian) if args.hamiltonian else None
+    if ham is not None and ham.n_qubits not in qubit_list:
+        raise _CliError(
+            EXIT_INPUT, f"hamiltonian is on {ham.n_qubits} qubits, not one of --qubits {args.qubits}"
+        )
     for n in qubit_list:
         if n < 1:
             raise _CliError(EXIT_INPUT, f"--qubits entries must be positive, got {n}")
         # the random observable draws distinct strings, and only 4^n exist
-        if not args.hamiltonian and not 1 <= args.terms <= 4**n:
+        if ham is None and not 1 <= args.terms <= 4**n:
             raise _CliError(
                 EXIT_INPUT,
                 f"--terms {args.terms} must be between 1 and 4^n, the number of "
@@ -301,13 +322,10 @@ def cmd_bench(args) -> int:
             )
     rows = []
     for n in qubit_list:
-        if args.hamiltonian:
-            obs = _load_observable(args.hamiltonian)
-            if obs.n_qubits != n:
-                print(f"skip n={n}: hamiltonian is on {obs.n_qubits} qubits")
-                continue
-        else:
-            obs = _random_observable(n, args.terms, args.seed)
+        if ham is not None and ham.n_qubits != n:
+            print(f"skip n={n}: hamiltonian is on {ham.n_qubits} qubits")
+            continue
+        obs = ham if ham is not None else _random_observable(n, args.terms, args.seed)
         reference = "0" * n
         for depth in depth_list:
             circ = generate_hwe_ansatz(n, depth, args.seed, args.variant)

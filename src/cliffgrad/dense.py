@@ -361,7 +361,11 @@ def exact_ground_energy(observable: Observable, cap: int = 14) -> float:
         return float(np.linalg.eigvalsh(H.toarray()).min())
     import scipy.sparse.linalg
 
-    vals = scipy.sparse.linalg.eigsh(H, k=1, which="SA", return_eigenvectors=False)
+    # A seeded start vector makes the value reproducible; ARPACK's own is
+    # random. An all-ones vector would not do: it is invariant under every
+    # basis permutation, so orthogonal to ground states odd under one.
+    v0 = np.random.default_rng(0).standard_normal(H.shape[0])
+    vals = scipy.sparse.linalg.eigsh(H, k=1, which="SA", v0=v0, return_eigenvectors=False)
     return float(vals[0])
 
 

@@ -37,7 +37,7 @@ from .circuit import AnsatzCircuit, RotationGate
 from .errors import SolveError
 from .observable import Observable
 from .pauli import PauliString, _n_words, mul_rows, pauli_mul, stack_rows
-from .tableau import StabilizerTableau, _check_wires, conjugate_rows
+from .tableau import StabilizerTableau, _check_wires, conjugate_rows, frame_values
 
 
 @dataclass
@@ -113,10 +113,10 @@ def compute_gradient(
 
     The N_o terms and the K generators are mapped through U† . U once each
     (StabilizerTableau.input_frame), and one (K, N_o) broadcast product
-    gives every <O_i P'_k> as [x = 0] * i^k. Each term is exactly 0 or
-    ±c_i and math.fsum rounds correctly, so g is the same as summing
-    c_i Im <O_i P'_k> term by term. `cache` is accepted and not read; the
-    memo cache serves the Hessian.
+    gives every <O_i P'_k> as [x = 0] * i^k (tableau.frame_values). Each
+    term is exactly 0 or ±c_i and math.fsum rounds correctly, so g is the
+    same as summing c_i Im <O_i P'_k> term by term. `cache` is accepted and
+    not read; the memo cache serves the Hessian.
     """
     n, n_obs = state0.n, obs.n_terms
     coeffs = np.array([c for c, _ in obs.terms])
@@ -126,12 +126,11 @@ def compute_gradient(
         x[None, :n_obs], z[None, :n_obs], phase[None, :n_obs],
         x[n_obs:, None], z[n_obs:, None], phase[n_obs:, None],
     )
-    # Im i^k is +1 at k = 1 and -1 at k = 3
-    sign = np.where(px.any(axis=-1), 0, (pp == 1).astype(np.int8) - (pp == 3))
+    im = frame_values(px, pp).imag
     g = np.empty(gens.n_params)
     for k in range(gens.n_params):
-        nz = sign[k] != 0
-        g[k] = -2.0 * math.fsum((sign[k, nz] * coeffs[nz]).tolist())
+        nz = im[k] != 0
+        g[k] = -2.0 * math.fsum((im[k, nz] * coeffs[nz]).tolist())
     return g
 
 

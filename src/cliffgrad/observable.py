@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
 from .errors import DimensionMismatchError, ObservableFormatError, PauliFormatError
-from .pauli import PauliString, parse_pauli
-from .tableau import StabilizerTableau
+from .pauli import PauliString, parse_pauli, stack_rows
+from .tableau import StabilizerTableau, frame_values
 
 
 @dataclass
@@ -62,8 +62,9 @@ class Observable:
             raise DimensionMismatchError(
                 f"observable on {self.n_qubits} qubits vs state on {state.n}"
             )
+        x, _, k = state.input_frame(*stack_rows([p for _, p in self.terms], self.n_qubits))
         # Hermitian phase-free terms give real expectations; compensated sum.
-        return math.fsum(c * state.expectation(p).real for c, p in self.terms)
+        return math.fsum(c * v for (c, _), v in zip(self.terms, frame_values(x, k).real.tolist()))
 
 
 def parse_observable(document: str, prune_threshold: float = 0.0) -> Observable:

@@ -4,12 +4,14 @@ Every Pauli row uses PauliString's layout: x and z bits packed 64 qubits to
 a uint64 word, plus a sign bit. conjugate_rows, the one row-batched gate
 update, conjugates any number of rows through a Clifford gate; the
 destabilizer/stabilizer tableau and the generator sweep in expansion.py
-both use it. Expectations <psi|Q|psi> are exact: one popcount parity over
-the packed words finds the rows Q anticommutes with, and a sign-exact
-reconstruction gives the value. input_frame maps a whole batch of rows
-Q to U†QU, the frame in which the state is |0...0>, for the batched
-gradient. conjugate_pauli is an independent bit-at-a-time conjugation of
-one Pauli string, kept as the reference.
+both use it. One sign-exact reconstruction serves every expectation:
+input_frame maps a batch of rows Q to U†QU, the frame in which the state
+is |0...0>, as a few GF(2) matrix products with no loop over the tableau
+rows, and frame_values reads <psi|Q|psi> off the images. expectation
+returns 0 when Q anticommutes with a stabilizer, one popcount parity over
+the packed words, and otherwise reads the frame of Q. conjugate_pauli is
+an independent bit-at-a-time conjugation of one Pauli string, kept as the
+reference.
 
 All gates reduce to the primitives {H, S, CNOT}; the 24 single-qubit
 Clifford gates are enumerated by a fixed table of H/S words (see
@@ -24,7 +26,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .errors import WireError, DimensionMismatchError
-from .pauli import PHASES, PauliString, _n_words, _row_popcount, mul_rows, pauli_mul
+from .pauli import PHASES, PauliString, _n_words, _row_popcount
 
 # ---------------------------------------------------------------------------
 # Single-qubit Clifford table
@@ -245,14 +247,14 @@ class StabilizerTableau:
             for j, c in enumerate(bitstring):
                 if c == "1":
                     self.r[n_qubits + j] = 1
-        self._row_cache = None
+        self._frame = None
 
     # -- gate application ---------------------------------------------------
 
     def apply(self, gate: CliffordGate) -> "StabilizerTableau":
         _check_wires(gate, self.n)
         conjugate_rows(self.x, self.z, self.r, gate)
-        self._row_cache = None
+        self._frame = None
         return self
 
     def apply_circuit(self, gates: Iterable[CliffordGate]) -> "StabilizerTableau":
@@ -262,20 +264,12 @@ class StabilizerTableau:
 
     # -- row access ---------------------------------------------------------
 
-    def _row(self, i: int) -> PauliString:
-        if self._row_cache is None:
-            self._row_cache = {}
-        ps = self._row_cache.get(i)
-        if ps is None:
-            ps = PauliString(self.n, self.x[i], self.z[i], 2 * int(self.r[i]))
-            self._row_cache[i] = ps
-        return ps
-
     def stabilizer(self, j: int) -> PauliString:
-        return self._row(self.n + j)
+        i = self.n + j
+        return PauliString(self.n, self.x[i], self.z[i], 2 * int(self.r[i]))
 
     def destabilizer(self, j: int) -> PauliString:
-        return self._row(j)
+        return PauliString(self.n, self.x[j], self.z[j], 2 * int(self.r[j]))
 
     def stabilizers(self) -> list:
         return [self.stabilizer(j) for j in range(self.n)]
@@ -285,55 +279,95 @@ class StabilizerTableau:
     def expectation(self, q: PauliString) -> complex:
         """Exact <psi|Q|psi> in {0, ±1, ±i} times Q's phase.
 
-        Zero iff the unphased part of Q anticommutes with some stabilizer;
-        otherwise the unphased part is a signed product of generators,
-        reconstructed destabilizer-assisted in lowest-index-first order.
+        Zero iff the unphased part of Q anticommutes with some stabilizer,
+        which one popcount parity over the packed words decides; otherwise
+        Q's input-frame image is i^k~ Z^z~ and the value is i^k~.
         """
         if q.n_qubits != self.n:
             raise DimensionMismatchError(
                 f"Pauli on {q.n_qubits} qubits vs state on {self.n}"
             )
         n = self.n
-        # Row i anticommutes with Q iff popcount(x_i&qz) + popcount(z_i&qx) is odd.
-        anti = np.bitwise_count((self.x & q.z) ^ (self.z & q.x)).sum(axis=1) & 1
-        if anti[n:].any():
+        # Stabilizer j anticommutes with Q iff popcount(x_j&qz) + popcount(z_j&qx) is odd.
+        if (np.bitwise_count((self.x[n:] & q.z) ^ (self.z[n:] & q.x)).sum(axis=1) & 1).any():
             return 0j
-        acc = PauliString.identity(n)
-        for j in np.flatnonzero(anti[:n]):
-            acc = pauli_mul(acc, self.stabilizer(int(j)))
-        if not (np.array_equal(acc.x, q.x) and np.array_equal(acc.z, q.z)):
-            raise AssertionError("stabilizer reconstruction mismatch")
-        sign = 1.0 if acc.phase == 0 else -1.0
-        return PHASES[q.phase] * sign
+        _, _, k = self.input_frame(q.x[None], q.z[None], np.array([q.phase]))
+        # i^k~ is ±i^phase; a product with the sign keeps PHASES' signed zeros
+        return PHASES[q.phase] * (1.0 if k[0] == q.phase else -1.0)
+
+    def _frame_tables(self):
+        """GF(2) tables of the rows for input_frame, built once per state."""
+        if self._frame is None:
+            tx, tz = _bits(self.x, self.n), _bits(self.z, self.n)
+            t = np.hstack([tx, tz])
+            base = 2 * self.r + _row_popcount(self.x & self.z)
+            # select[a, i] = T[(i + n) % 2n, (a + n) % 2n]: q @ select is Q's
+            # symplectic parity with each row's partner, s
+            select = np.roll(t, self.n, axis=(0, 1)).T
+            self._frame = t, select, base, np.triu(tz @ tx.T, k=1) % 2
+        return self._frame
 
     def input_frame(self, x: np.ndarray, z: np.ndarray, phase: np.ndarray):
         """Images U†QU of a batch of packed rows Q, where U|0...0> = |psi>.
 
-        U is the Clifford with U X_j U† = destabilizer j and U Z_j U† =
-        stabilizer j. Rows are given and returned as mul_rows takes them:
-        (M, words) uint64 x and z, (M,) phase exponents of i. The image of Q
-        is i^k~ (x~, z~): x~_j is Q's anticommutation parity with stabilizer
-        j, z~_j its parity with destabilizer j, and k~ comes from the
-        sign-exact product of the selected rows, destabilizers first, each
-        block in index order. Then <psi|Q|psi> = [x~ = 0] * i^k~ for any Q.
+        U is the Clifford with U X_j U† = destabilizer j (row j) and U Z_j U†
+        = stabilizer j (row n + j). Rows are given and returned as mul_rows
+        takes them: (M, words) uint64 x and z, (M,) phase exponents of i.
+        Then <psi|Q|psi> = [x~ = 0] * i^k~ for any Q (frame_values).
+
+        Rows 0..2n-1 (T_i, bits (x_i, z_i), sign bit r_i) form a symplectic
+        basis in which row j anticommutes only with row (j + n) mod 2n. So
+        Q = i^phase L(x, z) is, up to a phase, the product of the rows i
+        with s_i = 1, where s_i is Q's symplectic parity with row
+        (i + n) mod 2n: the parities with every row, rolled by n. Then
+        x~ = s[:n] and z~ = s[n:]. The check s·T = (x, z) (mod 2) guards
+        the tableau.
+
+        The phase is a quadratic form in s over GF(2). With L the letter
+        convention (Y at x = z = 1), T_i = i^(2 r_i + y_i) X^x_i Z^z_i with
+        y_i = |x_i ∧ z_i|. Multiplying the selected rows in index order and
+        moving every X^x_j left past the Z^z_i of the earlier rows i < j
+        costs (-1)^|z_i ∧ x_j| per pair, and X^x Z^z = i^(-|x ∧ z|) L(x, z).
+        So the product is i^acc L(x, z) with
+
+            acc = Σ_i s_i (2 r_i + y_i) + 2 sᵀ U s - |x ∧ z|  (mod 4),
+            U_ij = |z_i ∧ x_j| mod 2 for i < j, and 0 otherwise.
+
+        Multiplying the rows one at a time (pauli_mul, mul_rows) charges
+        2 |z_acc ∧ x_j| with z_acc = ⊕_{i<j} s_i z_i instead; popcount
+        parity is linear over GF(2), |(a ⊕ b) ∧ c| = |a ∧ c| + |b ∧ c|
+        (mod 2), so that equals Σ_{i<j} s_i U_ij mod 2, and the per-step
+        -|x ∧ z| corrections cancel against the next step's +y. The two
+        give the same exponent. Since U X^x~ Z^z~ U† is the product of the
+        selected rows, destabilizers first, U†QU = i^(phase - acc) X^x~ Z^z~
+        = i^k~ L(x~, z~) with k~ = phase - acc - |x~ ∧ z~| (mod 4).
         """
         n = self.n
-        xt, zt = np.zeros_like(x), np.zeros_like(z)
-        acc_x, acc_z = np.zeros_like(x), np.zeros_like(z)
-        acc_p = np.zeros(x.shape[0], dtype=np.int64)
-        for i in range(2 * n):
-            # destabilizer j is selected by stabilizer j, and the other way round
-            j = (i + n) % (2 * n)
-            sel = (np.bitwise_count((self.x[j] & z) ^ (self.z[j] & x)).sum(axis=1) & 1) == 1
-            if not sel.any():
-                continue
-            w, b = divmod(i % n, 64)
-            (xt if i < n else zt)[sel, w] |= np.uint64(1 << b)
-            acc_x[sel], acc_z[sel], acc_p[sel] = mul_rows(
-                acc_x[sel], acc_z[sel], acc_p[sel], self.x[i], self.z[i], 2 * int(self.r[i])
-            )
-        if not (np.array_equal(acc_x, x) and np.array_equal(acc_z, z)):
+        t, select, base, upper = self._frame_tables()
+        q = np.hstack([_bits(x, n), _bits(z, n)])
+        # parities as int: float % 2 is several times slower than the matmul
+        s = (q @ select).astype(np.int64) & 1
+        if not np.array_equal((s @ t).astype(np.int64) & 1, q):
             raise AssertionError("stabilizer reconstruction mismatch")
-        # Q = i^phase L(x, z) = i^(phase - acc_p) U X^x~ Z^z~ U†, and X^x~ Z^z~
-        # is L(x~, z~) up to a factor i per Y site.
-        return xt, zt, (phase - acc_p - _row_popcount(xt & zt)) % 4
+        xt, zt = s[:, :n], s[:, n:]
+        # form = acc + |x ∧ z| + |x~ ∧ z~|
+        form = s @ base + 2 * ((s @ upper) * s).sum(axis=1) + (xt * zt).sum(axis=1)
+        k = (phase - form.astype(np.int64) + _row_popcount(x & z)) % 4
+        return _pack(xt, x.shape[-1]), _pack(zt, x.shape[-1]), k
+
+
+def frame_values(x: np.ndarray, phase: np.ndarray) -> np.ndarray:
+    """<psi|Q|psi> = [x~ = 0] * i^k~ of input-frame images, as complex."""
+    return np.where(x.any(axis=-1), 0j, np.array(PHASES)[phase])
+
+
+def _bits(words: np.ndarray, n: int) -> np.ndarray:
+    """(..., n) 0/1 floats of packed (..., words) rows; exact in matmul."""
+    octets = np.ascontiguousarray(words, dtype="<u8").view(np.uint8)
+    return np.unpackbits(octets, axis=-1, count=n, bitorder="little").astype(np.float64)
+
+
+def _pack(bits: np.ndarray, words: int) -> np.ndarray:
+    padded = np.zeros(bits.shape[:-1] + (64 * words,), dtype=np.uint8)
+    padded[..., : bits.shape[-1]] = bits
+    return np.packbits(padded, axis=-1, bitorder="little").view("<u8").astype(np.uint64)

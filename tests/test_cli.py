@@ -9,6 +9,8 @@ import pytest
 
 from cliffgrad.cli import main
 
+ROOT = Path(__file__).resolve().parents[1]
+CHAIN8 = ROOT / "data" / "chain8.txt"
 TOY_OBS = "qubits 1\n1.0 X0\n2.0 Z0\n"
 TOY_ANSATZ = json.dumps(
     {
@@ -295,9 +297,59 @@ def test_bench_rejects_more_terms_than_pauli_strings(terms, capsys):
     assert "between 1 and 4^n" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bench", "--qubits", "a", "--depths", "1"],
+        ["bench", "--qubits", "2", "--depths", "x"],
+        ["bench", "--qubits", "4", "--depths", "1", "--hamiltonian", str(CHAIN8),
+         "--out", "{out}"],
+        ["expand", "--hamiltonian", "{ham}", "--ansatz", "{ans}", "--reference", "0",
+         "--dropout-threshold", "-1", "--out", "{out}"],
+        ["expand", "--hamiltonian", "{ham}", "--ansatz", "{ans}", "--reference", "0",
+         "--dropout-threshold", "nan", "--out", "{out}"],
+        ["expand", "--hamiltonian", "{ham}", "--ansatz", "{ans}", "--reference", "0",
+         "--rtol", "nan", "--out", "{out}"],
+        ["optimize", "--hamiltonian", "{ham}", "--ansatz", "{ans}", "--reference", "0",
+         "--gtol", "nan", "--trace-out", "{out}"],
+    ],
+    ids=["bench-qubits", "bench-depths", "bench-no-width", "expand-negative-dropout",
+         "expand-nan-dropout", "expand-nan-rtol", "optimize-nan-gtol"],
+)
+def test_malformed_numeric_input_is_exit_2(tmp_path, toy, capsys, argv):
+    ham, ans = toy
+    out = tmp_path / "out"
+    rc = main([a.format(ham=ham, ans=ans, out=out) for a in argv])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_verify_exact_ground_is_reproducible(tmp_path):
+    ans = tmp_path / "ansatz.json"
+    res = tmp_path / "result.json"
+    assert main(["gen-ansatz", "--qubits", "8", "--depth", "1", "--variant", "real",
+                 "--out", str(ans)]) == 0
+    assert main(["expand", "--hamiltonian", str(CHAIN8), "--ansatz", str(ans),
+                 "--reference", "01010101", "--out", str(res)]) == 0
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    values = []
+    # n = 8 takes the Lanczos path; each process starts ARPACK afresh
+    for k in range(2):
+        out = tmp_path / f"verify{k}.json"
+        proc = subprocess.run(
+            [sys.executable, "-m", "cliffgrad.cli", "verify", "--hamiltonian", str(CHAIN8),
+             "--ansatz", str(ans), "--reference", "01010101", "--result", str(res),
+             "--exact-ground", "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        values.append(json.loads(out.read_text())["exact_ground_energy"])
+    assert values[0] == values[1]
+
+
 def test_importing_the_cli_loads_no_scipy():
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=str(src))
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     code = "import sys, cliffgrad.cli; print([m for m in sys.modules if m.startswith('scipy')])"
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120)

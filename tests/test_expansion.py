@@ -199,6 +199,34 @@ def test_full_hessian_matches_finite_differences(rng):
     assert np.array_equal(res.hessian_kept, res.hessian_kept.T)
 
 
+def test_hessian_of_general_clifford_part_matches_finite_differences(rng):
+    widths = [3, 5] * 3
+    while widths:
+        n = widths[-1]
+        circ = general_circuit(rng, n, n_rotations=6)
+        ref = random_bitstring(rng, n)
+        state0 = circ.clifford_point_state(ref)
+        # only states that are not basis states need the sign reconstruction
+        if not any(state0.stabilizer(j).x.any() for j in range(n)):
+            continue
+        widths.pop()
+        gens = conjugate_generators(circ)
+        # terms s·P'_k·P'_m, s in the stabilizer group, make many entries nonzero
+        terms = {}
+        for _ in range(10):
+            s = PauliString.identity(n)
+            for j in np.flatnonzero(rng.integers(0, 2, n)):
+                s = pauli_mul(s, state0.stabilizer(int(j)))
+            k, m = rng.integers(0, gens.n_params, 2)
+            q = pauli_mul(pauli_mul(s, gens.paulis[k]), gens.paulis[m])
+            terms[q.to_text()] = float(rng.normal())
+        obs = Observable.from_strings(n, terms)
+        A = compute_hessian(obs, state0, gens)
+        assert np.count_nonzero(np.abs(A) > 1e-9) > 0
+        # criterion 1's bound; the central differences err by ~1e-6 of |A|
+        assert np.abs(A - finite_diff_hessian(circ, obs, ref)).max() <= 1e-4
+
+
 def test_apply_dropout():
     g = np.array([0.0, 3e-7, 0.2])
     assert apply_dropout(g, 0.0).tolist() == [True, True, True]

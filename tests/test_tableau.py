@@ -201,10 +201,11 @@ def test_input_frame_is_conjugation_by_the_state_clifford(rng, n):
 
 
 def test_input_frame_and_expectation_reject_a_broken_tableau():
-    t = StabilizerTableau(2)
-    t.z[2] = 0  # stabilizer 0 becomes the identity
-    z0 = parse_pauli("Z0", 2)
-    with pytest.raises(AssertionError, match="reconstruction mismatch"):
-        t.expectation(z0)
-    with pytest.raises(AssertionError, match="reconstruction mismatch"):
-        t.input_frame(*stack_rows([z0], 2))
+    for n, j in ((2, 0), (65, 64)):
+        t = StabilizerTableau(n)
+        t.z[n + j] = 0  # stabilizer j becomes the identity; j = 64 is in the second word
+        zj = parse_pauli(f"Z{j}", n)
+        with pytest.raises(AssertionError, match="reconstruction mismatch"):
+            t.expectation(zj)
+        with pytest.raises(AssertionError, match="reconstruction mismatch"):
+            t.input_frame(*stack_rows([zj], n))
