@@ -5,6 +5,8 @@ single-qubit Pauli rotations R(theta) = exp(i * theta * P). The generator
 produces brickwork circuits from two mirrored regions so that the circuit
 composes to the identity at theta = 0; a computational-basis reference
 state (e.g. a Hartree-Fock occupation bitstring) is injected at the input.
+One sweep over the Clifford gates gives both the theta = 0 stabilizer
+state and the conjugated rotation generators P'_k.
 """
 
 from __future__ import annotations
@@ -16,11 +18,14 @@ from typing import List, Optional, Tuple, Union
 import numpy as np
 
 from .errors import CircuitFormatError, WireError
+from .pauli import PauliString, _n_words
 from .tableau import (
     CLIFFORD_1Q_HADAMARD,
     CLIFFORD_1Q_IDENTITY,
     CliffordGate,
     StabilizerTableau,
+    _check_wires,
+    conjugate_rows,
 )
 
 ANSATZ_SCHEMA_VERSION = 1
@@ -90,12 +95,7 @@ class AnsatzCircuit:
 
     def clifford_point_state(self, reference: str) -> StabilizerTableau:
         """Tableau of U(0)|reference>."""
-        if len(reference) != self.n_qubits:
-            raise CircuitFormatError(
-                f"reference bitstring length {len(reference)} != {self.n_qubits} qubits"
-            )
-        t = StabilizerTableau(self.n_qubits, reference)
-        return t.apply_circuit(self.clifford_elements())
+        return _clifford_sweep(self, reference, generators=False)[0]
 
     # -- serialization ------------------------------------------------------
 
@@ -160,6 +160,65 @@ class AnsatzCircuit:
         except json.JSONDecodeError as exc:
             raise CircuitFormatError(f"invalid JSON: {exc}") from exc
         return cls.from_dict(doc)
+
+
+@dataclass
+class ConjugatedGenerators:
+    """P'_k for each parameter, plus each rotation's position in the circuit."""
+
+    paulis: List[PauliString]       # indexed by param id
+    positions: List[int]            # element index of the rotation, by param id
+
+    @property
+    def n_params(self) -> int:
+        return len(self.paulis)
+
+
+def _clifford_sweep(
+    ansatz: AnsatzCircuit, reference: Optional[str], generators: bool = True
+) -> Tuple[Optional[StabilizerTableau], Optional[ConjugatedGenerators]]:
+    """One left-to-right sweep of the Clifford gates over one packed row block.
+
+    The block holds the 2n tableau rows of `reference` (none when it is
+    None) and, with `generators`, K generator rows. Generator row k is
+    seeded with rotation k's generator when the sweep reaches it, and every
+    later Clifford gate conjugates the whole block, so it ends as P'_k, the
+    image of the generator under the Clifford content after its rotation
+    (rotations at zero are identity). Unseeded rows are the identity, which
+    no gate changes, and every P'_k comes out Hermitian. Rows never mix, so
+    each part equals what a sweep of that part alone gives.
+
+    Returns (tableau of U(0)|reference> or None, ConjugatedGenerators or None).
+    """
+    n = ansatz.n_qubits
+    state = None
+    m = 0
+    if reference is not None:
+        if len(reference) != n:
+            raise CircuitFormatError(f"reference bitstring length {len(reference)} != {n} qubits")
+        state = StabilizerTableau(n, reference)
+        m = 2 * n
+    K = ansatz.n_params if generators else 0
+    x = np.zeros((m + K, _n_words(n)), dtype=np.uint64)
+    z = np.zeros_like(x)
+    r = np.zeros(m + K, dtype=np.uint8)
+    if state is not None:
+        x[:m], z[:m], r[:m] = state.x, state.z, state.r
+    positions = [0] * K
+    for pos, e in enumerate(ansatz.elements):
+        if isinstance(e, CliffordGate):
+            _check_wires(e, n)
+            conjugate_rows(x, z, r, e)
+        elif generators:
+            seed = PauliString.single(n, e.axis, e.wire)
+            x[m + e.param], z[m + e.param] = seed.x, seed.z
+            positions[e.param] = pos
+    if state is not None:
+        state.x, state.z, state.r = x[:m].copy(), z[:m].copy(), r[:m].copy()
+    if not generators:
+        return state, None
+    paulis = [PauliString(n, x[m + k], z[m + k], 2 * int(r[m + k])) for k in range(K)]
+    return state, ConjugatedGenerators(paulis, positions)
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +329,7 @@ def select_ansatz(
     Ties break toward the lowest candidate index. Returns
     (best AnsatzCircuit, list of per-candidate gradient-norm sums).
     """
-    from .expansion import compute_gradient, conjugate_generators
+    from .expansion import compute_gradient
 
     if count < 1:
         raise CircuitFormatError(f"candidate count must be >= 1, got {count}")
@@ -281,8 +340,7 @@ def select_ansatz(
         cand = generate_hwe_ansatz(n_qubits, depth, candidate_seed(seed, i), variant)
         cand.metadata["candidate_index"] = i
         cand.metadata["master_seed"] = int(seed)
-        state0 = cand.clifford_point_state(reference)
-        gens = conjugate_generators(cand)
+        state0, gens = _clifford_sweep(cand, reference)
         g = compute_gradient(observable, state0, gens)
         s = float(np.abs(g).sum())
         sums.append(s)

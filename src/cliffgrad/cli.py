@@ -161,8 +161,8 @@ def cmd_select_ansatz(args) -> int:
 
 
 def _check_non_negative(flag: str, value: float) -> None:
-    if not value >= 0:  # also rejects NaN
-        raise _CliError(EXIT_INPUT, f"{flag} must be >= 0, got {value!r}")
+    if not 0 <= value < float("inf"):  # also rejects NaN
+        raise _CliError(EXIT_INPUT, f"{flag} must be finite and >= 0, got {value!r}")
 
 
 def cmd_expand(args) -> int:
@@ -251,6 +251,8 @@ _INIT_MODES = {"zero": "zero", "pert": "theta_star", "pert-hessian": "theta_star
 
 def cmd_optimize(args) -> int:
     _check_non_negative("--gtol", args.gtol)
+    if args.max_iters < 0:
+        raise _CliError(EXIT_INPUT, f"--max-iters must be >= 0, got {args.max_iters}")
     obs = _load_observable(args.hamiltonian)
     circ = _load_ansatz(args.ansatz)
     reference = _check_reference(args.reference, circ.n_qubits)

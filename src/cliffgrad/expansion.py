@@ -33,50 +33,17 @@ from typing import List, Optional
 
 import numpy as np
 
-from .circuit import AnsatzCircuit, RotationGate
+from .circuit import AnsatzCircuit, ConjugatedGenerators, _clifford_sweep
 from .errors import SolveError
 from .observable import Observable
-from .pauli import PauliString, _n_words, mul_rows, pauli_mul, stack_rows
-from .tableau import StabilizerTableau, _check_wires, conjugate_rows, frame_values
-
-
-@dataclass
-class ConjugatedGenerators:
-    """P'_k for each parameter, plus each rotation's position in the circuit."""
-
-    paulis: List[PauliString]       # indexed by param id
-    positions: List[int]            # element index of the rotation, by param id
-
-    @property
-    def n_params(self) -> int:
-        return len(self.paulis)
+from .pauli import PauliString, mul_rows, pauli_mul, stack_rows
+from .tableau import StabilizerTableau, frame_values
 
 
 def conjugate_generators(ansatz: AnsatzCircuit) -> ConjugatedGenerators:
-    """Single left-to-right sweep over a packed block of K rows.
-
-    Row k is seeded with rotation k's generator when the sweep reaches it,
-    and every later Clifford gate conjugates the whole block, so row k ends
-    as the image of the generator under the Clifford content after its
-    rotation (rotations at zero are identity). Unseeded rows are the
-    identity, which no gate changes. Every P'_k comes out Hermitian.
-    """
-    n = ansatz.n_qubits
-    K = ansatz.n_params
-    x = np.zeros((K, _n_words(n)), dtype=np.uint64)
-    z = np.zeros_like(x)
-    r = np.zeros(K, dtype=np.uint8)
-    positions = [0] * K
-    for pos, e in enumerate(ansatz.elements):
-        if isinstance(e, RotationGate):
-            seed = PauliString.single(n, e.axis, e.wire)
-            x[e.param], z[e.param] = seed.x, seed.z
-            positions[e.param] = pos
-        else:
-            _check_wires(e, n)
-            conjugate_rows(x, z, r, e)
-    paulis = [PauliString(n, x[k], z[k], 2 * int(r[k])) for k in range(K)]
-    return ConjugatedGenerators(paulis, positions)
+    """P'_k for every rotation, from one left-to-right sweep over a packed
+    block of K rows (circuit._clifford_sweep)."""
+    return _clifford_sweep(ansatz, None)[1]
 
 
 class _ExpectationCache:
@@ -391,13 +358,14 @@ def expand(
     gradient = compute_gradient(observable, state0, gens)
     t3 = time.perf_counter()
     mask = apply_dropout(gradient, threshold)
+    t4 = time.perf_counter()
     cache = _ExpectationCache(state0)
     hessian = compute_hessian(observable, state0, gens, mask, e0, jobs, cache)
-    t4 = time.perf_counter()
+    t5 = time.perf_counter()
     theta_star, optimum, rank = solve_quadratic(
         e0, gradient, hessian, mask, rtol, stable_subspace
     )
-    t5 = time.perf_counter()
+    t6 = time.perf_counter()
     warnings = []
     if mask.size and not mask.any():
         warnings.append("all parameters dropped; quadratic model is the constant e0")
@@ -417,8 +385,9 @@ def expand(
             "state_s": t1 - t0,
             "conjugate_s": t2 - t1,
             "gradient_s": t3 - t2,
-            "hessian_s": t4 - t3,
-            "solve_s": t5 - t4,
+            "dropout_s": t4 - t3,
+            "hessian_s": t5 - t4,
+            "solve_s": t6 - t5,
         },
         counters={
             "n_qubits": ansatz.n_qubits,

@@ -1,4 +1,4 @@
-"""Layer timings of the packed Pauli and tableau kernels (pytest-benchmark).
+"""Layer timings of the packed Pauli, tableau and dense kernels (pytest-benchmark).
 
 The file name keeps it out of the default test collection; run it as
 
@@ -11,6 +11,11 @@ packed words) on a tableau evolved by a random Clifford circuit:
 - input_frame: 256 random rows mapped to the input frame,
 - expectation: one Pauli with a nonzero expectation (the frame path),
 - conjugate_rows: a block of 256 rows through 32 random Clifford gates.
+
+The dense simulator's gates are timed as one energy-and-gradient sweep (one
+forward and one backward pass) at n = 8 and 12 on a real depth-2 ansatz and
+a chain Hamiltonian, over the gate-by-gate op list and over the
+Pauli-rotation normal form that BFGS uses.
 """
 
 from __future__ import annotations
@@ -18,6 +23,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from cliffgrad import dense
+from cliffgrad.circuit import generate_hwe_ansatz
+from cliffgrad.observable import Observable
 from cliffgrad.pauli import PauliString, mul_rows, stack_rows
 from cliffgrad.tableau import StabilizerTableau, conjugate_pauli, conjugate_rows
 
@@ -72,3 +80,20 @@ def test_conjugate_rows(benchmark, n):
             conjugate_rows(x, z, r, g)
 
     benchmark(sweep)
+
+
+@pytest.mark.parametrize("form", ("gates", "normal"))
+@pytest.mark.parametrize("n", (8, 12))
+def test_energy_and_gradient(benchmark, n, form):
+    circ = generate_hwe_ansatz(n, 2, 1, "real")
+    terms = {f"{a}{q} {a}{q + 1}": 1.0 for q in range(n - 1) for a in "XYZ"}
+    obs = Observable.from_strings(n, terms)
+    reference = "01" * (n // 2)
+    if form == "gates":
+        ops = dense._op_list(circ, dense.DEFAULT_QUBIT_CAP)
+        start = dense.DenseState.from_bitstring(reference).amps
+    else:
+        ops, start = dense._normal_form(circ, reference, dense.DEFAULT_QUBIT_CAP)
+    actions = dense._observable_actions(obs)
+    theta = np.random.default_rng(n).uniform(-np.pi, np.pi, circ.n_params)
+    benchmark(dense._energy_and_gradient, ops, actions, start, theta, n)

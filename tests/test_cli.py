@@ -312,9 +312,21 @@ def test_bench_rejects_more_terms_than_pauli_strings(terms, capsys):
          "--rtol", "nan", "--out", "{out}"],
         ["optimize", "--hamiltonian", "{ham}", "--ansatz", "{ans}", "--reference", "0",
          "--gtol", "nan", "--trace-out", "{out}"],
+        ["expand", "--hamiltonian", "{ham}", "--ansatz", "{ans}", "--reference", "0",
+         "--dropout-threshold", "inf", "--out", "{out}"],
+        ["expand", "--hamiltonian", "{ham}", "--ansatz", "{ans}", "--reference", "0",
+         "--rtol", "inf", "--out", "{out}"],
+        ["optimize", "--hamiltonian", "{ham}", "--ansatz", "{ans}", "--reference", "0",
+         "--gtol", "inf", "--trace-out", "{out}"],
+        ["optimize", "--hamiltonian", "{ham}", "--ansatz", "{ans}", "--reference", "0",
+         "--max-iters", "-1", "--trace-out", "{out}"],
+        ["bench", "--qubits", "2", "--depths", "1", "--dropout-threshold", "inf",
+         "--out", "{out}"],
     ],
     ids=["bench-qubits", "bench-depths", "bench-no-width", "expand-negative-dropout",
-         "expand-nan-dropout", "expand-nan-rtol", "optimize-nan-gtol"],
+         "expand-nan-dropout", "expand-nan-rtol", "optimize-nan-gtol", "expand-inf-dropout",
+         "expand-inf-rtol", "optimize-inf-gtol", "optimize-negative-max-iters",
+         "bench-inf-dropout"],
 )
 def test_malformed_numeric_input_is_exit_2(tmp_path, toy, capsys, argv):
     ham, ans = toy

@@ -154,6 +154,7 @@ def test_trace_document_schema():
     doc = trace.to_dict()
     assert {"init", "iterations", "final_cost", "n_iterations", "converged"} <= doc.keys()
     assert all({"iteration", "cost", "grad_norm"} <= it.keys() for it in doc["iterations"])
+    assert set(doc["timings"]) == {"compile_s", "bfgs_s"}
 
 
 def adjoint_energy_and_gradient(circ, obs, ref, theta):
@@ -191,6 +192,30 @@ def test_adjoint_gradient_matches_finite_differences(rng, kind):
         theta = rng.uniform(-np.pi, np.pi, circ.n_params)
         e, g = adjoint_energy_and_gradient(circ, obs, ref, theta)
         assert e == pytest.approx(energy(circ, theta, ref, obs), abs=1e-12)
+        g_fd = finite_diff_gradient(circ, obs, ref, theta0=theta)
+        assert (np.abs(g - g_fd) / (1.0 + np.abs(g))).max() <= 1e-6
+
+
+@pytest.mark.parametrize("kind", ("real", "complex", "general"))
+def test_normal_form_sweep_matches_gate_by_gate_sweep(rng, kind):
+    # the normal form comes from the stabilizer generators; the op list is the oracle
+    for _ in range(4):
+        n = int(rng.integers(2, 7))
+        if kind == "general":
+            circ = general_clifford_circuit(rng, n, int(rng.integers(2, 13)))
+        else:
+            circ = generate_hwe_ansatz(n, int(rng.integers(1, 3)), int(rng.integers(0, 1000)), kind)
+        obs = random_observable(rng, n, max_terms=8)
+        ref = random_bitstring(rng, n)
+        rotations, start = dense._normal_form(circ, ref, DEFAULT_QUBIT_CAP)
+        assert np.abs(start[0] - simulate(circ, np.zeros(circ.n_params), ref)).max() <= 1e-15
+        terms = dense._observable_actions(obs)
+        for _ in range(3):
+            theta = rng.uniform(-np.pi, np.pi, circ.n_params)
+            e, g = dense._energy_and_gradient(rotations, terms, start, theta, n)
+            e_ref, g_ref = adjoint_energy_and_gradient(circ, obs, ref, theta)
+            assert abs(e - e_ref) <= 1e-12
+            assert (np.abs(g - g_ref) / (1.0 + np.abs(g_ref))).max() <= 1e-12
         g_fd = finite_diff_gradient(circ, obs, ref, theta0=theta)
         assert (np.abs(g - g_fd) / (1.0 + np.abs(g))).max() <= 1e-6
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cliffgrad.circuit import AnsatzCircuit, RotationGate, generate_hwe_ansatz
+from cliffgrad.circuit import AnsatzCircuit, RotationGate, _clifford_sweep, generate_hwe_ansatz
 from cliffgrad.dense import energy, finite_diff_gradient, finite_diff_hessian
 from cliffgrad.errors import DimensionMismatchError, SolveError
 from cliffgrad.expansion import (
@@ -16,7 +16,7 @@ from cliffgrad.expansion import (
 )
 from cliffgrad.observable import Observable, parse_observable
 from cliffgrad.pauli import PauliString, parse_pauli, pauli_mul
-from cliffgrad.tableau import CliffordGate, conjugate_pauli
+from cliffgrad.tableau import CliffordGate, StabilizerTableau, conjugate_pauli
 
 from conftest import (
     dense_unitary,
@@ -74,6 +74,12 @@ def general_circuit(rng, n: int, n_rotations: int = 12) -> AnsatzCircuit:
 def test_generators_of_general_clifford_part_match_conjugate_pauli(rng, n):
     circ = general_circuit(rng, n)
     gens = conjugate_generators(circ)
+    # select-ansatz sweeps the state and the generators as one row block
+    ref = random_bitstring(rng, n)
+    state, joint = _clifford_sweep(circ, ref)
+    alone = StabilizerTableau(n, ref).apply_circuit(circ.clifford_elements())
+    assert all(np.array_equal(getattr(state, a), getattr(alone, a)) for a in "xzr")
+    assert joint.paulis == gens.paulis and joint.positions == gens.positions
     for k, pk in enumerate(gens.paulis):
         pos = gens.positions[k]
         rot = circ.elements[pos]
@@ -334,7 +340,9 @@ def test_expand_counters_and_result_document(rng):
     c = res.counters
     assert c["K"] == circ.n_params and c["N_o"] == 2 and c["n_qubits"] == 4
     assert c["pauli_expectations_evaluated"] > 0
-    assert set(res.timings) == {"state_s", "conjugate_s", "gradient_s", "hessian_s", "solve_s"}
+    assert set(res.timings) == {
+        "state_s", "conjugate_s", "gradient_s", "dropout_s", "hessian_s", "solve_s"
+    }
     # the gradient reads no memo cache, so with nothing kept nothing is looked up
     dropped = expand(circ, obs, "0000", threshold=1e9).counters
     assert dropped["pauli_expectations_evaluated"] == dropped["expectation_cache_hits"] == 0
