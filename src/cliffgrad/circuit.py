@@ -194,8 +194,6 @@ def _clifford_sweep(
     state = None
     m = 0
     if reference is not None:
-        if len(reference) != n:
-            raise CircuitFormatError(f"reference bitstring length {len(reference)} != {n} qubits")
         state = StabilizerTableau(n, reference)
         m = 2 * n
     K = ansatz.n_params if generators else 0
@@ -270,6 +268,7 @@ def generate_hwe_ansatz(
         raise CircuitFormatError(f"depth must be >= 1, got {depth}")
     if variant not in ("complex", "real"):
         raise CircuitFormatError(f"variant must be 'complex' or 'real', got {variant!r}")
+    _check_seed(seed)
 
     rng = np.random.default_rng(seed)
     if variant == "complex":
@@ -309,6 +308,11 @@ def generate_hwe_ansatz(
     )
 
 
+def _check_seed(seed: int) -> None:
+    if seed < 0:  # numpy seeds only from non-negative integers
+        raise CircuitFormatError(f"seed must be >= 0, got {seed}")
+
+
 def candidate_seed(master_seed: int, candidate: int) -> int:
     """Per-candidate seed derived from the master seed (documented rule)."""
     ss = np.random.SeedSequence(entropy=master_seed, spawn_key=(candidate,))
@@ -327,12 +331,16 @@ def select_ansatz(
     """Generate `count` seeded candidates and keep the largest sum |g_l|.
 
     Ties break toward the lowest candidate index. Returns
-    (best AnsatzCircuit, list of per-candidate gradient-norm sums).
+    (best AnsatzCircuit, list of per-candidate gradient-norm sums). The
+    count, seed and observable width are checked before any candidate is
+    generated.
     """
     from .expansion import compute_gradient
 
     if count < 1:
         raise CircuitFormatError(f"candidate count must be >= 1, got {count}")
+    _check_seed(seed)
+    observable.check_width(n_qubits)
     best = None
     best_sum = -1.0
     sums = []

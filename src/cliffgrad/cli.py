@@ -7,8 +7,25 @@ version, the full flag configuration, and SHA-256 hashes of the input
 files, so re-running a command on identical inputs reproduces the
 document modulo timing fields.
 
-Exit codes: 0 success, 1 generic failure, 2 input/parse error,
-3 expansion error, 4 solve error, 5 resource cap exceeded.
+Each input is checked once, where it enters: the library checks the
+widths, reference bitstrings, gate lists and seeds it is given, and the
+CLI checks only files, flag ranges and result documents. main maps the
+error class to the exit code through EXIT_CODES. Every error prints one
+``error: ...`` line on stderr and writes no output file.
+
+    0  success
+    1  any other package error, such as an output document that strict
+       JSON cannot hold (NaN or infinity)
+    2  input error: a missing or malformed Hamiltonian, ansatz or result
+       file; an out-of-range or non-finite flag; a negative --seed; a
+       result whose parameter count differs from the ansatz; a reference
+       bitstring that is not n characters of 0/1 (CircuitFormatError); a
+       Hamiltonian whose width differs from the ansatz or --qubits
+       (DimensionMismatchError)
+    3  reserved; nothing raises it
+    4  solve error: the quadratic model's eigensolve failed (SolveError)
+    5  resource cap: a dense simulation above --cap qubits, or exact
+       diagonalization above 14 qubits (ResourceCapError)
 """
 
 from __future__ import annotations
@@ -33,10 +50,12 @@ from .dense import (
 from .errors import (
     CircuitFormatError,
     CliffgradError,
+    DimensionMismatchError,
     ObservableFormatError,
     PauliFormatError,
     ResourceCapError,
     SolveError,
+    WireError,
 )
 from .expansion import ExpansionResult, expand
 from .observable import Observable, parse_observable
@@ -44,15 +63,26 @@ from .observable import Observable, parse_observable
 EXIT_OK = 0
 EXIT_GENERIC = 1
 EXIT_INPUT = 2
-EXIT_EXPANSION = 3
 EXIT_SOLVE = 4
 EXIT_CAP = 5
 
 
-class _CliError(Exception):
-    def __init__(self, code: int, message: str):
-        super().__init__(message)
-        self.code = code
+class _InputError(CliffgradError):
+    """Command-line input that no library call checks: files, flags, results."""
+
+
+# Error class -> exit code; main takes the first class the error belongs to.
+EXIT_CODES = {
+    _InputError: EXIT_INPUT,
+    PauliFormatError: EXIT_INPUT,
+    ObservableFormatError: EXIT_INPUT,
+    CircuitFormatError: EXIT_INPUT,
+    WireError: EXIT_INPUT,
+    DimensionMismatchError: EXIT_INPUT,
+    SolveError: EXIT_SOLVE,
+    ResourceCapError: EXIT_CAP,
+    CliffgradError: EXIT_GENERIC,
+}
 
 
 def _sha256(path: Path) -> str:
@@ -62,7 +92,7 @@ def _sha256(path: Path) -> str:
 def _read_text(path: str) -> str:
     p = Path(path)
     if not p.is_file():
-        raise _CliError(EXIT_INPUT, f"input file not found: {p}")
+        raise _InputError(f"input file not found: {p}")
     return p.read_text()
 
 
@@ -70,32 +100,29 @@ def _load_observable(path: str) -> Observable:
     try:
         return parse_observable(_read_text(path))
     except ObservableFormatError as exc:
-        raise _CliError(EXIT_INPUT, f"{path}: {exc}")
+        raise _InputError(f"{path}: {exc}")
 
 
 def _load_ansatz(path: str) -> AnsatzCircuit:
     try:
         return AnsatzCircuit.deserialize(_read_text(path))
     except CircuitFormatError as exc:
-        raise _CliError(EXIT_INPUT, f"{path}: {exc}")
+        raise _InputError(f"{path}: {exc}")
 
 
-def _check_reference(reference: str, n_qubits: int) -> str:
-    if set(reference) - {"0", "1"} or len(reference) != n_qubits:
-        raise _CliError(
-            EXIT_INPUT,
-            f"reference bitstring {reference!r} must be {n_qubits} characters of 0/1",
-        )
-    return reference
-
-
-def _document(args: argparse.Namespace, payload: dict, input_paths: dict) -> dict:
+def _document(args: argparse.Namespace, payload: dict) -> dict:
+    """The output document: payload plus version, flags and input-file hashes."""
     config = {k: v for k, v in vars(args).items() if k not in ("func",)}
+    inputs = {
+        name: _sha256(Path(getattr(args, name)))
+        for name in ("hamiltonian", "ansatz", "result")
+        if getattr(args, name, None)
+    }
     return {
         "tool_version": __version__,
         "command": args.command,
         "config": config,
-        "inputs": {name: _sha256(Path(p)) for name, p in input_paths.items() if p},
+        "inputs": inputs,
         **payload,
     }
 
@@ -104,7 +131,7 @@ def _emit(doc: dict, out: str | None) -> None:
     try:
         text = json.dumps(doc, indent=1, sort_keys=True, allow_nan=False) + "\n"
     except ValueError as exc:  # NaN or infinity, which strict JSON cannot hold
-        raise _CliError(EXIT_GENERIC, f"output document not written: {exc}")
+        raise CliffgradError(f"output document not written: {exc}")
     if out:
         Path(out).write_text(text)
     else:
@@ -117,10 +144,7 @@ def _emit(doc: dict, out: str | None) -> None:
 
 
 def cmd_gen_ansatz(args) -> int:
-    try:
-        circ = generate_hwe_ansatz(args.qubits, args.depth, args.seed, args.variant)
-    except CircuitFormatError as exc:
-        raise _CliError(EXIT_INPUT, str(exc))
+    circ = generate_hwe_ansatz(args.qubits, args.depth, args.seed, args.variant)
     Path(args.out).write_text(circ.serialize())
     print(f"wrote {args.out}: n_qubits={circ.n_qubits} K={circ.n_params}")
     return EXIT_OK
@@ -128,20 +152,9 @@ def cmd_gen_ansatz(args) -> int:
 
 def cmd_select_ansatz(args) -> int:
     obs = _load_observable(args.hamiltonian)
-    if obs.n_qubits != args.qubits:
-        raise _CliError(
-            EXIT_INPUT,
-            f"hamiltonian is on {obs.n_qubits} qubits, --qubits says {args.qubits}",
-        )
-    reference = _check_reference(args.reference, args.qubits)
-    try:
-        best, sums = select_ansatz(
-            args.count, args.qubits, args.depth, obs, reference, args.seed, args.variant
-        )
-    except CircuitFormatError as exc:
-        raise _CliError(EXIT_INPUT, str(exc))
-    except CliffgradError as exc:
-        raise _CliError(EXIT_EXPANSION, str(exc))
+    best, sums = select_ansatz(
+        args.count, args.qubits, args.depth, obs, args.reference, args.seed, args.variant
+    )
     Path(args.out).write_text(best.serialize())
     report = _document(
         args,
@@ -152,7 +165,6 @@ def cmd_select_ansatz(args) -> int:
             "winner_index": int(best.metadata["candidate_index"]),
             "winner_sum_abs_gradient": max(sums),
         },
-        {"hamiltonian": args.hamiltonian},
     )
     _emit(report, args.report_out)
     print(f"wrote {args.out}: candidate {best.metadata['candidate_index']} "
@@ -162,7 +174,7 @@ def cmd_select_ansatz(args) -> int:
 
 def _check_non_negative(flag: str, value: float) -> None:
     if not 0 <= value < float("inf"):  # also rejects NaN
-        raise _CliError(EXIT_INPUT, f"{flag} must be finite and >= 0, got {value!r}")
+        raise _InputError(f"{flag} must be finite and >= 0, got {value!r}")
 
 
 def cmd_expand(args) -> int:
@@ -170,27 +182,15 @@ def cmd_expand(args) -> int:
     _check_non_negative("--rtol", args.rtol)
     obs = _load_observable(args.hamiltonian)
     circ = _load_ansatz(args.ansatz)
-    reference = _check_reference(args.reference, circ.n_qubits)
-    try:
-        result = expand(
-            circ,
-            obs,
-            reference,
-            threshold=args.dropout_threshold,
-            rtol=args.rtol,
-            jobs=args.jobs,
-            stable_subspace=args.stable_subspace,
-        )
-    except SolveError as exc:
-        raise _CliError(EXIT_SOLVE, str(exc))
-    except CliffgradError as exc:
-        raise _CliError(EXIT_EXPANSION, str(exc))
-    doc = _document(
-        args,
-        result.to_dict(),
-        {"hamiltonian": args.hamiltonian, "ansatz": args.ansatz},
+    result = expand(
+        circ,
+        obs,
+        args.reference,
+        threshold=args.dropout_threshold,
+        rtol=args.rtol,
+        stable_subspace=args.stable_subspace,
     )
-    _emit(doc, args.out)
+    _emit(_document(args, result.to_dict()), args.out)
     if args.out:
         print(
             f"wrote {args.out}: e0={result.e0:.10g} "
@@ -206,11 +206,10 @@ def _load_result(path: str, n_params: int) -> ExpansionResult:
         doc = json.loads(_read_text(path))
         result = ExpansionResult.from_dict(doc)
     except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
-        raise _CliError(EXIT_INPUT, f"{path}: invalid result document: {exc}")
+        raise _InputError(f"{path}: invalid result document: {exc}")
     if result.theta_star.size != n_params:
-        raise _CliError(
-            EXIT_INPUT,
-            f"{path}: result has {result.theta_star.size} parameters, ansatz has {n_params}",
+        raise _InputError(
+            f"{path}: result has {result.theta_star.size} parameters, ansatz has {n_params}"
         )
     return result
 
@@ -218,31 +217,18 @@ def _load_result(path: str, n_params: int) -> ExpansionResult:
 def cmd_verify(args) -> int:
     obs = _load_observable(args.hamiltonian)
     circ = _load_ansatz(args.ansatz)
-    reference = _check_reference(args.reference, circ.n_qubits)
     result = _load_result(args.result, circ.n_params)
-    try:
-        e_circuit = energy(circ, result.theta_star, reference, obs, cap=args.cap)
-    except ResourceCapError as exc:
-        raise _CliError(EXIT_CAP, f"{exc}; rerun with desk-scale inputs or raise --cap")
-    gap = abs(e_circuit - result.perturbative_optimum)
+    e_circuit = energy(circ, result.theta_star, args.reference, obs, cap=args.cap)
     payload = {
         "e0": result.e0,
         "circuit_value": e_circuit,
         "perturbative_optimum": result.perturbative_optimum,
-        "gap": gap,
+        "gap": abs(e_circuit - result.perturbative_optimum),
         "theta_star_norm": float(np.linalg.norm(result.theta_star)),
     }
     if args.exact_ground:
-        try:
-            payload["exact_ground_energy"] = exact_ground_energy(obs)
-        except ResourceCapError as exc:
-            raise _CliError(EXIT_CAP, str(exc))
-    doc = _document(
-        args,
-        payload,
-        {"hamiltonian": args.hamiltonian, "ansatz": args.ansatz, "result": args.result},
-    )
-    _emit(doc, args.out)
+        payload["exact_ground_energy"] = exact_ground_energy(obs)
+    _emit(_document(args, payload), args.out)
     return EXIT_OK
 
 
@@ -252,34 +238,24 @@ _INIT_MODES = {"zero": "zero", "pert": "theta_star", "pert-hessian": "theta_star
 def cmd_optimize(args) -> int:
     _check_non_negative("--gtol", args.gtol)
     if args.max_iters < 0:
-        raise _CliError(EXIT_INPUT, f"--max-iters must be >= 0, got {args.max_iters}")
+        raise _InputError(f"--max-iters must be >= 0, got {args.max_iters}")
     obs = _load_observable(args.hamiltonian)
     circ = _load_ansatz(args.ansatz)
-    reference = _check_reference(args.reference, circ.n_qubits)
-    expansion = None
-    if args.init != "zero":
-        if not args.result:
-            raise _CliError(EXIT_INPUT, f"--init {args.init} requires --result")
-        expansion = _load_result(args.result, circ.n_params)
-    try:
-        trace = optimize_bfgs(
-            circ,
-            obs,
-            reference,
-            init=_INIT_MODES[args.init],
-            expansion=expansion,
-            gtol=args.gtol,
-            max_iterations=args.max_iters,
-            cap=args.cap,
-        )
-    except ResourceCapError as exc:
-        raise _CliError(EXIT_CAP, str(exc))
-    doc = _document(
-        args,
-        trace.to_dict(),
-        {"hamiltonian": args.hamiltonian, "ansatz": args.ansatz, "result": args.result},
+    # a result given with --init zero is not used, but its hash is in the document
+    expansion = _load_result(args.result, circ.n_params) if args.result else None
+    if args.init != "zero" and expansion is None:
+        raise _InputError(f"--init {args.init} requires --result")
+    trace = optimize_bfgs(
+        circ,
+        obs,
+        args.reference,
+        init=_INIT_MODES[args.init],
+        expansion=expansion,
+        gtol=args.gtol,
+        max_iterations=args.max_iters,
+        cap=args.cap,
     )
-    _emit(doc, args.trace_out)
+    _emit(_document(args, trace.to_dict()), args.trace_out)
     return EXIT_OK
 
 
@@ -300,25 +276,25 @@ def _int_list(flag: str, text: str) -> list:
     try:
         return [int(s) for s in text.split(",")]
     except ValueError:
-        raise _CliError(EXIT_INPUT, f"{flag} must be comma-separated integers, got {text!r}")
+        raise _InputError(f"{flag} must be comma-separated integers, got {text!r}")
 
 
 def cmd_bench(args) -> int:
     qubit_list = _int_list("--qubits", args.qubits)
     depth_list = _int_list("--depths", args.depths)
     _check_non_negative("--dropout-threshold", args.dropout_threshold)
+    _check_non_negative("--seed", args.seed)  # the random observable draws from it first
     ham = _load_observable(args.hamiltonian) if args.hamiltonian else None
     if ham is not None and ham.n_qubits not in qubit_list:
-        raise _CliError(
-            EXIT_INPUT, f"hamiltonian is on {ham.n_qubits} qubits, not one of --qubits {args.qubits}"
+        raise _InputError(
+            f"hamiltonian is on {ham.n_qubits} qubits, not one of --qubits {args.qubits}"
         )
     for n in qubit_list:
         if n < 1:
-            raise _CliError(EXIT_INPUT, f"--qubits entries must be positive, got {n}")
+            raise _InputError(f"--qubits entries must be positive, got {n}")
         # the random observable draws distinct strings, and only 4^n exist
         if ham is None and not 1 <= args.terms <= 4**n:
-            raise _CliError(
-                EXIT_INPUT,
+            raise _InputError(
                 f"--terms {args.terms} must be between 1 and 4^n, the number of "
                 f"Pauli strings on n={n} qubits",
             )
@@ -452,18 +428,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except (PauliFormatError, ObservableFormatError, CircuitFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except ResourceCapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAP
     except CliffgradError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_GENERIC
+        return next(code for cls, code in EXIT_CODES.items() if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

@@ -40,7 +40,7 @@ from .errors import ResourceCapError
 from .expansion import ExpansionResult, conjugate_generators
 from .observable import Observable
 from .pauli import PHASES, PauliString
-from .tableau import CLIFFORD_1Q_WORDS, CliffordGate
+from .tableau import CLIFFORD_1Q_WORDS, CliffordGate, check_reference
 
 DEFAULT_QUBIT_CAP = 20
 
@@ -104,26 +104,19 @@ def _apply_matrix(states: np.ndarray, u: np.ndarray, wires: Tuple[int, ...], n: 
     return psi.reshape(B, -1)
 
 
-class DenseState:
-    """Batch of dense statevectors with gate application helpers."""
+def basis_state(
+    reference: str, n_qubits: int, batch: int = 1, cap: int = DEFAULT_QUBIT_CAP
+) -> np.ndarray:
+    """(batch, 2^n) copies of the basis state |reference>.
 
-    def __init__(self, n_qubits: int, amplitudes: np.ndarray, cap: int = DEFAULT_QUBIT_CAP):
-        _check_cap(n_qubits, cap)
-        self.n = n_qubits
-        self.amps = np.asarray(amplitudes, dtype=complex)
-        if self.amps.ndim == 1:
-            self.amps = self.amps[None, :]
-        if self.amps.shape[1] != 2**n_qubits:
-            raise ValueError("amplitude length does not match n_qubits")
-
-    @classmethod
-    def from_bitstring(cls, bitstring: str, batch: int = 1, cap: int = DEFAULT_QUBIT_CAP):
-        n = len(bitstring)
-        _check_cap(n, cap)
-        idx = int(bitstring, 2)  # qubit 0 = leftmost = most significant
-        amps = np.zeros((batch, 2**n), dtype=complex)
-        amps[:, idx] = 1.0
-        return cls(n, amps, cap)
+    Raises CircuitFormatError unless `reference` is n_qubits characters of
+    0/1, then ResourceCapError above the qubit cap.
+    """
+    check_reference(reference, n_qubits)
+    _check_cap(n_qubits, cap)
+    amps = np.zeros((batch, 2**n_qubits), dtype=complex)
+    amps[:, int(reference, 2)] = 1.0  # qubit 0 = leftmost = most significant
+    return amps
 
 
 def _pauli_action(n: int, p: PauliString) -> Tuple[np.ndarray, np.ndarray]:
@@ -192,12 +185,11 @@ def _normal_form(ansatz: AnsatzCircuit, reference: str, cap: int) -> Tuple[list,
     the (1, 2^n) start state C_total|reference> from one gate-by-gate sweep.
     """
     n = ansatz.n_qubits
-    _check_cap(n, cap)
+    basis = basis_state(reference, n, cap=cap)
     gens = conjugate_generators(ansatz)
     order = sorted(range(gens.n_params), key=gens.positions.__getitem__)
     rotations = [_Rotation(k, *_pauli_action(n, gens.paulis[k])) for k in order]
     gates = [_gate(e) for e in ansatz.clifford_elements()]
-    basis = DenseState.from_bitstring(reference, cap=cap).amps
     return rotations, _forward(gates, basis, np.empty((1, 0)), n)
 
 
@@ -271,8 +263,8 @@ def simulate_batch(
         raise ValueError(
             f"theta has {thetas.shape[1]} entries, ansatz has {ansatz.n_params} parameters"
         )
-    state = DenseState.from_bitstring(reference, batch=thetas.shape[0], cap=cap)
-    return _forward(_op_list(ansatz, cap), state.amps, thetas, ansatz.n_qubits)
+    amps = basis_state(reference, ansatz.n_qubits, thetas.shape[0], cap)
+    return _forward(_op_list(ansatz, cap), amps, thetas, ansatz.n_qubits)
 
 
 def energy(
@@ -294,6 +286,9 @@ def energies_batch(
     observable: Observable,
     cap: int = DEFAULT_QUBIT_CAP,
 ) -> np.ndarray:
+    """<O> at each parameter vector; DimensionMismatchError unless the
+    observable acts on the ansatz's qubits."""
+    observable.check_width(ansatz.n_qubits)
     amps = simulate_batch(ansatz, thetas, reference, cap)
     vals = np.zeros(amps.shape[0])
     for c, perm, phase in _observable_actions(observable):
@@ -466,9 +461,11 @@ def optimize_bfgs(
     Pauli rotations applied to C_total|reference>, which is computed once.
     The trace records the values of the last sweep, so it adds none, and
     its timings split compiling the normal form (compile_s) from the BFGS
-    run (bfgs_s). Raises ValueError when theta* or the Hessian does not
-    match the ansatz.
+    run (bfgs_s). Raises DimensionMismatchError when the observable and the
+    ansatz differ in width, CircuitFormatError for a malformed reference,
+    and ValueError when theta* or the Hessian does not match the ansatz.
     """
+    observable.check_width(ansatz.n_qubits)
     K = ansatz.n_params
     if init not in ("zero", "theta_star", "theta_star_with_hessian"):
         raise ValueError(f"unknown init mode {init!r}")

@@ -83,7 +83,9 @@ def compute_gradient(
     gives every <O_i P'_k> as [x = 0] * i^k (tableau.frame_values). Each
     term is exactly 0 or ±c_i and math.fsum rounds correctly, so g is the
     same as summing c_i Im <O_i P'_k> term by term. `cache` is accepted and
-    not read; the memo cache serves the Hessian.
+    not read; the memo cache serves the Hessian. It stays in the signature
+    because the benchmark's traced replay (benchmark/traced.py) passes it
+    positionally.
     """
     n, n_obs = state0.n, obs.n_terms
     coeffs = np.array([c for c, _ in obs.terms])
@@ -122,7 +124,9 @@ def compute_hessian(
 
     Each unordered pair is evaluated once and mirrored. `jobs` is accepted
     and ignored: the pair loop is Python-bound, so threads under the GIL
-    only slowed it.
+    only slowed it. It stays in the signature, as `--jobs` stays on the
+    command line, because the benchmark's traced replay
+    (benchmark/traced.py) passes it positionally.
     """
     if cache is None:
         cache = _ExpectationCache(state0)
@@ -337,18 +341,15 @@ def expand(
     reference: str,
     threshold: float = 1e-6,
     rtol: float = 1e-10,
-    jobs: Optional[int] = None,
     stable_subspace: bool = False,
 ) -> ExpansionResult:
     """Full pipeline: state -> generators -> g -> dropout -> A -> theta*.
 
-    `jobs` is accepted and ignored (see compute_hessian). The memo cache
-    serves the Hessian only, so the two cache counters count its lookups.
+    The memo cache serves the Hessian only, so the two cache counters count
+    its lookups. Raises DimensionMismatchError when the observable and the
+    ansatz differ in width, and CircuitFormatError for a malformed reference.
     """
-    if observable.n_qubits != ansatz.n_qubits:
-        raise SolveError(
-            f"observable on {observable.n_qubits} qubits vs ansatz on {ansatz.n_qubits}"
-        )
+    observable.check_width(ansatz.n_qubits)
     t0 = time.perf_counter()
     state0 = ansatz.clifford_point_state(reference)
     e0 = observable.expectation_at_clifford_point(state0)
@@ -360,7 +361,7 @@ def expand(
     mask = apply_dropout(gradient, threshold)
     t4 = time.perf_counter()
     cache = _ExpectationCache(state0)
-    hessian = compute_hessian(observable, state0, gens, mask, e0, jobs, cache)
+    hessian = compute_hessian(observable, state0, gens, mask, e0, cache=cache)
     t5 = time.perf_counter()
     theta_star, optimum, rank = solve_quadratic(
         e0, gradient, hessian, mask, rtol, stable_subspace

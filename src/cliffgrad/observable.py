@@ -56,12 +56,16 @@ class Observable:
             out = m if out is None else out + m
         return out
 
+    def check_width(self, n_qubits: int, what: str = "ansatz") -> None:
+        """DimensionMismatchError unless the observable acts on n_qubits qubits."""
+        if n_qubits != self.n_qubits:
+            raise DimensionMismatchError(
+                f"observable on {self.n_qubits} qubits vs {what} on {n_qubits}"
+            )
+
     def expectation_at_clifford_point(self, state: StabilizerTableau) -> float:
         """sum_i c_i <psi|P_i|psi> on a stabilizer state; exact, real."""
-        if state.n != self.n_qubits:
-            raise DimensionMismatchError(
-                f"observable on {self.n_qubits} qubits vs state on {state.n}"
-            )
+        self.check_width(state.n, "state")
         x, _, k = state.input_frame(*stack_rows([p for _, p in self.terms], self.n_qubits))
         # Hermitian phase-free terms give real expectations; compensated sum.
         return math.fsum(c * v for (c, _), v in zip(self.terms, frame_values(x, k).real.tolist()))

@@ -25,7 +25,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .errors import WireError, DimensionMismatchError
+from .errors import CircuitFormatError, DimensionMismatchError, WireError
 from .pauli import PHASES, PauliString, _n_words, _row_popcount
 
 # ---------------------------------------------------------------------------
@@ -127,6 +127,18 @@ def _check_wires(gate: CliffordGate, n_qubits: int) -> None:
     for w in gate.wires:
         if not 0 <= w < n_qubits:
             raise WireError(f"wire {w} out of range for {n_qubits} qubits ({gate.kind})")
+
+
+def check_reference(reference: str, n_qubits: int) -> None:
+    """CircuitFormatError unless `reference` is n_qubits characters of 0/1.
+
+    The one check of a reference bitstring: the stabilizer tableau and the
+    dense basis state both call it where the bitstring enters.
+    """
+    if len(reference) != n_qubits or set(reference) - {"0", "1"}:
+        raise CircuitFormatError(
+            f"reference bitstring {reference!r} must be {n_qubits} characters of 0/1"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -242,8 +254,7 @@ class StabilizerTableau:
             self.x[j, w] = 1 << b              # destabilizer X_j
             self.z[n_qubits + j, w] = 1 << b   # stabilizer Z_j
         if bitstring is not None:
-            if len(bitstring) != n_qubits or set(bitstring) - {"0", "1"}:
-                raise ValueError(f"bitstring {bitstring!r} invalid for {n_qubits} qubits")
+            check_reference(bitstring, n_qubits)
             for j, c in enumerate(bitstring):
                 if c == "1":
                     self.r[n_qubits + j] = 1

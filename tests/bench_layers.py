@@ -91,7 +91,7 @@ def test_energy_and_gradient(benchmark, n, form):
     reference = "01" * (n // 2)
     if form == "gates":
         ops = dense._op_list(circ, dense.DEFAULT_QUBIT_CAP)
-        start = dense.DenseState.from_bitstring(reference).amps
+        start = dense.basis_state(reference, n)
     else:
         ops, start = dense._normal_form(circ, reference, dense.DEFAULT_QUBIT_CAP)
     actions = dense._observable_actions(obs)

@@ -58,6 +58,8 @@ def test_generator_argument_validation():
         generate_hwe_ansatz(4, 0, 0)
     with pytest.raises(CircuitFormatError):
         generate_hwe_ansatz(4, 2, 0, "other")
+    with pytest.raises(CircuitFormatError, match="seed"):
+        generate_hwe_ansatz(4, 2, -1)
 
 
 def test_serialization_round_trip():

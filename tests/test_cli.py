@@ -322,11 +322,16 @@ def test_bench_rejects_more_terms_than_pauli_strings(terms, capsys):
          "--max-iters", "-1", "--trace-out", "{out}"],
         ["bench", "--qubits", "2", "--depths", "1", "--dropout-threshold", "inf",
          "--out", "{out}"],
+        ["gen-ansatz", "--qubits", "2", "--depth", "1", "--seed", "-1", "--out", "{out}"],
+        ["select-ansatz", "--qubits", "8", "--depth", "1", "--count", "2", "--seed", "-1",
+         "--hamiltonian", str(CHAIN8), "--reference", "01010101", "--out", "{out}"],
+        ["bench", "--qubits", "2", "--depths", "1", "--seed", "-1", "--out", "{out}"],
     ],
     ids=["bench-qubits", "bench-depths", "bench-no-width", "expand-negative-dropout",
          "expand-nan-dropout", "expand-nan-rtol", "optimize-nan-gtol", "expand-inf-dropout",
          "expand-inf-rtol", "optimize-inf-gtol", "optimize-negative-max-iters",
-         "bench-inf-dropout"],
+         "bench-inf-dropout", "gen-ansatz-negative-seed", "select-ansatz-negative-seed",
+         "bench-negative-seed"],
 )
 def test_malformed_numeric_input_is_exit_2(tmp_path, toy, capsys, argv):
     ham, ans = toy
@@ -335,6 +340,47 @@ def test_malformed_numeric_input_is_exit_2(tmp_path, toy, capsys, argv):
     assert rc == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["expand", "--hamiltonian", "{ham2}", "--ansatz", "{ans}", "--reference", "0",
+         "--out", "{out}"],
+        ["verify", "--hamiltonian", "{ham2}", "--ansatz", "{ans}", "--reference", "0",
+         "--result", "{res}", "--out", "{out}"],
+        ["optimize", "--hamiltonian", "{ham2}", "--ansatz", "{ans}", "--reference", "0",
+         "--trace-out", "{out}"],
+        ["select-ansatz", "--qubits", "2", "--depth", "1", "--hamiltonian", "{ham}",
+         "--reference", "00", "--out", "{out}", "--report-out", "{out}.report"],
+        ["verify", "--hamiltonian", "{ham}", "--ansatz", "{ans}", "--reference", "01",
+         "--result", "{res}", "--out", "{out}"],
+        ["verify", "--hamiltonian", "{ham}", "--ansatz", "{ans}", "--reference", "2",
+         "--result", "{res}", "--out", "{out}"],
+        ["optimize", "--hamiltonian", "{ham}", "--ansatz", "{ans}", "--reference", "01",
+         "--trace-out", "{out}"],
+        ["optimize", "--hamiltonian", "{ham}", "--ansatz", "{ans}", "--reference", "x",
+         "--trace-out", "{out}"],
+        ["optimize", "--hamiltonian", "{ham}", "--ansatz", "{ans}", "--reference", "0",
+         "--result", "{res}.missing", "--trace-out", "{out}"],
+    ],
+    ids=["expand-width", "verify-width", "optimize-width", "select-ansatz-width",
+         "verify-reference-length", "verify-reference-letter", "optimize-reference-length",
+         "optimize-reference-letter", "optimize-zero-missing-result"],
+)
+def test_mismatched_input_is_exit_2(tmp_path, toy, capsys, argv):
+    ham, ans = toy
+    ham2 = tmp_path / "ham2.txt"
+    ham2.write_text("qubits 2\n1.0 X0\n1.0 Z1\n")
+    res = tmp_path / "result.json"
+    assert main(["expand", "--hamiltonian", str(ham), "--ansatz", str(ans),
+                 "--reference", "0", "--out", str(res)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "out"
+    rc = main([a.format(ham=ham, ham2=ham2, ans=ans, res=res, out=out) for a in argv])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists() and not Path(f"{out}.report").exists()
 
 
 def test_verify_exact_ground_is_reproducible(tmp_path):

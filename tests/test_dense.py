@@ -7,7 +7,7 @@ from cliffgrad import dense
 from cliffgrad.circuit import AnsatzCircuit, RotationGate, generate_hwe_ansatz
 from cliffgrad.dense import (
     DEFAULT_QUBIT_CAP,
-    DenseState,
+    basis_state,
     energy,
     exact_ground_energy,
     finite_diff_gradient,
@@ -161,7 +161,7 @@ def adjoint_energy_and_gradient(circ, obs, ref, theta):
     return dense._energy_and_gradient(
         dense._op_list(circ, DEFAULT_QUBIT_CAP),
         dense._observable_actions(obs),
-        DenseState.from_bitstring(ref).amps,
+        basis_state(ref, circ.n_qubits),
         theta,
         circ.n_qubits,
     )

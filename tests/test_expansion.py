@@ -3,8 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from cliffgrad.circuit import AnsatzCircuit, RotationGate, _clifford_sweep, generate_hwe_ansatz
-from cliffgrad.dense import energy, finite_diff_gradient, finite_diff_hessian
+from cliffgrad import circuit
+from cliffgrad.circuit import (
+    AnsatzCircuit,
+    RotationGate,
+    _clifford_sweep,
+    generate_hwe_ansatz,
+    select_ansatz,
+)
+from cliffgrad.dense import energy, finite_diff_gradient, finite_diff_hessian, optimize_bfgs
 from cliffgrad.errors import DimensionMismatchError, SolveError
 from cliffgrad.expansion import (
     apply_dropout,
@@ -173,6 +180,27 @@ def test_gradient_rejects_an_observable_of_another_width():
         compute_gradient(obs, circ.clifford_point_state("00"), conjugate_generators(circ))
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda circ, obs: expand(circ, obs, "00"),
+        lambda circ, obs: energy(circ, np.zeros(1), "00", obs),
+        lambda circ, obs: optimize_bfgs(circ, obs, "00"),
+        lambda circ, obs: select_ansatz(3, 2, 1, obs, "00", 0),
+    ],
+    ids=["expand", "energy", "optimize_bfgs", "select_ansatz"],
+)
+def test_observable_of_another_width_is_rejected(monkeypatch, call):
+    def no_candidates(*args):
+        raise AssertionError("generated a candidate before the width check")
+
+    monkeypatch.setattr(circuit, "generate_hwe_ansatz", no_candidates)
+    circ = AnsatzCircuit(2, [RotationGate("Y", 0, 0)])
+    obs = parse_observable("qubits 3\n1.0 X0\n")
+    with pytest.raises(DimensionMismatchError, match="observable on 3 qubits vs ansatz on 2"):
+        call(circ, obs)
+
+
 def test_gradient_zero_for_commuting_diagonal_observable():
     # all-Z observable, Z rotations only: every term commutes with every
     # conjugated generator and is stabilizer-diagonal
@@ -304,13 +332,13 @@ def test_expand_all_dropped_degenerate():
     assert np.array_equal(res.theta_star, [0.0])
 
 
-def test_expand_parallel_is_bit_identical(rng):
+def test_expand_is_bit_identical_across_calls(rng):
     circ = generate_hwe_ansatz(4, 2, 21, "complex")
     obs = Observable.from_strings(
         4, {f"Z{q} Z{q+1}": -1.0 for q in range(3)} | {f"X{q}": -0.6 for q in range(4)}
     )
-    a = expand(circ, obs, "0011", threshold=0.0, jobs=1)
-    b = expand(circ, obs, "0011", threshold=0.0, jobs=4)
+    a = expand(circ, obs, "0011", threshold=0.0)
+    b = expand(circ, obs, "0011", threshold=0.0)
     assert np.array_equal(a.gradient, b.gradient)
     assert np.array_equal(a.hessian_kept, b.hessian_kept)
     assert np.array_equal(a.theta_star, b.theta_star)
