@@ -9,15 +9,17 @@ document modulo timing fields.
 
 Each input is checked once, where it enters: the library checks the
 widths, reference bitstrings, gate lists and seeds it is given, and the
-CLI checks only files, flag ranges and result documents. main maps the
-error class to the exit code through EXIT_CODES. Every error prints one
-``error: ...`` line on stderr and writes no output file.
+CLI checks only files, flag ranges and result documents. Output paths
+are checked before any work. main maps the error class to the exit code
+through EXIT_CODES. Every error prints one ``error: ...`` line on stderr
+and writes no output file.
 
     0  success
     1  any other package error, such as an output document that strict
        JSON cannot hold (NaN or infinity)
     2  input error: a missing or malformed Hamiltonian, ansatz or result
-       file; an out-of-range or non-finite flag; a negative --seed; a
+       file; an output path in a missing directory, or one that is a
+       directory; an out-of-range or non-finite flag; a negative --seed; a
        result whose parameter count differs from the ansatz; a reference
        bitstring that is not n characters of 0/1 (CircuitFormatError); a
        Hamiltonian whose width differs from the ansatz or --qubits
@@ -125,6 +127,22 @@ def _document(args: argparse.Namespace, payload: dict) -> dict:
         "inputs": inputs,
         **payload,
     }
+
+
+_OUTPUT_FLAGS = ("out", "report_out", "trace_out")
+
+
+def _check_output_paths(args: argparse.Namespace) -> None:
+    """_InputError unless each output flag names a file in an existing directory."""
+    for name in _OUTPUT_FLAGS:
+        path = getattr(args, name, None)
+        if not path:  # unset; an empty --out means stdout where _emit writes
+            continue
+        flag = "--" + name.replace("_", "-")
+        if not Path(path).parent.is_dir():
+            raise _InputError(f"{flag}: output directory not found: {Path(path).parent}")
+        if Path(path).is_dir():
+            raise _InputError(f"{flag}: output path is a directory: {path}")
 
 
 def _emit(doc: dict, out: str | None) -> None:
@@ -427,6 +445,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_output_paths(args)
         return args.func(args)
     except CliffgradError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -7,10 +7,11 @@ rotation generators as a block of packed Pauli rows with
 tableau.conjugate_rows, the gate update that also evolves the state.
 The gradient maps the observable terms and the generators into the
 state's input frame once (StabilizerTableau.input_frame) and reads every
-<O_i P'_k> from one batched row product; the Hessian evaluates its
-products one at a time through a memo cache of tableau expectations.
-The quadratic model is then minimized at its stationary point
-theta* = -pinv(A) g, giving the second-order estimate <O>* of the optimum.
+<O_i P'_k> from one batched row product; the Hessian forms each
+off-diagonal product once and looks it up through a memo cache of tableau
+expectations. The quadratic model is then minimized at its stationary
+point theta* = -pinv(A) g, giving the second-order estimate <O>* of the
+optimum.
 
 Derivative identities (R_k(t) = exp(i t P_k), P'_k the generator conjugated
 through everything applied after it):
@@ -20,8 +21,19 @@ through everything applied after it):
             (k earlier in the circuit than m)
     A_kk =  2 <psi| P'_k O P'_k |psi> - 2 <O(0)>
 
-All expectations are exact stabilizer evaluations; phases are integer
-exponents of i, so the assembled values are exactly real.
+Both sums of A_km read one operator. Pauli strings commute or anticommute,
+and the symplectic parity is bilinear, so O_i P'_m commutes past P'_k with
+the sign (-1)^(a_ki ⊕ b_km), where a_ki and b_km are the anticommutation
+parities of P'_k with O_i and with P'_m:
+
+    O_i P'_m P'_k = (-1)^(a_ki ⊕ b_km) P'_k O_i P'_m.
+
+On the diagonal, P'_k O_i P'_k = (-1)^a_ki O_i P'_k P'_k = (-1)^a_ki O_i,
+because a Hermitian Pauli string squares to the identity, so A_kk needs
+only the <O_i>. (The parities are those the destabilizer formalism
+tracks; Aaronson & Gottesman, arXiv:quant-ph/0406196.) All expectations
+are exact stabilizer evaluations; phases are integer exponents of i, so
+the assembled values are exactly real.
 """
 
 from __future__ import annotations
@@ -36,7 +48,7 @@ import numpy as np
 from .circuit import AnsatzCircuit, ConjugatedGenerators, _clifford_sweep
 from .errors import SolveError
 from .observable import Observable
-from .pauli import PauliString, mul_rows, pauli_mul, stack_rows
+from .pauli import PHASES, PauliString, _row_popcount, mul_rows, pauli_mul, stack_rows
 from .tableau import StabilizerTableau, frame_values
 
 
@@ -49,7 +61,12 @@ def conjugate_generators(ansatz: AnsatzCircuit) -> ConjugatedGenerators:
 class _ExpectationCache:
     """Memoized stabilizer expectations keyed by the unphased bit content.
 
-    The Hessian's pair loop reads it; misses and hits count its lookups.
+    The Hessian's off-diagonal pair loop reads it. P'_e O_i P'_l and
+    O_i P'_l P'_e differ only by the sign (-1)^(a_ei ⊕ b_el), so they share
+    a key and one lookup serves both; the diagonal's P'_k O_i P'_k =
+    ±O_i is read from the input frame instead. misses and hits count the
+    lookups: misses + hits = N_o K_kept (K_kept - 1) / 2, and misses is the
+    number of distinct keys.
     """
 
     def __init__(self, state: StabilizerTableau):
@@ -59,6 +76,7 @@ class _ExpectationCache:
         self.hits = 0
 
     def expectation(self, q: PauliString) -> complex:
+        """<psi|L|psi> of q's unphased part L; the caller applies q's i^k."""
         key = q.key()
         e = self.cache.get(key)
         if e is None:
@@ -67,7 +85,7 @@ class _ExpectationCache:
             self.misses += 1
         else:
             self.hits += 1
-        return q.phase_value() * e
+        return e
 
 
 def compute_gradient(
@@ -122,11 +140,22 @@ def compute_hessian(
     """Hessian restricted to kept parameters, returned as a dense symmetric
     matrix over the kept index order.
 
-    Each unordered pair is evaluated once and mirrored. `jobs` is accepted
-    and ignored: the pair loop is Python-bound, so threads under the GIL
-    only slowed it. It stays in the signature, as `--jobs` stays on the
-    command line, because the benchmark's traced replay
-    (benchmark/traced.py) passes it positionally.
+    Each unordered pair is evaluated once and mirrored. With e earlier in
+    the circuit than l and R_li = O_i P'_l, the product q = P'_e R_li is
+    formed once (pauli_mul) and looked up once in the memo cache, which
+    returns <q> without q's phase i^k. The first sum reads it at phase k;
+    the second reads R_li P'_e, which is q with phase k + 2 (a_ei ⊕ b_el)
+    (module docstring). The diagonal forms no product: its terms are
+    c_i Re(i^(2 a_ki) <O_i>), with every <O_i> from one input_frame call.
+    a (kept generators × terms) and b (kept × kept) are one broadcast
+    popcount each. Every term is c * (i^k * <q>).real, summed by math.fsum
+    in term order, which are the float operations of forming and looking
+    up both products of each term, so A is bit-identical to that formula.
+
+    `jobs` is accepted and ignored: the pair loop is Python-bound, so
+    threads under the GIL only slowed it. It stays in the signature, as
+    `--jobs` stays on the command line, because the benchmark's traced
+    replay (benchmark/traced.py) passes it positionally.
     """
     if cache is None:
         cache = _ExpectationCache(state0)
@@ -135,48 +164,44 @@ def compute_hessian(
     K = gens.n_params
     if mask is None:
         mask = np.ones(K, dtype=bool)
-    kept = np.nonzero(mask)[0]
-    nk = kept.size
+    kept = np.nonzero(mask)[0].tolist()
+    nk = len(kept)
     A = np.zeros((nk, nk))
     if nk == 0:
         return A
 
-    # Right products P_i * P'_k, shared by both Hessian terms.
-    right = {
-        int(k): [pauli_mul(p, gens.paulis[k]) for _, p in obs.terms] for k in kept
-    }
+    n = state0.n
     coeffs = [c for c, _ in obs.terms]
-    positions = gens.positions
-
-    def entry(a: int, b: int) -> float:
-        """A entry for kept-index slots a <= b."""
-        ka, kb = int(kept[a]), int(kept[b])
-        if a == b:
-            pk = gens.paulis[ka]
-            rk = right[ka]
-            diag = math.fsum(
-                c * cache.expectation(pauli_mul(pk, r)).real
-                for c, r in zip(coeffs, rk)
-            )
-            return 2.0 * diag - 2.0 * e0
-        # earlier-in-circuit generator goes left-adjacent to the state
-        if positions[ka] <= positions[kb]:
-            ke, kl = ka, kb
-        else:
-            ke, kl = kb, ka
-        pe = gens.paulis[ke]
-        rl = right[kl]
-        first = math.fsum(
-            c * cache.expectation(pauli_mul(pe, r)).real for c, r in zip(coeffs, rl)
+    paulis = [gens.paulis[k] for k in kept]
+    ox, oz, ophase = stack_rows([p for _, p in obs.terms], n)
+    gx, gz, _ = stack_rows(paulis, n)
+    # a[s, i]: kept generator s anticommutes with O_i; b[s, t]: with kept generator t
+    a = (_row_popcount((gx[:, None] & oz) ^ (gz[:, None] & ox)) & 1).tolist()
+    b = (_row_popcount((gx[:, None] & gz) ^ (gz[:, None] & gx)) & 1).tolist()
+    # <O_i>: the terms carry phase 0, so these are the unphased values
+    fx, _, fphase = state0.input_frame(ox, oz, ophase)
+    values = frame_values(fx, fphase).tolist()
+    for s in range(nk):
+        diag = math.fsum(
+            c * (PHASES[2 * f] * v).real for c, f, v in zip(coeffs, a[s], values)
         )
-        second = math.fsum(
-            c * cache.expectation(pauli_mul(r, pe)).real for c, r in zip(coeffs, rl)
-        )
-        return 2.0 * first - 2.0 * second
+        A[s, s] = 2.0 * diag - 2.0 * e0
 
-    for a in range(nk):
-        for b in range(a, nk):
-            A[a, b] = A[b, a] = entry(a, b)
+    # Right products O_i * P'_l, one list per kept generator.
+    right = [[pauli_mul(p, pl) for _, p in obs.terms] for pl in paulis]
+    positions = [gens.positions[k] for k in kept]
+    for s in range(nk):
+        for t in range(s + 1, nk):
+            # the earlier-in-circuit generator goes left-adjacent to the state
+            e, l = (s, t) if positions[s] <= positions[t] else (t, s)
+            pe, flip = paulis[e], b[e][l]
+            first, second = [], []
+            for c, r, f in zip(coeffs, right[l], a[e]):
+                q = pauli_mul(pe, r)
+                v = cache.expectation(q)
+                first.append(c * (PHASES[q.phase] * v).real)
+                second.append(c * (PHASES[(q.phase + 2 * (f ^ flip)) % 4] * v).real)
+            A[s, t] = A[t, s] = 2.0 * math.fsum(first) - 2.0 * math.fsum(second)
     return A
 
 

@@ -16,21 +16,35 @@ The dense simulator's gates are timed as one energy-and-gradient sweep (one
 forward and one backward pass) at n = 8 and 12 on a real depth-2 ansatz and
 a chain Hamiltonian, over the gate-by-gate op list and over the
 Pauli-rotation normal form that BFGS uses.
+
+compute_hessian is timed on two instances, three rounds each: the shipped
+8-site chain with a real depth-4 ansatz and no dropout (K = 72), and a
+66-qubit dimerized chain (staggered Z fields, XX on every other bond; two
+packed words) with a real depth-1 ansatz at dropout 1e-6 (64 of 198 kept).
 """
 
 from __future__ import annotations
+
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cliffgrad import dense
 from cliffgrad.circuit import generate_hwe_ansatz
-from cliffgrad.observable import Observable
+from cliffgrad.expansion import (
+    apply_dropout,
+    compute_gradient,
+    compute_hessian,
+    conjugate_generators,
+)
+from cliffgrad.observable import Observable, parse_observable
 from cliffgrad.pauli import PauliString, mul_rows, stack_rows
 from cliffgrad.tableau import StabilizerTableau, conjugate_pauli, conjugate_rows
 
 from conftest import random_clifford_gates, random_pauli
 
+CHAIN8 = Path(__file__).resolve().parents[1] / "data" / "chain8.txt"
 WIDTHS = (8, 64, 65, 256)
 ROWS = 256
 
@@ -97,3 +111,23 @@ def test_energy_and_gradient(benchmark, n, form):
     actions = dense._observable_actions(obs)
     theta = np.random.default_rng(n).uniform(-np.pi, np.pi, circ.n_params)
     benchmark(dense._energy_and_gradient, ops, actions, start, theta, n)
+
+
+def _hessian_instance(name: str):
+    """(observable, ansatz, reference, dropout threshold)."""
+    if name == "chain8":
+        obs = parse_observable(CHAIN8.read_text())
+        return obs, generate_hwe_ansatz(8, 4, 1, "real"), "01010101", 0.0
+    n, rng = 66, np.random.default_rng(66)
+    terms = {f"Z{j}": float(rng.uniform(0.8, 1.2)) * (-1) ** (j + 1) for j in range(n)}
+    terms |= {f"X{j} X{j + 1}": float(rng.uniform(0.05, 0.25)) for j in range(0, n - 1, 2)}
+    return Observable.from_strings(n, terms), generate_hwe_ansatz(n, 1, 1, "real"), "01" * 33, 1e-6
+
+
+@pytest.mark.parametrize("name", ("chain8", "wide66"))
+def test_compute_hessian(benchmark, name):
+    obs, circ, reference, threshold = _hessian_instance(name)
+    state0 = circ.clifford_point_state(reference)
+    gens = conjugate_generators(circ)
+    mask = apply_dropout(compute_gradient(obs, state0, gens), threshold)
+    benchmark.pedantic(compute_hessian, (obs, state0, gens, mask), rounds=3, iterations=1)

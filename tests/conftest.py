@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from cliffgrad.circuit import AnsatzCircuit, generate_hwe_ansatz
+from cliffgrad.circuit import AnsatzCircuit, RotationGate, generate_hwe_ansatz
 from cliffgrad.dense import _apply_matrix, gate_matrix
 from cliffgrad.observable import Observable
 from cliffgrad.pauli import PauliString
@@ -28,6 +28,18 @@ def random_clifford_gates(rng: np.random.Generator, n: int, count: int) -> list:
         else:
             gates.append(CliffordGate(kind, (int(rng.integers(0, n)),)))
     return gates
+
+
+def general_clifford_circuit(rng, n, n_rotations):
+    """Rotations between random Clifford gates, param ids shuffled.
+
+    Unlike a generated ansatz, the Clifford part is not the identity.
+    """
+    elements = []
+    for k in rng.permutation(n_rotations):
+        elements += random_clifford_gates(rng, n, int(rng.integers(0, 4)))
+        elements.append(RotationGate("XYZ"[rng.integers(0, 3)], int(rng.integers(0, n)), int(k)))
+    return AnsatzCircuit(n, elements + random_clifford_gates(rng, n, 3))
 
 
 def random_pauli(rng: np.random.Generator, n: int, hermitian: bool = False) -> PauliString:

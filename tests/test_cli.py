@@ -363,10 +363,27 @@ def test_malformed_numeric_input_is_exit_2(tmp_path, toy, capsys, argv):
          "--trace-out", "{out}"],
         ["optimize", "--hamiltonian", "{ham}", "--ansatz", "{ans}", "--reference", "0",
          "--result", "{res}.missing", "--trace-out", "{out}"],
+        # {out} is never created, so {out}/... lies in a missing directory
+        ["expand", "--hamiltonian", "{ham}", "--ansatz", "{ans}", "--reference", "0",
+         "--out", "{out}/r.json"],
+        ["expand", "--hamiltonian", "{ham}", "--ansatz", "{ans}", "--reference", "0",
+         "--out", "{tmp}"],
+        ["verify", "--hamiltonian", "{ham}", "--ansatz", "{ans}", "--reference", "0",
+         "--result", "{res}", "--out", "{out}/r.json"],
+        ["optimize", "--hamiltonian", "{ham}", "--ansatz", "{ans}", "--reference", "0",
+         "--trace-out", "{out}/t.json"],
+        ["gen-ansatz", "--qubits", "2", "--depth", "1", "--out", "{out}/a.json"],
+        ["select-ansatz", "--qubits", "2", "--depth", "1", "--count", "2",
+         "--hamiltonian", "{ham}", "--reference", "00", "--out", "{out}",
+         "--report-out", "{out}.report/r.json"],
+        ["bench", "--qubits", "2", "--depths", "1", "--out", "{out}/b.csv"],
     ],
     ids=["expand-width", "verify-width", "optimize-width", "select-ansatz-width",
          "verify-reference-length", "verify-reference-letter", "optimize-reference-length",
-         "optimize-reference-letter", "optimize-zero-missing-result"],
+         "optimize-reference-letter", "optimize-zero-missing-result",
+         "expand-out-missing-dir", "expand-out-is-dir", "verify-out-missing-dir",
+         "optimize-trace-out-missing-dir", "gen-ansatz-out-missing-dir",
+         "select-ansatz-report-out-missing-dir", "bench-out-missing-dir"],
 )
 def test_mismatched_input_is_exit_2(tmp_path, toy, capsys, argv):
     ham, ans = toy
@@ -377,10 +394,13 @@ def test_mismatched_input_is_exit_2(tmp_path, toy, capsys, argv):
                  "--reference", "0", "--out", str(res)]) == 0
     capsys.readouterr()
     out = tmp_path / "out"
-    rc = main([a.format(ham=ham, ham2=ham2, ans=ans, res=res, out=out) for a in argv])
+    before = sorted(tmp_path.iterdir())
+    rc = main([a.format(ham=ham, ham2=ham2, ans=ans, res=res, out=out, tmp=tmp_path)
+               for a in argv])
     assert rc == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists() and not Path(f"{out}.report").exists()
+    assert sorted(tmp_path.iterdir()) == before
 
 
 def test_verify_exact_ground_is_reproducible(tmp_path):

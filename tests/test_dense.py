@@ -21,7 +21,12 @@ from cliffgrad.expansion import expand
 from cliffgrad.observable import Observable, parse_observable
 from cliffgrad.tableau import StabilizerTableau
 
-from conftest import random_bitstring, random_clifford_gates, random_observable
+from conftest import (
+    general_clifford_circuit,
+    random_bitstring,
+    random_clifford_gates,
+    random_observable,
+)
 
 
 def ry_circuit():
@@ -165,18 +170,6 @@ def adjoint_energy_and_gradient(circ, obs, ref, theta):
         theta,
         circ.n_qubits,
     )
-
-
-def general_clifford_circuit(rng, n, n_rotations):
-    """Rotations between random Clifford gates, param ids shuffled.
-
-    Unlike a generated ansatz, the Clifford part is not the identity.
-    """
-    elements = []
-    for k in rng.permutation(n_rotations):
-        elements += random_clifford_gates(rng, n, int(rng.integers(0, 4)))
-        elements.append(RotationGate("XYZ"[rng.integers(0, 3)], int(rng.integers(0, n)), int(k)))
-    return AnsatzCircuit(n, elements + random_clifford_gates(rng, n, 3))
 
 
 @pytest.mark.parametrize("kind", ("real", "complex", "general"))

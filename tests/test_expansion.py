@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from cliffgrad.circuit import (
 from cliffgrad.dense import energy, finite_diff_gradient, finite_diff_hessian, optimize_bfgs
 from cliffgrad.errors import DimensionMismatchError, SolveError
 from cliffgrad.expansion import (
+    _ExpectationCache,
     apply_dropout,
     compute_gradient,
     compute_hessian,
@@ -27,11 +29,15 @@ from cliffgrad.tableau import CliffordGate, StabilizerTableau, conjugate_pauli
 
 from conftest import (
     dense_unitary,
+    general_clifford_circuit,
     random_bitstring,
     random_clifford_gates,
     random_instance,
     random_observable,
 )
+
+
+CHAIN8 = Path(__file__).resolve().parents[1] / "data" / "chain8.txt"
 
 
 def ry_circuit():
@@ -261,6 +267,120 @@ def test_hessian_of_general_clifford_part_matches_finite_differences(rng):
         assert np.abs(A - finite_diff_hessian(circ, obs, ref)).max() <= 1e-4
 
 
+def two_product_hessian(obs, state, circ, mask, e0):
+    """A from two products per term and one tableau expectation each.
+
+    P'_k comes from conjugate_pauli through the gates after rotation k.
+    With e earlier in the circuit than l and R_li = O_i P'_l, A_el sums
+    c_i Re <P'_e R_li> and c_i Re <R_li P'_e> in term order; A_kk sums
+    c_i Re <P'_k O_i P'_k>. Returns A and the unphased keys the
+    off-diagonal and the diagonal products look up.
+    """
+    n = circ.n_qubits
+    gens, positions = {}, {}
+    for pos, el in enumerate(circ.elements):
+        if isinstance(el, RotationGate):
+            suffix = [g for g in circ.elements[pos + 1 :] if isinstance(g, CliffordGate)]
+            gens[el.param] = conjugate_pauli(suffix, PauliString.single(n, el.axis, el.wire))
+            positions[el.param] = pos
+    off, diag = set(), set()
+
+    def fsum_terms(products, keys):
+        terms = []
+        for (c, _), q in zip(obs.terms, products):
+            keys.add(q.key())
+            terms.append(c * (q.phase_value() * state.expectation(q.unphased())).real)
+        return math.fsum(terms)
+
+    kept = np.flatnonzero(mask)
+    A = np.zeros((kept.size, kept.size))
+    for s, ks in enumerate(kept):
+        pk = gens[ks]
+        A[s, s] = 2.0 * fsum_terms([pauli_mul(pk, pauli_mul(p, pk)) for _, p in obs.terms], diag)
+        A[s, s] -= 2.0 * e0
+        for t in range(s + 1, kept.size):
+            kt = kept[t]
+            e, l = (ks, kt) if positions[ks] <= positions[kt] else (kt, ks)
+            right = [pauli_mul(p, gens[l]) for _, p in obs.terms]
+            first = fsum_terms([pauli_mul(gens[e], r) for r in right], off)
+            second = fsum_terms([pauli_mul(r, gens[e]) for r in right], off)
+            A[s, t] = A[t, s] = 2.0 * first - 2.0 * second
+    return A, off, diag
+
+
+def dropout_masks(rng, K: int) -> list:
+    """Masks that keep all, some, exactly one and none of K parameters."""
+    some = rng.permutation(np.arange(K) < K // 2)
+    one = np.zeros(K, dtype=bool)
+    one[rng.integers(0, K)] = True
+    return [np.ones(K, dtype=bool), some, one, np.zeros(K, dtype=bool)]
+
+
+def assert_hessian_is_two_product_formula(obs, state0, circ, mask):
+    """compute_hessian is bit-identical to two_product_hessian; the cache counts
+    one lookup per off-diagonal product. Returns A and both key sets."""
+    e0 = obs.expectation_at_clifford_point(state0)
+    cache = _ExpectationCache(state0)
+    A = compute_hessian(obs, state0, conjugate_generators(circ), mask, e0, None, cache)
+    reference, off, diag = two_product_hessian(obs, state0, circ, mask, e0)
+    assert_bit_identical(A, reference)
+    nk = int(mask.sum())
+    assert cache.misses + cache.hits == obs.n_terms * nk * (nk - 1) // 2
+    assert cache.misses == len(off)
+    return A, off, diag
+
+
+@pytest.mark.parametrize("n", (3, 65, 130))
+def test_hessian_matches_two_product_formula_on_general_clifford_part(rng, n):
+    draws, off_diagonal_nonzeros = 2, 0
+    while draws:
+        # rotations on the top four wires, which straddle a word boundary at
+        # n = 65 and 130, so that many P'_k anticommute; a tail of 2n gates
+        # reaches those wires, so P'_k carry sign bits
+        elements = [
+            RotationGate(e.axis, int(rng.integers(max(n - 4, 0), n)), e.param)
+            if isinstance(e, RotationGate) else e
+            for e in general_clifford_circuit(rng, n, 10).elements
+        ]
+        circ = AnsatzCircuit(n, elements + random_clifford_gates(rng, n, 2 * n))
+        state0 = circ.clifford_point_state(random_bitstring(rng, n))
+        gens = conjugate_generators(circ)
+        # signed generators on a state that is not a basis state
+        if not (any(p.phase == 2 for p in gens.paulis)
+                and any(state0.stabilizer(j).x.any() for j in range(n))):
+            continue
+        draws -= 1
+        # terms s·P'_k·P'_m, s in the stabilizer group, make A_km nonzero
+        terms = {}
+        for _ in range(20):
+            s = PauliString.identity(n)
+            for j in np.flatnonzero(rng.integers(0, 2, n)):
+                s = pauli_mul(s, state0.stabilizer(int(j)))
+            k, m = rng.choice(gens.n_params, 2, replace=False)
+            terms[pauli_mul(pauli_mul(s, gens.paulis[k]), gens.paulis[m]).to_text()] = float(
+                rng.normal()
+            )
+        obs = Observable.from_strings(n, terms)
+        for mask in dropout_masks(rng, circ.n_params):
+            A, _, _ = assert_hessian_is_two_product_formula(obs, state0, circ, mask)
+            if mask.all():
+                off_diagonal_nonzeros += np.count_nonzero(A - np.diag(np.diag(A)))
+    assert off_diagonal_nonzeros > 0
+
+
+def test_hessian_cache_misses_match_two_product_formula_on_chain8():
+    # the ansatz that the README flow (and the pipeline benchmark) selects
+    obs = parse_observable(CHAIN8.read_text())
+    circ, _ = select_ansatz(32, 8, 2, obs, "01010101", 5, "real")
+    state0 = circ.clifford_point_state("01010101")
+    mask = apply_dropout(compute_gradient(obs, state0, conjugate_generators(circ)), 1e-6)
+    assert 1 < mask.sum() < mask.size
+    _, off, diag = assert_hessian_is_two_product_formula(obs, state0, circ, mask)
+    # every <O_i> key is also an off-diagonal product's key here, so the
+    # diagonal's former lookups were all hits and the misses are unchanged
+    assert diag <= off
+
+
 def test_apply_dropout():
     g = np.array([0.0, 3e-7, 0.2])
     assert apply_dropout(g, 0.0).tolist() == [True, True, True]
@@ -368,12 +488,22 @@ def test_expand_counters_and_result_document(rng):
     c = res.counters
     assert c["K"] == circ.n_params and c["N_o"] == 2 and c["n_qubits"] == 4
     assert c["pauli_expectations_evaluated"] > 0
+    # one lookup per off-diagonal product P'_e O_i P'_l
+    lookups = c["pauli_expectations_evaluated"] + c["expectation_cache_hits"]
+    assert lookups == c["N_o"] * c["K_kept"] * (c["K_kept"] - 1) // 2
     assert set(res.timings) == {
         "state_s", "conjugate_s", "gradient_s", "dropout_s", "hessian_s", "solve_s"
     }
     # the gradient reads no memo cache, so with nothing kept nothing is looked up
     dropped = expand(circ, obs, "0000", threshold=1e9).counters
     assert dropped["pauli_expectations_evaluated"] == dropped["expectation_cache_hits"] == 0
+    # with one parameter kept, A is one diagonal entry and needs no lookup
+    two = AnsatzCircuit(2, [RotationGate("Y", 0, 0), RotationGate("Y", 1, 1)])
+    single = expand(two, Observable.from_strings(2, {"X0": 0.5, "X1": 0.25}), "00", 0.75)
+    assert np.array_equal(single.gradient, [-1.0, -0.5])
+    one = single.counters
+    assert one["K_kept"] == 1
+    assert one["pauli_expectations_evaluated"] == one["expectation_cache_hits"] == 0
     doc = res.to_dict()
     from cliffgrad.expansion import ExpansionResult
 
