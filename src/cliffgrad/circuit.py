@@ -33,6 +33,13 @@ ANSATZ_SCHEMA_VERSION = 1
 ROTATION_AXES = ("X", "Y", "Z")
 
 
+def _json_int(value, name: str) -> int:
+    """value if it is a JSON integer; CircuitFormatError for a bool, float or string."""
+    if type(value) is not int:
+        raise CircuitFormatError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class RotationGate:
     """Single-qubit Pauli rotation exp(i * theta_k * P) on one wire."""
@@ -122,32 +129,38 @@ class AnsatzCircuit:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "AnsatzCircuit":
+        """Inverse of to_dict; CircuitFormatError for any document it could
+        not have written (a field of the wrong JSON type included)."""
         if not isinstance(doc, dict):
             raise CircuitFormatError("ansatz document must be a JSON object")
         version = doc.get("version")
-        if version != ANSATZ_SCHEMA_VERSION:
+        if type(version) is not int or version != ANSATZ_SCHEMA_VERSION:
             raise CircuitFormatError(f"unsupported ansatz schema version {version!r}")
         try:
-            n_qubits = int(doc["n_qubits"])
-            raw_elements = doc["elements"]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CircuitFormatError(f"missing/invalid required field: {exc}") from exc
+            n_qubits, raw_elements = _json_int(doc["n_qubits"], "n_qubits"), doc["elements"]
+        except KeyError as exc:
+            raise CircuitFormatError(f"missing required field: {exc}") from exc
+        metadata = doc.get("metadata", {})
+        if not isinstance(raw_elements, list) or not isinstance(metadata, dict):
+            raise CircuitFormatError("elements must be a list and metadata an object")
         elements: List[Element] = []
         for i, d in enumerate(raw_elements):
             try:
                 if d["type"] == "clifford":
-                    elements.append(
-                        CliffordGate(d["kind"], tuple(d["wires"]), d.get("index"))
-                    )
+                    wires = tuple(_json_int(w, "wire") for w in d["wires"])
+                    index = d.get("index")
+                    index = None if index is None else _json_int(index, "index")
+                    elements.append(CliffordGate(d["kind"], wires, index))
                 elif d["type"] == "rotation":
-                    elements.append(RotationGate(d["axis"], int(d["wire"]), int(d["param"])))
+                    wire, param = _json_int(d["wire"], "wire"), _json_int(d["param"], "param")
+                    elements.append(RotationGate(d["axis"], wire, param))
                 else:
-                    raise CircuitFormatError(f"element {i}: unknown type {d['type']!r}")
+                    raise CircuitFormatError(f"unknown type {d['type']!r}")
             except (KeyError, TypeError, ValueError, WireError) as exc:
                 raise CircuitFormatError(f"element {i}: {exc}") from exc
-        circ = cls(n_qubits, elements, dict(doc.get("metadata", {})))
+        circ = cls(n_qubits, elements, dict(metadata))
         declared = doc.get("n_params")
-        if declared is not None and declared != circ.n_params:
+        if declared is not None and _json_int(declared, "n_params") != circ.n_params:
             raise CircuitFormatError(
                 f"declared n_params {declared} != actual {circ.n_params}"
             )

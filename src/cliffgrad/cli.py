@@ -336,7 +336,6 @@ def cmd_bench(args) -> int:
                     "t_grad": res.timings["gradient_s"],
                     "t_hess": res.timings["hessian_s"],
                     "t_solve": res.timings["solve_s"],
-                    "expectations_evaluated": res.counters["pauli_expectations_evaluated"],
                 }
             )
             print(

@@ -5,13 +5,14 @@ an ansatz of Clifford gates and single-qubit Pauli rotations, from
 stabilizer-state expectations. One left-to-right sweep conjugates all K
 rotation generators as a block of packed Pauli rows with
 tableau.conjugate_rows, the gate update that also evolves the state.
-The gradient maps the observable terms and the generators into the
-state's input frame once (StabilizerTableau.input_frame) and reads every
+The gradient and the Hessian each map the observable terms and the
+generators into the state's input frame once
+(StabilizerTableau.input_frame), where every expectation reads
+[x~ = 0] * i^k~ with no tableau lookup. The gradient reads every
 <O_i P'_k> from one batched row product; the Hessian forms each
-off-diagonal product once and looks it up through a memo cache of tableau
-expectations. The quadratic model is then minimized at its stationary
-point theta* = -pinv(A) g, giving the second-order estimate <O>* of the
-optimum.
+off-diagonal product of the images once. The quadratic model is then
+minimized at its stationary point theta* = -pinv(A) g, giving the
+second-order estimate <O>* of the optimum.
 
 Derivative identities (R_k(t) = exp(i t P_k), P'_k the generator conjugated
 through everything applied after it):
@@ -59,33 +60,17 @@ def conjugate_generators(ansatz: AnsatzCircuit) -> ConjugatedGenerators:
 
 
 class _ExpectationCache:
-    """Memoized stabilizer expectations keyed by the unphased bit content.
+    """Counters of a memo cache that no stage reads any more.
 
-    The Hessian's off-diagonal pair loop reads it. P'_e O_i P'_l and
-    O_i P'_l P'_e differ only by the sign (-1)^(a_ei ⊕ b_el), so they share
-    a key and one lookup serves both; the diagonal's P'_k O_i P'_k =
-    ±O_i is read from the input frame instead. misses and hits count the
-    lookups: misses + hits = N_o K_kept (K_kept - 1) / 2, and misses is the
-    number of distinct keys.
+    Every expectation is read in the state's input frame, so nothing is
+    looked up and misses and hits stay 0. The class stays because the
+    benchmark's traced replay (benchmark/traced.py) builds it from the state
+    and passes it positionally to compute_gradient and compute_hessian.
     """
 
     def __init__(self, state: StabilizerTableau):
-        self.state = state
-        self.cache: dict = {}
         self.misses = 0
         self.hits = 0
-
-    def expectation(self, q: PauliString) -> complex:
-        """<psi|L|psi> of q's unphased part L; the caller applies q's i^k."""
-        key = q.key()
-        e = self.cache.get(key)
-        if e is None:
-            e = self.state.expectation(q.unphased())
-            self.cache[key] = e
-            self.misses += 1
-        else:
-            self.hits += 1
-        return e
 
 
 def compute_gradient(
@@ -101,9 +86,8 @@ def compute_gradient(
     gives every <O_i P'_k> as [x = 0] * i^k (tableau.frame_values). Each
     term is exactly 0 or ±c_i and math.fsum rounds correctly, so g is the
     same as summing c_i Im <O_i P'_k> term by term. `cache` is accepted and
-    not read; the memo cache serves the Hessian. It stays in the signature
-    because the benchmark's traced replay (benchmark/traced.py) passes it
-    positionally.
+    not read, as in compute_hessian; it stays in the signature because the
+    benchmark's traced replay (benchmark/traced.py) passes it positionally.
     """
     n, n_obs = state0.n, obs.n_terms
     coeffs = np.array([c for c, _ in obs.terms])
@@ -138,57 +122,59 @@ def compute_hessian(
     cache: Optional[_ExpectationCache] = None,
 ) -> np.ndarray:
     """Hessian restricted to kept parameters, returned as a dense symmetric
-    matrix over the kept index order.
+    matrix over the kept index order, in the state's input frame.
 
-    Each unordered pair is evaluated once and mirrored. With e earlier in
-    the circuit than l and R_li = O_i P'_l, the product q = P'_e R_li is
-    formed once (pauli_mul) and looked up once in the memo cache, which
-    returns <q> without q's phase i^k. The first sum reads it at phase k;
-    the second reads R_li P'_e, which is q with phase k + 2 (a_ei ⊕ b_el)
-    (module docstring). The diagonal forms no product: its terms are
-    c_i Re(i^(2 a_ki) <O_i>), with every <O_i> from one input_frame call.
-    a (kept generators × terms) and b (kept × kept) are one broadcast
-    popcount each. Every term is c * (i^k * <q>).real, summed by math.fsum
-    in term order, which are the float operations of forming and looking
-    up both products of each term, so A is bit-identical to that formula.
+    The N_o terms and the kept generators are mapped through U† . U by one
+    input_frame call; every product below is of those images, whose
+    expectation is [x~ = 0] * i^k~ (tableau.frame_values). Each unordered
+    pair is evaluated once and mirrored. With e earlier in the circuit than
+    l and R_li = O_i P'_l, the product q = P'_e R_li is formed once
+    (pauli_mul). The first sum reads it at phase k~; the second reads
+    R_li P'_e, which is q with phase k~ + 2 (a_ei ⊕ b_el) (module
+    docstring). The diagonal forms no product: its terms are
+    c_i Re(i^(2 a_ki) <O_i>). a (kept generators × terms) and b (kept ×
+    kept) are one broadcast popcount each, on the images, since
+    conjugation keeps commutation. Every term is c * Re(i^k~ [x~ = 0]),
+    summed by math.fsum in term order. A term that is 0 is skipped: fsum
+    rounds the exact sum and returns +0.0 for a sum of no terms or of ±0,
+    so A is bit-identical to the two-product formula, sign bits included.
 
-    `jobs` is accepted and ignored: the pair loop is Python-bound, so
-    threads under the GIL only slowed it. It stays in the signature, as
-    `--jobs` stays on the command line, because the benchmark's traced
-    replay (benchmark/traced.py) passes it positionally.
+    `jobs` and `cache` are accepted and not read: the pair loop is
+    Python-bound, so threads under the GIL only slowed it, and no memo
+    cache is looked up. Both stay in the signature, as `--jobs` stays on
+    the command line, because the benchmark's traced replay
+    (benchmark/traced.py) passes them positionally.
     """
-    if cache is None:
-        cache = _ExpectationCache(state0)
-    if e0 is None:
-        e0 = obs.expectation_at_clifford_point(state0)
     K = gens.n_params
     if mask is None:
         mask = np.ones(K, dtype=bool)
     kept = np.nonzero(mask)[0].tolist()
     nk = len(kept)
     A = np.zeros((nk, nk))
-    if nk == 0:
-        return A
-
-    n = state0.n
+    n, n_obs = state0.n, obs.n_terms
     coeffs = [c for c, _ in obs.terms]
-    paulis = [gens.paulis[k] for k in kept]
-    ox, oz, ophase = stack_rows([p for _, p in obs.terms], n)
-    gx, gz, _ = stack_rows(paulis, n)
+    # terms O~_i in rows 0..N_o-1, then the kept generators G~_s
+    x, z, phase = state0.input_frame(
+        *stack_rows([p for _, p in obs.terms] + [gens.paulis[k] for k in kept], n)
+    )
+    frame = [PauliString(n, *row) for row in zip(x, z, phase.tolist())]
+    terms, paulis = frame[:n_obs], frame[n_obs:]
+    ox, oz, gx, gz = x[:n_obs], z[:n_obs], x[n_obs:], z[n_obs:]
     # a[s, i]: kept generator s anticommutes with O_i; b[s, t]: with kept generator t
     a = (_row_popcount((gx[:, None] & oz) ^ (gz[:, None] & ox)) & 1).tolist()
     b = (_row_popcount((gx[:, None] & gz) ^ (gz[:, None] & gx)) & 1).tolist()
     # <O_i>: the terms carry phase 0, so these are the unphased values
-    fx, _, fphase = state0.input_frame(ox, oz, ophase)
-    values = frame_values(fx, fphase).tolist()
+    values = frame_values(ox, phase[:n_obs]).tolist()
+    if e0 is None:
+        e0 = math.fsum(c * v.real for c, v in zip(coeffs, values))
     for s in range(nk):
         diag = math.fsum(
             c * (PHASES[2 * f] * v).real for c, f, v in zip(coeffs, a[s], values)
         )
         A[s, s] = 2.0 * diag - 2.0 * e0
 
-    # Right products O_i * P'_l, one list per kept generator.
-    right = [[pauli_mul(p, pl) for _, p in obs.terms] for pl in paulis]
+    # Right products O~_i * G~_l, one list per kept generator.
+    right = [[pauli_mul(o, g) for o in terms] for g in paulis]
     positions = [gens.positions[k] for k in kept]
     for s in range(nk):
         for t in range(s + 1, nk):
@@ -198,9 +184,12 @@ def compute_hessian(
             first, second = [], []
             for c, r, f in zip(coeffs, right[l], a[e]):
                 q = pauli_mul(pe, r)
-                v = cache.expectation(q)
-                first.append(c * (PHASES[q.phase] * v).real)
-                second.append(c * (PHASES[(q.phase + 2 * (f ^ flip)) % 4] * v).real)
+                # <q> = [x~ = 0] i^k~, whose real part is 0 unless k~ is even
+                if q.phase % 2 or q.x.any():
+                    continue
+                v = c if q.phase == 0 else -c
+                first.append(v)
+                second.append(-v if f ^ flip else v)
             A[s, t] = A[t, s] = 2.0 * math.fsum(first) - 2.0 * math.fsum(second)
     return A
 
@@ -370,9 +359,11 @@ def expand(
 ) -> ExpansionResult:
     """Full pipeline: state -> generators -> g -> dropout -> A -> theta*.
 
-    The memo cache serves the Hessian only, so the two cache counters count
-    its lookups. Raises DimensionMismatchError when the observable and the
-    ansatz differ in width, and CircuitFormatError for a malformed reference.
+    Every expectation is read in the input frame and no memo cache is looked
+    up, so the two cache counters are always 0; they stay in `counters`
+    because the benchmark's traced replay compares the whole dict. Raises
+    DimensionMismatchError when the observable and the ansatz differ in
+    width, and CircuitFormatError for a malformed reference.
     """
     observable.check_width(ansatz.n_qubits)
     t0 = time.perf_counter()
@@ -385,8 +376,7 @@ def expand(
     t3 = time.perf_counter()
     mask = apply_dropout(gradient, threshold)
     t4 = time.perf_counter()
-    cache = _ExpectationCache(state0)
-    hessian = compute_hessian(observable, state0, gens, mask, e0, cache=cache)
+    hessian = compute_hessian(observable, state0, gens, mask, e0)
     t5 = time.perf_counter()
     theta_star, optimum, rank = solve_quadratic(
         e0, gradient, hessian, mask, rtol, stable_subspace
@@ -420,8 +410,8 @@ def expand(
             "K": int(mask.size),
             "K_kept": int(mask.sum()),
             "N_o": observable.n_terms,
-            "pauli_expectations_evaluated": cache.misses,
-            "expectation_cache_hits": cache.hits,
+            "pauli_expectations_evaluated": 0,
+            "expectation_cache_hits": 0,
         },
         warnings=warnings,
     )

@@ -161,7 +161,7 @@ class PauliString:
         return self._hash
 
     def key(self) -> tuple:
-        """Hashable key of the unphased bit content (memoization helper)."""
+        """Hashable key of the unphased bit content (merges duplicate terms)."""
         return (self.x.tobytes(), self.z.tobytes())
 
     # -- text and matrices --------------------------------------------------

@@ -68,6 +68,41 @@ def test_malformed_hamiltonian_is_exit_2(tmp_path, toy, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+ROTATION = {"type": "rotation", "axis": "Y", "wire": 0, "param": 0}
+C1 = {"type": "clifford", "kind": "C1", "wires": [0], "index": 3}
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"version": True}, "unsupported ansatz schema version True"),
+        ({"elements": 5}, "elements must be a list"),
+        ({"metadata": 5}, "metadata an object"),
+        ({"n_qubits": 1.5}, "n_qubits must be an integer"),
+        ({"n_params": "1"}, "n_params must be an integer"),
+        ({"elements": [ROTATION | {"wire": 0.9}]}, "wire must be an integer"),
+        ({"elements": [ROTATION | {"param": "0"}]}, "param must be an integer"),
+        ({"elements": [{"type": "clifford", "kind": "H", "wires": [0.7]}, ROTATION]},
+         "wire must be an integer"),
+        ({"elements": [C1 | {"index": 3.5}, ROTATION]}, "index must be an integer"),
+        ({"elements": [C1 | {"index": True}, ROTATION]}, "index must be an integer"),
+    ],
+    ids=["bool-version", "elements-not-list", "metadata-not-object", "float-n_qubits", "string-n_params",
+         "float-wire", "string-param", "float-wires-entry", "float-index", "bool-index"],
+)
+def test_malformed_ansatz_is_exit_2(tmp_path, toy, capsys, change, message):
+    ham, _ = toy
+    ans = tmp_path / "bad.json"
+    ans.write_text(json.dumps(json.loads(TOY_ANSATZ) | change))
+    out = tmp_path / "r.json"
+    rc = main(["expand", "--hamiltonian", str(ham), "--ansatz", str(ans),
+               "--reference", "0", "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+    assert not out.exists()
+
+
 def test_gen_ansatz_deterministic(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     for path in (a, b):
@@ -283,7 +318,7 @@ def test_bench_csv_schema(tmp_path, capsys):
                "--seed", "1", "--out", str(out)])
     assert rc == 0
     header, row = out.read_text().strip().splitlines()
-    assert header == "n,depth,K,K_kept,N_o,t_grad,t_hess,t_solve,expectations_evaluated"
+    assert header == "n,depth,K,K_kept,N_o,t_grad,t_hess,t_solve"
     fields = row.split(",")
     assert fields[0] == "3" and fields[1] == "1"
     assert int(fields[2]) == 9  # (2*1+1)*3 Y rotations, real variant default

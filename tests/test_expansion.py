@@ -38,6 +38,11 @@ from conftest import (
 
 
 CHAIN8 = Path(__file__).resolve().parents[1] / "data" / "chain8.txt"
+# the counters that the benchmark's traced replay (benchmark/traced.py)
+# builds and compares with the command's, key for key
+TRACED_COUNTER_KEYS = {
+    "n_qubits", "K", "K_kept", "N_o", "pauli_expectations_evaluated", "expectation_cache_hits"
+}
 
 
 def ry_circuit():
@@ -273,8 +278,7 @@ def two_product_hessian(obs, state, circ, mask, e0):
     P'_k comes from conjugate_pauli through the gates after rotation k.
     With e earlier in the circuit than l and R_li = O_i P'_l, A_el sums
     c_i Re <P'_e R_li> and c_i Re <R_li P'_e> in term order; A_kk sums
-    c_i Re <P'_k O_i P'_k>. Returns A and the unphased keys the
-    off-diagonal and the diagonal products look up.
+    c_i Re <P'_k O_i P'_k>.
     """
     n = circ.n_qubits
     gens, positions = {}, {}
@@ -283,29 +287,27 @@ def two_product_hessian(obs, state, circ, mask, e0):
             suffix = [g for g in circ.elements[pos + 1 :] if isinstance(g, CliffordGate)]
             gens[el.param] = conjugate_pauli(suffix, PauliString.single(n, el.axis, el.wire))
             positions[el.param] = pos
-    off, diag = set(), set()
 
-    def fsum_terms(products, keys):
-        terms = []
-        for (c, _), q in zip(obs.terms, products):
-            keys.add(q.key())
-            terms.append(c * (q.phase_value() * state.expectation(q.unphased())).real)
-        return math.fsum(terms)
+    def fsum_terms(products):
+        return math.fsum(
+            c * (q.phase_value() * state.expectation(q.unphased())).real
+            for (c, _), q in zip(obs.terms, products)
+        )
 
     kept = np.flatnonzero(mask)
     A = np.zeros((kept.size, kept.size))
     for s, ks in enumerate(kept):
         pk = gens[ks]
-        A[s, s] = 2.0 * fsum_terms([pauli_mul(pk, pauli_mul(p, pk)) for _, p in obs.terms], diag)
+        A[s, s] = 2.0 * fsum_terms([pauli_mul(pk, pauli_mul(p, pk)) for _, p in obs.terms])
         A[s, s] -= 2.0 * e0
         for t in range(s + 1, kept.size):
             kt = kept[t]
             e, l = (ks, kt) if positions[ks] <= positions[kt] else (kt, ks)
             right = [pauli_mul(p, gens[l]) for _, p in obs.terms]
-            first = fsum_terms([pauli_mul(gens[e], r) for r in right], off)
-            second = fsum_terms([pauli_mul(r, gens[e]) for r in right], off)
+            first = fsum_terms([pauli_mul(gens[e], r) for r in right])
+            second = fsum_terms([pauli_mul(r, gens[e]) for r in right])
             A[s, t] = A[t, s] = 2.0 * first - 2.0 * second
-    return A, off, diag
+    return A
 
 
 def dropout_masks(rng, K: int) -> list:
@@ -317,17 +319,14 @@ def dropout_masks(rng, K: int) -> list:
 
 
 def assert_hessian_is_two_product_formula(obs, state0, circ, mask):
-    """compute_hessian is bit-identical to two_product_hessian; the cache counts
-    one lookup per off-diagonal product. Returns A and both key sets."""
+    """compute_hessian is bit-identical to two_product_hessian and looks
+    nothing up in the memo cache. Returns A."""
     e0 = obs.expectation_at_clifford_point(state0)
     cache = _ExpectationCache(state0)
     A = compute_hessian(obs, state0, conjugate_generators(circ), mask, e0, None, cache)
-    reference, off, diag = two_product_hessian(obs, state0, circ, mask, e0)
-    assert_bit_identical(A, reference)
-    nk = int(mask.sum())
-    assert cache.misses + cache.hits == obs.n_terms * nk * (nk - 1) // 2
-    assert cache.misses == len(off)
-    return A, off, diag
+    assert_bit_identical(A, two_product_hessian(obs, state0, circ, mask, e0))
+    assert cache.misses == cache.hits == 0
+    return A
 
 
 @pytest.mark.parametrize("n", (3, 65, 130))
@@ -362,7 +361,7 @@ def test_hessian_matches_two_product_formula_on_general_clifford_part(rng, n):
             )
         obs = Observable.from_strings(n, terms)
         for mask in dropout_masks(rng, circ.n_params):
-            A, _, _ = assert_hessian_is_two_product_formula(obs, state0, circ, mask)
+            A = assert_hessian_is_two_product_formula(obs, state0, circ, mask)
             if mask.all():
                 off_diagonal_nonzeros += np.count_nonzero(A - np.diag(np.diag(A)))
     assert off_diagonal_nonzeros > 0
@@ -375,10 +374,26 @@ def test_hessian_cache_misses_match_two_product_formula_on_chain8():
     state0 = circ.clifford_point_state("01010101")
     mask = apply_dropout(compute_gradient(obs, state0, conjugate_generators(circ)), 1e-6)
     assert 1 < mask.sum() < mask.size
-    _, off, diag = assert_hessian_is_two_product_formula(obs, state0, circ, mask)
-    # every <O_i> key is also an off-diagonal product's key here, so the
-    # diagonal's former lookups were all hits and the misses are unchanged
-    assert diag <= off
+    A = assert_hessian_is_two_product_formula(obs, state0, circ, mask)
+    res = expand(circ, obs, "01010101")
+    assert_bit_identical(res.hessian_kept, A)
+    assert res.counters.keys() == TRACED_COUNTER_KEYS
+    assert res.counters["pauli_expectations_evaluated"] == 0
+    assert res.counters["expectation_cache_hits"] == 0
+
+
+def test_hessian_makes_no_tableau_lookup(monkeypatch):
+    obs = parse_observable(CHAIN8.read_text())
+    circ = generate_hwe_ansatz(8, 1, 1, "real")
+    before = expand(circ, obs, "01010101", threshold=0.0)
+    assert before.counters["K_kept"] >= 2
+
+    def lookup(self, q):
+        raise AssertionError("StabilizerTableau.expectation called")
+
+    monkeypatch.setattr(StabilizerTableau, "expectation", lookup)
+    after = expand(circ, obs, "01010101", threshold=0.0)
+    assert np.array_equal(after.hessian_kept, before.hessian_kept)
 
 
 def test_apply_dropout():
@@ -487,23 +502,17 @@ def test_expand_counters_and_result_document(rng):
     res = expand(circ, obs, "0000", threshold=1e-6)
     c = res.counters
     assert c["K"] == circ.n_params and c["N_o"] == 2 and c["n_qubits"] == 4
-    assert c["pauli_expectations_evaluated"] > 0
-    # one lookup per off-diagonal product P'_e O_i P'_l
-    lookups = c["pauli_expectations_evaluated"] + c["expectation_cache_hits"]
-    assert lookups == c["N_o"] * c["K_kept"] * (c["K_kept"] - 1) // 2
+    assert c["K_kept"] >= 2
+    # every expectation is read in the input frame, so nothing is looked up
+    assert c.keys() == TRACED_COUNTER_KEYS
+    assert c["pauli_expectations_evaluated"] == c["expectation_cache_hits"] == 0
     assert set(res.timings) == {
         "state_s", "conjugate_s", "gradient_s", "dropout_s", "hessian_s", "solve_s"
     }
-    # the gradient reads no memo cache, so with nothing kept nothing is looked up
-    dropped = expand(circ, obs, "0000", threshold=1e9).counters
-    assert dropped["pauli_expectations_evaluated"] == dropped["expectation_cache_hits"] == 0
-    # with one parameter kept, A is one diagonal entry and needs no lookup
     two = AnsatzCircuit(2, [RotationGate("Y", 0, 0), RotationGate("Y", 1, 1)])
     single = expand(two, Observable.from_strings(2, {"X0": 0.5, "X1": 0.25}), "00", 0.75)
     assert np.array_equal(single.gradient, [-1.0, -0.5])
-    one = single.counters
-    assert one["K_kept"] == 1
-    assert one["pauli_expectations_evaluated"] == one["expectation_cache_hits"] == 0
+    assert single.counters["K_kept"] == 1
     doc = res.to_dict()
     from cliffgrad.expansion import ExpansionResult
 
