@@ -39,7 +39,7 @@ from .circuit import AnsatzCircuit, RotationGate
 from .errors import ResourceCapError
 from .expansion import ExpansionResult, conjugate_generators
 from .observable import Observable
-from .pauli import PHASES, PauliString
+from .pauli import PHASES, PauliString, _bits
 from .tableau import CLIFFORD_1Q_WORDS, CliffordGate, check_reference
 
 DEFAULT_QUBIT_CAP = 20
@@ -121,21 +121,11 @@ def basis_state(
 
 def _pauli_action(n: int, p: PauliString) -> Tuple[np.ndarray, np.ndarray]:
     """Permutation and per-source phases such that P|b> = phase[b] |perm[b]>."""
-    dim = 2**n
-    idx = np.arange(dim)
-    xmask = 0
-    zmask = 0
-    for q in range(n):
-        bitpos = n - 1 - q  # qubit 0 is the most significant bit
-        if p.x_bit(q):
-            xmask |= 1 << bitpos
-        if p.z_bit(q):
-            zmask |= 1 << bitpos
+    idx = np.arange(2**n)
+    # qubit 0 is the most significant bit of a basis index
+    xmask, zmask = _bits(np.stack([p.x, p.z]), n).astype(np.int64) @ (1 << np.arange(n)[::-1])
     perm = idx ^ xmask
-    # Z acts before X in the letter convention? For each qubit the letter
-    # acts as a whole: letter|b> contributions: X flips, Z sign (-1)^b,
-    # Y|b> = i(-1)^b |1-b>. Using i^{nY} * X-flip * Z-sign-on-input works:
-    # Y = i X Z, and Z acts on the input bit.
+    # P|b> = i^(phase + n_Y) (-1)^|b ∧ z| |b ⊕ x>, since Y = i XZ
     zsign = 1 - 2 * (np.bitwise_count(idx & zmask) % 2).astype(np.int64)
     phase = PHASES[(p.phase + p.n_y()) % 4] * zsign
     return perm, phase.astype(complex)
@@ -485,8 +475,6 @@ def optimize_bfgs(
             raise ValueError(f"Hessian has shape {hessian.shape}, ansatz has {K} parameters")
         options["hess_inv0"] = warm_start_hess_inv(hessian)
 
-    import scipy.optimize
-
     t0 = time.perf_counter()
     ops, start = _normal_form(ansatz, reference, cap)
     terms = _observable_actions(observable)
@@ -507,17 +495,24 @@ def optimize_bfgs(
             {
                 "iteration": len(trace.iterations),
                 "cost": cost,
-                "grad_norm": float(np.linalg.norm(grad, np.inf)),
+                "grad_norm": float(np.abs(grad).max(initial=0.0)),
             }
         )
 
     record(x0)
-    res = scipy.optimize.minimize(
-        cost_and_grad, x0, jac=True, method="BFGS", options=options, callback=record
-    )
+    if K == 0:  # theta = [] is the optimum, and scipy's BFGS rejects an empty x0
+        trace.final_cost = trace.iterations[0]["cost"]
+        trace.converged = True
+        trace.message = "no parameters to optimize"
+    else:
+        import scipy.optimize
+
+        res = scipy.optimize.minimize(
+            cost_and_grad, x0, jac=True, method="BFGS", options=options, callback=record
+        )
+        trace.final_cost = float(res.fun)
+        trace.n_iterations = int(res.nit)
+        trace.converged = bool(res.success)
+        trace.message = str(res.message)
     trace.timings = {"compile_s": t1 - t0, "bfgs_s": time.perf_counter() - t1}
-    trace.final_cost = float(res.fun)
-    trace.n_iterations = int(res.nit)
-    trace.converged = bool(res.success)
-    trace.message = str(res.message)
     return trace

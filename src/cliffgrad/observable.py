@@ -99,7 +99,7 @@ def parse_observable(document: str, prune_threshold: float = 0.0) -> Observable:
             if n_qubits < 1:
                 raise ObservableFormatError(f"line {lineno}: qubit count must be positive")
             continue
-        coef_text, _, pauli_text = line.partition(" ")
+        coef_text, *pauli_text = line.split(None, 1)
         try:
             coef = float(coef_text)
         except ValueError:
@@ -107,7 +107,7 @@ def parse_observable(document: str, prune_threshold: float = 0.0) -> Observable:
         if not math.isfinite(coef):
             raise ObservableFormatError(f"line {lineno}: coefficient must be finite")
         try:
-            pauli = parse_pauli(pauli_text, n_qubits)
+            pauli = parse_pauli("".join(pauli_text), n_qubits)
         except PauliFormatError as exc:
             raise ObservableFormatError(f"line {lineno}: {exc}") from exc
         key = pauli.key()

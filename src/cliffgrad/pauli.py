@@ -5,6 +5,10 @@ A Pauli operator on n qubits is stored as two n-bit vectors (packed into
 i^k * (L_0 ⊗ L_1 ⊗ ... ⊗ L_{n-1}), where the letter on qubit j is decoded
 from the bit pair (x_j, z_j): (0,0)=I, (1,0)=X, (0,1)=Z, (1,1)=Y.
 
+Qubit q is bit q % 64 of word q // 64, and the bits above n_qubits in the
+top word are 0. _pack and _bits own that layout: every packed word in the
+package is built by _pack, and every unpacked bit is read by _bits.
+
 Qubit 0 is the leftmost wire in all textual forms. All phase arithmetic is
 integer (mod 4), so products of Pauli strings are exact. pauli_mul
 multiplies two PauliStrings; mul_rows multiplies whole batches of packed
@@ -82,26 +86,21 @@ class PauliString:
         z_bits = np.asarray(z_bits, dtype=np.uint8)
         if x_bits.shape != z_bits.shape or x_bits.ndim != 1:
             raise ValueError("x_bits and z_bits must be equal-length 1-d sequences")
-        n = x_bits.size
-        return cls(n, _pack_bits(x_bits, n), _pack_bits(z_bits, n), phase)
+        words = _n_words(x_bits.size)
+        return cls(x_bits.size, _pack(x_bits, words), _pack(z_bits, words), phase)
 
     @classmethod
     def single(cls, n_qubits: int, letter: str, qubit: int, phase: int = 0) -> "PauliString":
         """A single-site Pauli letter on the given qubit."""
         if not 0 <= qubit < n_qubits:
             raise ValueError(f"qubit {qubit} out of range for {n_qubits} qubits")
-        p = cls.identity(n_qubits)
-        x = p.x.copy()
-        z = p.z.copy()
-        w, b = divmod(qubit, _WORD_BITS)
-        bit = np.uint64(1 << b)
-        if letter in ("X", "Y"):
-            x[w] |= bit
-        if letter in ("Z", "Y"):
-            z[w] |= bit
         if letter not in ("I", "X", "Y", "Z"):
             raise PauliFormatError(f"unknown Pauli letter {letter!r}")
-        return cls(n_qubits, x, z, phase)
+        x = np.zeros(n_qubits, dtype=np.uint8)
+        z = np.zeros(n_qubits, dtype=np.uint8)
+        x[qubit] = letter in ("X", "Y")
+        z[qubit] = letter in ("Z", "Y")
+        return cls.from_bits(x, z, phase)
 
     # -- bit access ---------------------------------------------------------
 
@@ -196,13 +195,17 @@ class PauliString:
         return out
 
 
-def _pack_bits(bits: np.ndarray, n: int) -> np.ndarray:
-    words = np.zeros(_n_words(n), dtype=np.uint64)
-    idx = np.nonzero(bits)[0]
-    for q in idx:
-        w, b = divmod(int(q), _WORD_BITS)
-        words[w] |= np.uint64(1 << b)
-    return words
+def _bits(words: np.ndarray, n: int) -> np.ndarray:
+    """(..., n) 0/1 floats of packed (..., words) rows; exact in matmul."""
+    octets = np.ascontiguousarray(words, dtype="<u8").view(np.uint8)
+    return np.unpackbits(octets, axis=-1, count=n, bitorder="little").astype(np.float64)
+
+
+def _pack(bits: np.ndarray, words: int) -> np.ndarray:
+    """(..., words) uint64 rows of (..., n) 0/1 values; bits above n are 0."""
+    padded = np.zeros(bits.shape[:-1] + (_WORD_BITS * words,), dtype=np.uint8)
+    padded[..., : bits.shape[-1]] = bits
+    return np.packbits(padded, axis=-1, bitorder="little").view("<u8").astype(np.uint64)
 
 
 def pauli_mul(a: PauliString, b: PauliString) -> PauliString:
@@ -283,9 +286,8 @@ def parse_pauli(text: str, n_qubits: int) -> PauliString:
     The empty string parses to the identity. Each qubit index may appear at
     most once; letters are uppercase IXYZ only.
     """
-    p = PauliString.identity(n_qubits)
-    x = p.x.copy()
-    z = p.z.copy()
+    x = np.zeros(n_qubits, dtype=np.uint8)
+    z = np.zeros(n_qubits, dtype=np.uint8)
     seen = set()
     for tok in text.split():
         m = _TOKEN_RE.match(tok)
@@ -297,10 +299,6 @@ def parse_pauli(text: str, n_qubits: int) -> PauliString:
         if q in seen:
             raise PauliFormatError(f"duplicate qubit index {q} in {text!r}")
         seen.add(q)
-        w, b = divmod(q, _WORD_BITS)
-        bit = np.uint64(1 << b)
-        if letter in ("X", "Y"):
-            x[w] |= bit
-        if letter in ("Z", "Y"):
-            z[w] |= bit
-    return PauliString(n_qubits, x, z, 0)
+        x[q] = letter in ("X", "Y")
+        z[q] = letter in ("Z", "Y")
+    return PauliString.from_bits(x, z)

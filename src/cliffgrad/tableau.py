@@ -1,17 +1,19 @@
 """Tableau-based Clifford simulation on bit-packed Pauli rows.
 
 Every Pauli row uses PauliString's layout: x and z bits packed 64 qubits to
-a uint64 word, plus a sign bit. conjugate_rows, the one row-batched gate
-update, conjugates any number of rows through a Clifford gate; the
-destabilizer/stabilizer tableau and the generator sweep in expansion.py
-both use it. One sign-exact reconstruction serves every expectation:
-input_frame maps a batch of rows Q to U†QU, the frame in which the state
-is |0...0>, as a few GF(2) matrix products with no loop over the tableau
-rows, and frame_values reads <psi|Q|psi> off the images. expectation
-returns 0 when Q anticommutes with a stabilizer, one popcount parity over
-the packed words, and otherwise reads the frame of Q. conjugate_pauli is
-an independent bit-at-a-time conjugation of one Pauli string, kept as the
-reference.
+a uint64 word, plus a sign bit; pauli._pack and pauli._bits pack and unpack
+them. conjugate_rows, the one row-batched gate update, conjugates any
+number of rows through a Clifford gate, reading each wire's bit at its word
+address; the destabilizer/stabilizer tableau and the Clifford sweep in
+circuit.py both use it. One sign-exact reconstruction serves every
+expectation: input_frame maps a batch of rows Q to U†QU, the frame in which
+the state is |0...0>, as a few GF(2) matrix products with no loop over the
+tableau rows, and frame_values reads <psi|Q|psi> off the images.
+expectation returns 0 when Q anticommutes with a stabilizer, one popcount
+parity over the packed words, and otherwise reads the frame of Q.
+conjugate_pauli is an independent conjugation of one Pauli string: it
+unpacks the bits, updates them one qubit at a time and packs the result,
+and stays the reference that conjugate_rows is tested against.
 
 All gates reduce to the primitives {H, S, CNOT}; the 24 single-qubit
 Clifford gates are enumerated by a fixed table of H/S words (see
@@ -26,7 +28,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .errors import CircuitFormatError, DimensionMismatchError, WireError
-from .pauli import PHASES, PauliString, _n_words, _row_popcount
+from .pauli import PHASES, PauliString, _WORD_BITS, _bits, _n_words, _pack, _row_popcount
 
 # ---------------------------------------------------------------------------
 # Single-qubit Clifford table
@@ -146,55 +148,32 @@ def check_reference(reference: str, n_qubits: int) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _bit(words: np.ndarray, q: int) -> int:
-    w, b = divmod(q, 64)
-    return int(words[w] >> np.uint64(b)) & 1
-
-
-def _flip(words: np.ndarray, q: int) -> None:
-    w, b = divmod(q, 64)
-    words[w] ^= np.uint64(1 << b)
-
-
 def conjugate_pauli(circuit: Iterable[CliffordGate], p: PauliString) -> PauliString:
     """Return C p C† for the Clifford circuit C (gates in time order).
 
-    Exact sign tracking; cost O(gate primitives), each primitive touching
-    only its wires.
+    Exact sign tracking on unpacked bits, one qubit at a time; cost
+    O(gate primitives), each primitive touching only its wires.
     """
-    x = p.x.copy()
-    z = p.z.copy()
-    phase = p.phase
     n = p.n_qubits
+    x = _bits(p.x, n).astype(int).tolist()
+    z = _bits(p.z, n).astype(int).tolist()
+    phase = p.phase
     for gate in circuit:
         _check_wires(gate, n)
         for name, wires in gate.primitives():
-            if name == "H":
-                (q,) = wires
-                xb, zb = _bit(x, q), _bit(z, q)
-                if xb & zb:
-                    phase ^= 2
-                if xb != zb:
-                    _flip(x, q)
-                    _flip(z, q)
-            elif name == "S":
-                (q,) = wires
-                xb, zb = _bit(x, q), _bit(z, q)
-                if xb & zb:
-                    phase ^= 2
-                if xb:
-                    _flip(z, q)
-            else:  # CNOT
+            if name == "CNOT":
                 a, b = wires
-                xa, za = _bit(x, a), _bit(z, a)
-                xb, zb = _bit(x, b), _bit(z, b)
-                if xa & zb & (1 ^ xb ^ za):
-                    phase ^= 2
-                if xa:
-                    _flip(x, b)
-                if zb:
-                    _flip(z, a)
-    return PauliString(n, x, z, phase)
+                phase ^= 2 * (x[a] & z[b] & (1 ^ x[b] ^ z[a]))
+                x[b] ^= x[a]
+                z[a] ^= z[b]
+                continue
+            (q,) = wires
+            phase ^= 2 * (x[q] & z[q])
+            if name == "H":
+                x[q], z[q] = z[q], x[q]
+            else:  # S
+                z[q] ^= x[q]
+    return PauliString.from_bits(x, z, phase)
 
 
 # ---------------------------------------------------------------------------
@@ -211,14 +190,14 @@ def conjugate_rows(x: np.ndarray, z: np.ndarray, r: np.ndarray, gate: CliffordGa
     """
     for name, wires in gate.primitives():
         if name == "CNOT":
-            (wa, ba), (wb, bb) = divmod(wires[0], 64), divmod(wires[1], 64)
+            (wa, ba), (wb, bb) = divmod(wires[0], _WORD_BITS), divmod(wires[1], _WORD_BITS)
             xa, za = (x[:, wa] >> ba) & 1, (z[:, wa] >> ba) & 1
             xb, zb = (x[:, wb] >> bb) & 1, (z[:, wb] >> bb) & 1
             r ^= xa & zb & (xb ^ za ^ 1)
             x[:, wb] ^= xa << bb
             z[:, wa] ^= zb << ba
             continue
-        w, b = divmod(wires[0], 64)
+        w, b = divmod(wires[0], _WORD_BITS)
         xq, zq = (x[:, w] >> b) & 1, (z[:, w] >> b) & 1
         r ^= xq & zq
         if name == "H":
@@ -246,18 +225,14 @@ class StabilizerTableau:
         if n_qubits < 1:
             raise ValueError(f"n_qubits must be positive, got {n_qubits}")
         self.n = n_qubits
-        self.x = np.zeros((2 * n_qubits, _n_words(n_qubits)), dtype=np.uint64)
-        self.z = np.zeros_like(self.x)
+        eye = _pack(np.eye(n_qubits, dtype=np.uint8), _n_words(n_qubits))
+        zero = np.zeros_like(eye)
+        self.x = np.vstack([eye, zero])  # destabilizer X_j
+        self.z = np.vstack([zero, eye])  # stabilizer Z_j
         self.r = np.zeros(2 * n_qubits, dtype=np.uint8)
-        for j in range(n_qubits):
-            w, b = divmod(j, 64)
-            self.x[j, w] = 1 << b              # destabilizer X_j
-            self.z[n_qubits + j, w] = 1 << b   # stabilizer Z_j
         if bitstring is not None:
             check_reference(bitstring, n_qubits)
-            for j, c in enumerate(bitstring):
-                if c == "1":
-                    self.r[n_qubits + j] = 1
+            self.r[n_qubits:] = [c == "1" for c in bitstring]
         self._frame = None
 
     # -- gate application ---------------------------------------------------
@@ -370,15 +345,3 @@ class StabilizerTableau:
 def frame_values(x: np.ndarray, phase: np.ndarray) -> np.ndarray:
     """<psi|Q|psi> = [x~ = 0] * i^k~ of input-frame images, as complex."""
     return np.where(x.any(axis=-1), 0j, np.array(PHASES)[phase])
-
-
-def _bits(words: np.ndarray, n: int) -> np.ndarray:
-    """(..., n) 0/1 floats of packed (..., words) rows; exact in matmul."""
-    octets = np.ascontiguousarray(words, dtype="<u8").view(np.uint8)
-    return np.unpackbits(octets, axis=-1, count=n, bitorder="little").astype(np.float64)
-
-
-def _pack(bits: np.ndarray, words: int) -> np.ndarray:
-    padded = np.zeros(bits.shape[:-1] + (64 * words,), dtype=np.uint8)
-    padded[..., : bits.shape[-1]] = bits
-    return np.packbits(padded, axis=-1, bitorder="little").view("<u8").astype(np.uint64)

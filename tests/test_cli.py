@@ -7,7 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cliffgrad import AnsatzCircuit, parse_observable
 from cliffgrad.cli import main
+from cliffgrad.dense import energy
 
 ROOT = Path(__file__).resolve().parents[1]
 CHAIN8 = ROOT / "data" / "chain8.txt"
@@ -283,6 +285,28 @@ def test_optimize_trace_document(tmp_path, toy):
     assert doc["converged"]
     assert doc["final_cost"] == pytest.approx(-np.sqrt(5.0), abs=1e-6)
     assert doc["init"] == "theta_star_with_hessian"
+
+
+@pytest.mark.parametrize("init", ("zero", "pert", "pert-hessian"))
+def test_optimize_zero_parameter_ansatz(tmp_path, toy, init):
+    ham, _ = toy
+    ans = tmp_path / "clifford_only.json"
+    ans.write_text(json.dumps({"version": 1, "n_qubits": 1, "metadata": {},
+                               "elements": [{"type": "clifford", "kind": "H", "wires": [0]}]}))
+    res = tmp_path / "result.json"
+    trace = tmp_path / "trace.json"
+    assert main(["expand", "--hamiltonian", str(ham), "--ansatz", str(ans),
+                 "--reference", "0", "--out", str(res)]) == 0
+    rc = main(["optimize", "--hamiltonian", str(ham), "--ansatz", str(ans),
+               "--reference", "0", "--result", str(res), "--init", init,
+               "--trace-out", str(trace)])
+    assert rc == 0
+    doc = json.loads(trace.read_text())
+    circ = AnsatzCircuit.from_dict(json.loads(ans.read_text()))
+    e = energy(circ, [], "0", parse_observable(ham.read_text()))
+    assert doc["iterations"] == [{"iteration": 0, "cost": e, "grad_norm": 0.0}]
+    assert doc["final_cost"] == e == pytest.approx(1.0)  # H|0> = |+>: <X> = 1, <Z> = 0
+    assert doc["n_iterations"] == 0 and doc["converged"]
 
 
 def test_select_ansatz_report(tmp_path):

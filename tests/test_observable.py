@@ -34,6 +34,12 @@ def test_comments_and_blank_lines():
     assert obs.n_terms == 2 and obs.n_qubits == 2
 
 
+def test_tabs_separate_like_spaces():
+    spaced = parse_observable("qubits 3\n1.0 Z0 Z1\n-0.5 X2\n2.0\n")
+    tabbed = parse_observable("qubits\t3\n1.0\tZ0\tZ1\n-0.5\t X2\n2.0\t\n")
+    assert tabbed == spaced
+
+
 def test_serializer_round_trip_stable():
     doc = "qubits 4\n-1.0 Z0 Z1\n-1.0 Z1 Z2\n0.5 X0\n0.5 X3\n"
     once = parse_observable(doc)

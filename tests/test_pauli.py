@@ -4,7 +4,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cliffgrad.errors import DimensionMismatchError, PauliFormatError
-from cliffgrad.pauli import PauliString, commutes, mul_rows, parse_pauli, pauli_mul, stack_rows
+from cliffgrad.pauli import (
+    PauliString,
+    _bits,
+    _pack,
+    commutes,
+    mul_rows,
+    parse_pauli,
+    pauli_mul,
+    stack_rows,
+)
+from cliffgrad.tableau import CliffordGate, StabilizerTableau, conjugate_pauli
 
 from conftest import random_pauli
 
@@ -98,12 +108,42 @@ def test_hermitian_times_hermitian_phase_domain():
         assert pauli_mul(a, b).phase in (0, 1, 2, 3)
 
 
-def test_bit_packing_beyond_one_word():
+def shifted_words(qubits, n):
+    """Packed words of a qubit set built from Python ints: qubit q is bit
+    q % 64 of word q // 64. Independent of the _pack/_bits helpers."""
+    words = [0] * ((n + 63) // 64)
+    for q in qubits:
+        words[q // 64] |= 1 << (q % 64)
+    return np.array(words, dtype=np.uint64)
+
+
+def test_bit_packing_beyond_one_word(rng):
     p = parse_pauli("X0 Y70 Z130", 200)
     assert p.to_text() == "X0 Y70 Z130"
     assert p.weight() == 3 and p.n_y() == 1
     q = parse_pauli("Z70", 200)
     assert not commutes(p, q)
+    # every constructor writes the layout that shifted_words pins; a slip in
+    # _pack or _bits would pass the cross-checks that share them
+    for n in (3, 64, 65, 130):
+        xb, zb = rng.integers(0, 2, n), rng.integers(0, 2, n)
+        xs, zs = np.flatnonzero(xb), np.flatnonzero(zb)
+        p = PauliString.from_bits(xb, zb)
+        assert np.array_equal(p.x, shifted_words(xs, n))
+        assert np.array_equal(p.z, shifted_words(zs, n))
+        assert np.array_equal(_pack(_bits(p.x, n), p.x.size), p.x)
+        text = " ".join(f"{'IXZY'[xb[j] + 2 * zb[j]]}{j}" for j in range(n) if xb[j] | zb[j])
+        assert parse_pauli(text, n) == p
+        for j in {j for j in (0, 2, 63, 64, n - 1) if j < n}:
+            single = PauliString.single(n, "Y", j)
+            assert np.array_equal(single.x, shifted_words([j], n))
+            assert np.array_equal(single.z, shifted_words([j], n))
+            assert conjugate_pauli([CliffordGate("H", (j,))], single) == single.with_phase(2)
+        t = StabilizerTableau(n, "".join(map(str, zb)))
+        for j in range(n):
+            assert np.array_equal(t.x[j], shifted_words([j], n)) and not t.z[j].any()
+            assert np.array_equal(t.z[n + j], shifted_words([j], n)) and not t.x[n + j].any()
+        assert np.array_equal(t.r, np.concatenate([np.zeros(n), zb]))
 
 
 @pytest.mark.parametrize("n", (3, 65, 130))
