@@ -210,12 +210,33 @@ def solve_quadratic(
     descent for minimization). Returns (theta_star over all K parameters,
     model optimum, retained rank).
     """
+    return _solve(e0, gradient, hessian_kept, mask, rtol, stable_subspace)[:3]
+
+
+def _solve(e0, gradient, hessian_kept, mask, rtol, stable_subspace):
+    """solve_quadratic's (theta_star, optimum, rank) and the model block.
+
+    The model block holds max|g_k| over all K, stationary_point (every
+    g_k == 0), negative_curvature (eigenvalues below -cutoff),
+    discarded_by_rtol (|lambda| <= cutoff) and condition_number, the ratio
+    of the largest to the smallest |lambda| that is inverted. That is None
+    when nothing is inverted (or the ratio overflows), as strict JSON holds
+    no inf.
+    """
     K = mask.size
     kept = np.nonzero(mask)[0]
     theta = np.zeros(K)
+    gradient = np.asarray(gradient, dtype=float)
+    model = {
+        "max_abs_gradient": float(np.abs(gradient).max()) if gradient.size else 0.0,
+        "stationary_point": not gradient.any(),
+        "negative_curvature": 0,
+        "discarded_by_rtol": 0,
+        "condition_number": None,
+    }
     if kept.size == 0:
-        return theta, float(e0), 0
-    g = np.asarray(gradient, dtype=float)[kept]
+        return theta, float(e0), 0, model
+    g = gradient[kept]
     A = np.asarray(hessian_kept, dtype=float)
     if not (np.isfinite(A).all() and np.isfinite(g).all()):
         raise SolveError("non-finite gradient/Hessian entries")
@@ -233,7 +254,14 @@ def solve_quadratic(
     theta_kept = -evecs @ (inv * (evecs.T @ g))
     optimum = float(e0 + g @ theta_kept + 0.5 * theta_kept @ A @ theta_kept)
     theta[kept] = theta_kept
-    return theta, optimum, rank
+    model["negative_curvature"] = int((evals < -cutoff).sum())
+    model["discarded_by_rtol"] = int((np.abs(evals) <= cutoff).sum())
+    if rank:
+        retained = np.abs(evals[keep])
+        with np.errstate(over="ignore"):
+            ratio = float(retained.max() / retained.min())
+        model["condition_number"] = ratio if math.isfinite(ratio) else None
+    return theta, optimum, rank, model
 
 
 @dataclass
@@ -254,6 +282,7 @@ class ExpansionResult:
     timings: dict = field(default_factory=dict)
     counters: dict = field(default_factory=dict)
     warnings: List[str] = field(default_factory=list)
+    model: dict = field(default_factory=dict)   # diagnostics of the eigensolve (_solve)
 
     @property
     def n_params(self) -> int:
@@ -291,6 +320,7 @@ class ExpansionResult:
             "stable_subspace": self.stable_subspace,
             "timings": dict(self.timings),
             "counters": dict(self.counters),
+            "model": dict(self.model),
             "warnings": list(self.warnings),
         }
 
@@ -335,6 +365,7 @@ class ExpansionResult:
             timings=dict(doc.get("timings", {})),
             counters=counters,
             warnings=list(doc.get("warnings", [])),
+            model=dict(doc.get("model", {})),
         )
 
 
@@ -378,7 +409,7 @@ def expand(
     t4 = time.perf_counter()
     hessian = compute_hessian(observable, state0, gens, mask, e0)
     t5 = time.perf_counter()
-    theta_star, optimum, rank = solve_quadratic(
+    theta_star, optimum, rank, model = _solve(
         e0, gradient, hessian, mask, rtol, stable_subspace
     )
     t6 = time.perf_counter()
@@ -414,4 +445,5 @@ def expand(
             "expectation_cache_hits": 0,
         },
         warnings=warnings,
+        model=model,
     )

@@ -74,6 +74,9 @@ class Observable:
 def parse_observable(document: str, prune_threshold: float = 0.0) -> Observable:
     """Parse the wire format; duplicate Pauli terms are summed on load.
 
+    A duplicate whose sum leaves the finite range is an ObservableFormatError
+    that names its line.
+
     After merging, terms with |coefficient| < prune_threshold are dropped;
     the default threshold 0 keeps everything.
     """
@@ -112,7 +115,13 @@ def parse_observable(document: str, prune_threshold: float = 0.0) -> Observable:
             raise ObservableFormatError(f"line {lineno}: {exc}") from exc
         key = pauli.key()
         if key in merged:
-            merged[key] = (merged[key][0] + coef, pauli)
+            total = merged[key][0] + coef
+            if not math.isfinite(total):
+                raise ObservableFormatError(
+                    f"line {lineno}: merged coefficient of duplicate term "
+                    f"{pauli.to_text() or 'I'!r} overflows"
+                )
+            merged[key] = (total, pauli)
         else:
             merged[key] = (coef, pauli)
             order.append(key)

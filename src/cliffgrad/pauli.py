@@ -49,12 +49,11 @@ class PauliString:
         phase: exponent k in i^k, k in {0,1,2,3}.
     """
 
-    __slots__ = ("n_qubits", "x", "z", "phase", "_hash")
+    __slots__ = ("n_qubits", "x", "z", "phase", "_n_y", "_hash")
 
     def __init__(self, n_qubits: int, x: np.ndarray, z: np.ndarray, phase: int = 0):
         if n_qubits < 1:
             raise ValueError(f"n_qubits must be positive, got {n_qubits}")
-        self.n_qubits = n_qubits
         x = np.asarray(x, dtype=np.uint64).copy()
         z = np.asarray(z, dtype=np.uint64).copy()
         if x.shape != (_n_words(n_qubits),) or z.shape != x.shape:
@@ -65,12 +64,27 @@ class PauliString:
             mask = np.uint64((1 << rem) - 1)
             x[-1] &= mask
             z[-1] &= mask
+        self._set(n_qubits, x, z, int(phase) % 4, _popcount(x & z))
+
+    def _set(self, n_qubits: int, x: np.ndarray, z: np.ndarray, phase: int, n_y: int) -> None:
         x.flags.writeable = False
         z.flags.writeable = False
+        self.n_qubits = n_qubits
         self.x = x
         self.z = z
-        self.phase = int(phase) % 4
+        self.phase = phase
+        self._n_y = n_y
         self._hash = None
+
+    @classmethod
+    def _trusted(cls, n_qubits: int, x: np.ndarray, z: np.ndarray, phase: int, n_y: int):
+        """A PauliString of words that are already valid: fresh uint64 arrays
+        of the right shape with zero padding bits (the XOR of two operands'
+        words), phase in {0, 1, 2, 3} and n_y = popcount(x & z). No copy,
+        no mask and no shape check."""
+        p = cls.__new__(cls)
+        p._set(n_qubits, x, z, phase, n_y)
+        return p
 
     # -- constructors -------------------------------------------------------
 
@@ -120,7 +134,8 @@ class PauliString:
         return _popcount(self.x | self.z)
 
     def n_y(self) -> int:
-        return _popcount(self.x & self.z)
+        """Number of Y sites, popcount(x & z), counted once at construction."""
+        return self._n_y
 
     @property
     def is_hermitian(self) -> bool:
@@ -213,7 +228,9 @@ def pauli_mul(a: PauliString, b: PauliString) -> PauliString:
 
     The x/z words XOR; the phase bookkeeping runs in the X^x Z^z internal
     convention (Y = i·XZ), where reordering Z past X contributes (-1) per
-    overlapping site.
+    overlapping site. The operands' Y counts are cached, so a product costs
+    two popcounts, and the XOR of two valid word arrays is valid, so the
+    result skips __init__'s copy, mask and shape check.
     """
     if a.n_qubits != b.n_qubits:
         raise DimensionMismatchError(
@@ -221,15 +238,9 @@ def pauli_mul(a: PauliString, b: PauliString) -> PauliString:
         )
     x = a.x ^ b.x
     z = a.z ^ b.z
-    k_int = (
-        a.phase
-        + _popcount(a.x & a.z)
-        + b.phase
-        + _popcount(b.x & b.z)
-        + 2 * _popcount(a.z & b.x)
-    )
-    phase = (k_int - _popcount(x & z)) % 4
-    return PauliString(a.n_qubits, x, z, phase)
+    n_y = _popcount(x & z)
+    phase = (a.phase + a._n_y + b.phase + b._n_y + 2 * _popcount(a.z & b.x) - n_y) % 4
+    return PauliString._trusted(a.n_qubits, x, z, phase, n_y)
 
 
 def stack_rows(paulis, n_qubits: int):

@@ -8,6 +8,8 @@ Each kernel runs at n = 8, 64, 65 and 256 qubits (one, one, two and four
 packed words) on a tableau evolved by a random Clifford circuit:
 
 - mul_rows: a 64 x 64 broadcast product of random rows,
+- pauli_mul: the same 4096 products of the same rows, one PauliString
+  pair at a time (the per-object path; pauli.mul_per_s in the benchmark),
 - input_frame: 256 random rows mapped to the input frame,
 - expectation: one Pauli with a nonzero expectation (the frame path),
 - conjugate_rows: a block of 256 rows through 32 random Clifford gates.
@@ -39,7 +41,7 @@ from cliffgrad.expansion import (
     conjugate_generators,
 )
 from cliffgrad.observable import Observable, parse_observable
-from cliffgrad.pauli import PauliString, mul_rows, stack_rows
+from cliffgrad.pauli import PauliString, mul_rows, pauli_mul, stack_rows
 from cliffgrad.tableau import StabilizerTableau, conjugate_pauli, conjugate_rows
 
 from conftest import random_clifford_gates, random_pauli
@@ -49,9 +51,13 @@ WIDTHS = (8, 64, 65, 256)
 ROWS = 256
 
 
-def _rows(n: int, count: int, seed: int):
+def _paulis(n: int, count: int, seed: int):
     rng = np.random.default_rng(seed)
-    return stack_rows([random_pauli(rng, n) for _ in range(count)], n)
+    return [random_pauli(rng, n) for _ in range(count)]
+
+
+def _rows(n: int, count: int, seed: int):
+    return stack_rows(_paulis(n, count, seed), n)
 
 
 def _state(n: int):
@@ -68,6 +74,18 @@ def test_mul_rows(benchmark, n):
     x, z, p = _rows(n, 128, 0)
     a, b = (x[:64, None], z[:64, None], p[:64, None]), (x[None, 64:], z[None, 64:], p[None, 64:])
     benchmark(mul_rows, *a, *b)
+
+
+@pytest.mark.parametrize("n", WIDTHS)
+def test_pauli_mul(benchmark, n):
+    ps = _paulis(n, 128, 0)
+
+    def products():
+        for a in ps[:64]:
+            for b in ps[64:]:
+                pauli_mul(a, b)
+
+    benchmark(products)
 
 
 @pytest.mark.parametrize("n", WIDTHS)

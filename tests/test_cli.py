@@ -70,6 +70,19 @@ def test_malformed_hamiltonian_is_exit_2(tmp_path, toy, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+def test_overflowing_merged_coefficient_is_exit_2(tmp_path, toy, capsys):
+    ham = tmp_path / "huge.txt"
+    ham.write_text("qubits 1\n1e308 Z0\n0.5 X0\n1e308 Z0\n")
+    out = tmp_path / "r.json"
+    rc = main(["expand", "--hamiltonian", str(ham), "--ansatz", str(toy[1]),
+               "--reference", "0", "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "line 4" in err and "overflows" in err
+    assert not out.exists()
+
+
 ROTATION = {"type": "rotation", "axis": "Y", "wire": 0, "param": 0}
 C1 = {"type": "clifford", "kind": "C1", "wires": [0], "index": 3}
 
@@ -154,6 +167,25 @@ def test_expand_all_dropped_warns(tmp_path, toy):
     assert doc["warnings"]
     assert doc["theta_star"] == [0.0]
     assert doc["perturbative_optimum"] == doc["e0"]
+
+
+@pytest.mark.parametrize("threshold, model", [
+    # the toy model: g = -2 and A = [[-8]], one retained negative direction
+    ("0", {"max_abs_gradient": 2.0, "stationary_point": False, "negative_curvature": 1,
+           "discarded_by_rtol": 0, "condition_number": 1.0}),
+    # all dropped: nothing is inverted, and strict JSON writes the ratio as null
+    ("1e9", {"max_abs_gradient": 2.0, "stationary_point": False, "negative_curvature": 0,
+             "discarded_by_rtol": 0, "condition_number": None}),
+], ids=["toy", "all-dropped"])
+def test_expand_model_block(tmp_path, toy, threshold, model):
+    ham, ans = toy
+    out = tmp_path / "result.json"
+    assert main(["expand", "--hamiltonian", str(ham), "--ansatz", str(ans), "--reference", "0",
+                 "--dropout-threshold", threshold, "--out", str(out)]) == 0
+    text = out.read_text()
+    doc = json.loads(text)
+    assert doc["model"] == model and "max_abs_gradient" not in doc["counters"]
+    assert ('"condition_number": null' in text) == (model["condition_number"] is None)
 
 
 def test_verify_zero_theta_gap_is_zero(tmp_path, toy):

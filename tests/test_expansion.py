@@ -15,6 +15,7 @@ from cliffgrad.circuit import (
 from cliffgrad.dense import energy, finite_diff_gradient, finite_diff_hessian, optimize_bfgs
 from cliffgrad.errors import DimensionMismatchError, SolveError
 from cliffgrad.expansion import (
+    ExpansionResult,
     _ExpectationCache,
     apply_dropout,
     compute_gradient,
@@ -465,6 +466,40 @@ def test_expand_all_dropped_degenerate():
     assert not res.dropout_mask.any()
     assert res.warnings and res.perturbative_optimum == res.e0
     assert np.array_equal(res.theta_star, [0.0])
+
+
+def test_expand_model_block_hand_checked():
+    # g = (-2, 0, 0) and A = diag(-8, 2, 0): RY on qubit 0 sees X0 + 2 Z0,
+    # RY on qubit 1 sees -0.5 Z1, and nothing acts on qubit 2
+    circ = AnsatzCircuit(3, [RotationGate("Y", q, q) for q in range(3)])
+    obs = parse_observable("qubits 3\n1.0 X0\n2.0 Z0\n-0.5 Z1\n")
+    res = expand(circ, obs, "000", threshold=0.0)
+    assert np.array_equal(res.hessian_kept, np.diag([-8.0, 2.0, 0.0]))
+    assert res.model == {
+        "max_abs_gradient": 2.0, "stationary_point": False, "negative_curvature": 1,
+        "discarded_by_rtol": 1, "condition_number": 4.0,
+    }
+    # the stable subspace inverts only the +2 direction
+    assert expand(circ, obs, "000", 0.0, stable_subspace=True).model["condition_number"] == 1.0
+    # A = diag(0, -4e-300, 4e150) (e0 = 1e-300 keeps the small entry exact);
+    # at rtol 0 both nonzero eigenvalues are inverted and their ratio overflows
+    wide = parse_observable("qubits 3\n1e150 Z0\n-1e150 Z0 Z2\n1e-300 Z1\n")
+    res = expand(circ, wide, "000", 0.0, rtol=0.0)
+    assert np.array_equal(res.hessian_kept, np.diag([0.0, -4e-300, 4e150]))
+    assert res.rank == 2 and res.model["condition_number"] is None
+    # the model block stays out of counters and survives the document round trip
+    assert "model" not in res.counters
+    assert ExpansionResult.from_dict(res.to_dict()).model == res.model
+    old = res.to_dict()
+    del old["model"]
+    assert ExpansionResult.from_dict(old).model == {}
+    stationary = expand(circ, parse_observable("qubits 3\n-0.5 Z1\n"), "000", threshold=0.0)
+    assert stationary.model["stationary_point"] and stationary.model["max_abs_gradient"] == 0.0
+    dropped = expand(circ, obs, "000", threshold=1e9)
+    assert dropped.model == {
+        "max_abs_gradient": 2.0, "stationary_point": False, "negative_curvature": 0,
+        "discarded_by_rtol": 0, "condition_number": None,
+    }
 
 
 def test_expand_is_bit_identical_across_calls(rng):

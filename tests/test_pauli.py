@@ -157,3 +157,26 @@ def test_mul_rows_broadcast_matches_pauli_mul(rng, n):
     for i, a in enumerate(left):
         for j, b in enumerate(right):
             assert PauliString(n, x[i, j], z[i, j], int(phase[i, j])) == pauli_mul(a, b)
+
+
+@pytest.mark.parametrize("n", (3, 64, 65, 130))
+def test_product_fast_path_builds_a_valid_pauli_string(rng, n):
+    """pauli_mul skips __init__'s copy, mask and checks; its result must be
+    indistinguishable from one that went through them."""
+    for _ in range(20):
+        a, b = random_pauli(rng, n), random_pauli(rng, n)
+        prod = pauli_mul(a, b)
+        rebuilt = PauliString(n, prod.x, prod.z, prod.phase)
+        assert prod == rebuilt and hash(prod) == hash(rebuilt)
+        assert not (prod.x.flags.writeable or prod.z.flags.writeable)
+        for words in (prod.x, prod.z):
+            with pytest.raises(ValueError):
+                words[0] = 1
+            # padding above n is zero: the words survive unpack and repack
+            assert np.array_equal(_pack(_bits(words, n), words.size), words)
+        n_y = int((_bits(prod.x, n) * _bits(prod.z, n)).sum())
+        assert prod.n_y() == rebuilt.n_y() == n_y
+        assert prod.unphased().n_y() == n_y
+        assert all(prod.with_phase(k).n_y() == n_y for k in range(4))
+        if n <= 6:
+            assert np.allclose(prod.to_matrix(), a.to_matrix() @ b.to_matrix())
