@@ -6,19 +6,31 @@ produces brickwork circuits from two mirrored regions so that the circuit
 composes to the identity at theta = 0; a computational-basis reference
 state (e.g. a Hartree-Fock occupation bitstring) is injected at the input.
 One sweep over the Clifford gates gives both the theta = 0 stabilizer
-state and the conjugated rotation generators P'_k.
+state and the conjugated rotation generators P'_k, as packed rows
+(ConjugatedGenerators).
+
+The sweep (_clifford_sweep) takes a list of ansätze that share a skeleton:
+the same width and, at every position, the same rotation (axis, wire,
+param), the same two-qubit gate, or single-qubit Clifford gates on the same
+wire. Candidates generated for one width, depth and variant always do.
+Their rows are stacked into one block and swept gate position by gate
+position; at a single-qubit position each ansatz's rows take its own entry
+of the single-qubit table (tableau.conjugate_rows). select_ansatz sweeps
+its candidates in chunks of at most SWEEP_ROWS rows; one ansatz is a stack
+of one.
 """
 
 from __future__ import annotations
 
 import json
+import time
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
 from .errors import CircuitFormatError, WireError
-from .pauli import PauliString, _n_words
+from .pauli import PauliString, _WORD_BITS, _n_words
 from .tableau import (
     CLIFFORD_1Q_HADAMARD,
     CLIFFORD_1Q_IDENTITY,
@@ -26,6 +38,7 @@ from .tableau import (
     StabilizerTableau,
     _check_wires,
     conjugate_rows,
+    single_qubit_index,
 )
 
 ANSATZ_SCHEMA_VERSION = 1
@@ -102,7 +115,7 @@ class AnsatzCircuit:
 
     def clifford_point_state(self, reference: str) -> StabilizerTableau:
         """Tableau of U(0)|reference>."""
-        return _clifford_sweep(self, reference, generators=False)[0]
+        return _clifford_sweep([self], reference, generators=False)[0][0]
 
     # -- serialization ------------------------------------------------------
 
@@ -175,61 +188,126 @@ class AnsatzCircuit:
         return cls.from_dict(doc)
 
 
-@dataclass
+@dataclass(eq=False)
 class ConjugatedGenerators:
-    """P'_k for each parameter, plus each rotation's position in the circuit."""
+    """P'_k for each parameter as packed rows, plus each rotation's position.
 
-    paulis: List[PauliString]       # indexed by param id
+    Row k of x, z and phase is P'_k = i^phase[k] * (x[k], z[k]) in
+    PauliString's packed layout: (K, words) uint64 words and (K,) int64
+    phase exponents, 0 or 2, since every P'_k is Hermitian.
+    """
+
+    n_qubits: int
+    x: np.ndarray
+    z: np.ndarray
+    phase: np.ndarray
     positions: List[int]            # element index of the rotation, by param id
+    _paulis: Optional[List[PauliString]] = field(default=None, init=False, repr=False)
 
     @property
     def n_params(self) -> int:
-        return len(self.paulis)
+        return len(self.positions)
+
+    @property
+    def paulis(self) -> List[PauliString]:
+        """The rows as PauliStrings, indexed by param id; built on first use."""
+        if self._paulis is None:
+            self._paulis = [
+                PauliString(self.n_qubits, x, z, k)
+                for x, z, k in zip(self.x, self.z, self.phase.tolist())
+            ]
+        return self._paulis
+
+
+# Rows of one stacked block; select_ansatz sweeps its candidates in chunks of
+# at most this many rows (and at least one candidate).
+SWEEP_ROWS = 1 << 14
+
+
+def _skeleton_mismatch(column) -> Optional[str]:
+    """Why the elements at one position of stacked ansätze cannot share a sweep.
+
+    They must all be the same rotation (axis, wire, param), the same
+    two-qubit gate, or single-qubit Clifford gates on the same wire.
+    """
+    e = column[0]
+    if isinstance(e, CliffordGate) and len(e.wires) == 1:
+        bad = [c for c in column if not (isinstance(c, CliffordGate) and c.wires == e.wires)]
+    else:
+        bad = [c for c in column if c != e]
+    return f"{bad[0]} against {e}" if bad else None
 
 
 def _clifford_sweep(
-    ansatz: AnsatzCircuit, reference: Optional[str], generators: bool = True
-) -> Tuple[Optional[StabilizerTableau], Optional[ConjugatedGenerators]]:
-    """One left-to-right sweep of the Clifford gates over one packed row block.
+    ansatze: List[AnsatzCircuit], reference: Optional[str], generators: bool = True
+) -> List[Tuple[Optional[StabilizerTableau], Optional[ConjugatedGenerators]]]:
+    """One left-to-right sweep of the Clifford gates over one stacked row block.
 
-    The block holds the 2n tableau rows of `reference` (none when it is
-    None) and, with `generators`, K generator rows. Generator row k is
-    seeded with rotation k's generator when the sweep reaches it, and every
-    later Clifford gate conjugates the whole block, so it ends as P'_k, the
-    image of the generator under the Clifford content after its rotation
-    (rotations at zero are identity). Unseeded rows are the identity, which
-    no gate changes, and every P'_k comes out Hermitian. Rows never mix, so
-    each part equals what a sweep of that part alone gives.
+    The ansätze share a skeleton: one width and, at every position, the same
+    rotation, the same two-qubit gate, or single-qubit Clifford gates on the
+    same wire (a generated candidate set of one width, depth and variant);
+    ValueError otherwise. Each ansatz owns R = 2n + K consecutive rows: the
+    2n tableau rows of `reference` (none when it is None) and, with
+    `generators`, K generator rows. Generator row k is seeded with rotation
+    k's generator when the sweep reaches it, and every later Clifford gate
+    conjugates the whole block, each ansatz's rows through its own
+    single-qubit gate (one table entry per row, tableau.conjugate_rows), so
+    it ends as P'_k, the image of the generator under the Clifford content
+    after its rotation (rotations at zero are identity). Unseeded rows are
+    the identity, which no gate changes, and every P'_k comes out
+    Hermitian. Rows never mix, so each ansatz's rows equal what a sweep of
+    that ansatz alone gives.
 
-    Returns (tableau of U(0)|reference> or None, ConjugatedGenerators or None).
+    Returns one (tableau of U(0)|reference> or None, ConjugatedGenerators or
+    None) pair per ansatz, in order.
     """
-    n = ansatz.n_qubits
-    state = None
-    m = 0
-    if reference is not None:
-        state = StabilizerTableau(n, reference)
-        m = 2 * n
-    K = ansatz.n_params if generators else 0
-    x = np.zeros((m + K, _n_words(n)), dtype=np.uint64)
+    first = ansatze[0]
+    n, A = first.n_qubits, len(ansatze)
+    if any(a.n_qubits != n or len(a.elements) != len(first.elements) for a in ansatze):
+        raise ValueError("stacked ansätze differ in width or length")
+    start = None if reference is None else StabilizerTableau(n, reference)
+    m = 0 if start is None else 2 * n
+    K = first.n_params if generators else 0
+    R, W = m + K, _n_words(n)
+    x = np.zeros((A, R, W), dtype=np.uint64)
     z = np.zeros_like(x)
-    r = np.zeros(m + K, dtype=np.uint8)
-    if state is not None:
-        x[:m], z[:m], r[:m] = state.x, state.z, state.r
+    r = np.zeros((A, R), dtype=np.uint8)
+    if start is not None:
+        x[:, :m], z[:, :m], r[:, :m] = start.x, start.z, start.r
+    # the same memory as one (A * R)-row block, which conjugate_rows updates
+    rows_x, rows_z, rows_r = x.reshape(A * R, W), z.reshape(A * R, W), r.reshape(A * R)
     positions = [0] * K
-    for pos, e in enumerate(ansatz.elements):
-        if isinstance(e, CliffordGate):
-            _check_wires(e, n)
-            conjugate_rows(x, z, r, e)
-        elif generators:
-            seed = PauliString.single(n, e.axis, e.wire)
-            x[m + e.param], z[m + e.param] = seed.x, seed.z
-            positions[e.param] = pos
-    if state is not None:
-        state.x, state.z, state.r = x[:m].copy(), z[:m].copy(), r[:m].copy()
-    if not generators:
-        return state, None
-    paulis = [PauliString(n, x[m + k], z[m + k], 2 * int(r[m + k])) for k in range(K)]
-    return state, ConjugatedGenerators(paulis, positions)
+    for pos, column in enumerate(zip(*(a.elements for a in ansatze))):
+        why = _skeleton_mismatch(column) if A > 1 else None
+        if why:
+            raise ValueError(f"stacked ansätze differ at element {pos}: {why}")
+        e = column[0]
+        if isinstance(e, RotationGate):
+            if generators:  # the row is still the identity: set the axis's letter
+                w, bit = divmod(e.wire, _WORD_BITS)
+                x[:, m + e.param, w] = (e.axis != "Z") << bit
+                z[:, m + e.param, w] = (e.axis != "X") << bit
+                positions[e.param] = pos
+            continue
+        _check_wires(e, n)
+        if len(e.wires) == 2 or A == 1:
+            conjugate_rows(rows_x, rows_z, rows_r, e)
+            continue
+        index = [single_qubit_index(c) for c in column]
+        per_row = index[0] if len(set(index)) == 1 else np.repeat(index, R)
+        conjugate_rows(rows_x, rows_z, rows_r, e, per_row)
+    out = []
+    for a in range(A):
+        state = None
+        if start is not None:
+            state = StabilizerTableau(n, reference)
+            state.x, state.z, state.r = x[a, :m].copy(), z[a, :m].copy(), r[a, :m].copy()
+        gens = None
+        if generators:
+            phase = 2 * r[a, m:].astype(np.int64)
+            gens = ConjugatedGenerators(n, x[a, m:].copy(), z[a, m:].copy(), phase, list(positions))
+        out.append((state, gens))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -340,13 +418,18 @@ def select_ansatz(
     reference: str,
     seed: int,
     variant: str = "complex",
+    timings: Optional[dict] = None,
 ):
     """Generate `count` seeded candidates and keep the largest sum |g_l|.
 
     Ties break toward the lowest candidate index. Returns
     (best AnsatzCircuit, list of per-candidate gradient-norm sums). The
     count, seed and observable width are checked before any candidate is
-    generated.
+    generated. The candidates share a skeleton, so consecutive chunks of at
+    most SWEEP_ROWS rows (at least one candidate each) are swept as one
+    stacked block, and only one chunk is held at a time. A `timings` dict
+    receives the seconds spent generating (generate_s), sweeping (sweep_s)
+    and in the gradients (gradient_s).
     """
     from .expansion import compute_gradient
 
@@ -354,17 +437,36 @@ def select_ansatz(
         raise CircuitFormatError(f"candidate count must be >= 1, got {count}")
     _check_seed(seed)
     observable.check_width(n_qubits)
-    best = None
-    best_sum = -1.0
-    sums = []
-    for i in range(count):
+    spent = {"generate_s": 0.0, "sweep_s": 0.0, "gradient_s": 0.0}
+
+    def candidate(i: int) -> AnsatzCircuit:
         cand = generate_hwe_ansatz(n_qubits, depth, candidate_seed(seed, i), variant)
         cand.metadata["candidate_index"] = i
         cand.metadata["master_seed"] = int(seed)
-        state0, gens = _clifford_sweep(cand, reference)
-        g = compute_gradient(observable, state0, gens)
-        s = float(np.abs(g).sum())
-        sums.append(s)
-        if s > best_sum:
-            best, best_sum = cand, s
+        return cand
+
+    best = None
+    best_sum = -1.0
+    sums = []
+    while len(sums) < count:
+        t0 = time.perf_counter()
+        cands = [candidate(len(sums))]
+        # every candidate has the first one's 2n + K rows
+        chunk = max(1, SWEEP_ROWS // (2 * n_qubits + cands[0].n_params))
+        while len(cands) < chunk and len(sums) + len(cands) < count:
+            cands.append(candidate(len(sums) + len(cands)))
+        t1 = time.perf_counter()
+        swept = _clifford_sweep(cands, reference)
+        t2 = time.perf_counter()
+        for cand, (state0, gens) in zip(cands, swept):
+            s = float(np.abs(compute_gradient(observable, state0, gens)).sum())
+            sums.append(s)
+            if s > best_sum:
+                best, best_sum = cand, s
+        t3 = time.perf_counter()
+        spent["generate_s"] += t1 - t0
+        spent["sweep_s"] += t2 - t1
+        spent["gradient_s"] += t3 - t2
+    if timings is not None:
+        timings.update(spent)
     return best, sums

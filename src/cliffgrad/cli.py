@@ -25,7 +25,9 @@ and writes no output file.
        Hamiltonian whose width differs from the ansatz or --qubits
        (DimensionMismatchError)
     3  reserved; nothing raises it
-    4  solve error: the quadratic model's eigensolve failed (SolveError)
+    4  solve error: the quadratic model's eigensolve failed, its entries
+       are not finite, or a sum of observable terms (e0, a gradient or a
+       Hessian entry) overflows the float range (SolveError)
     5  resource cap: a dense simulation above --cap qubits, or exact
        diagonalization above 14 qubits (ResourceCapError)
 """
@@ -170,8 +172,10 @@ def cmd_gen_ansatz(args) -> int:
 
 def cmd_select_ansatz(args) -> int:
     obs = _load_observable(args.hamiltonian)
+    timings = {}
     best, sums = select_ansatz(
-        args.count, args.qubits, args.depth, obs, args.reference, args.seed, args.variant
+        args.count, args.qubits, args.depth, obs, args.reference, args.seed, args.variant,
+        timings=timings,
     )
     Path(args.out).write_text(best.serialize())
     report = _document(
@@ -182,6 +186,7 @@ def cmd_select_ansatz(args) -> int:
             ],
             "winner_index": int(best.metadata["candidate_index"]),
             "winner_sum_abs_gradient": max(sums),
+            "timings": timings,
         },
     )
     _emit(report, args.report_out)

@@ -48,15 +48,15 @@ import numpy as np
 
 from .circuit import AnsatzCircuit, ConjugatedGenerators, _clifford_sweep
 from .errors import SolveError
-from .observable import Observable
-from .pauli import PHASES, PauliString, _row_popcount, mul_rows, pauli_mul, stack_rows
+from .observable import Observable, exact_sum
+from .pauli import PHASES, PauliString, _row_popcount, mul_rows, pauli_mul
 from .tableau import StabilizerTableau, frame_values
 
 
 def conjugate_generators(ansatz: AnsatzCircuit) -> ConjugatedGenerators:
     """P'_k for every rotation, from one left-to-right sweep over a packed
     block of K rows (circuit._clifford_sweep)."""
-    return _clifford_sweep(ansatz, None)[1]
+    return _clifford_sweep([ansatz], None)[0][1]
 
 
 class _ExpectationCache:
@@ -82,27 +82,31 @@ def compute_gradient(
     """g_k = -2 Im <psi(0)| O P'_k |psi(0)>, in the state's input frame.
 
     The N_o terms and the K generators are mapped through U† . U once each
-    (StabilizerTableau.input_frame), and one (K, N_o) broadcast product
-    gives every <O_i P'_k> as [x = 0] * i^k (tableau.frame_values). Each
-    term is exactly 0 or ±c_i and math.fsum rounds correctly, so g is the
-    same as summing c_i Im <O_i P'_k> term by term. `cache` is accepted and
-    not read, as in compute_hessian; it stays in the signature because the
-    benchmark's traced replay (benchmark/traced.py) passes it positionally.
+    (StabilizerTableau.input_frame), read straight from their packed rows
+    (Observable.rows, ConjugatedGenerators.x/z/phase), and one (K, N_o)
+    broadcast product gives every <O_i P'_k> as [x = 0] * i^k
+    (tableau.frame_values). Each term is exactly 0 or ±c_i and math.fsum
+    rounds correctly, so g is the same as summing c_i Im <O_i P'_k> term by
+    term; a sum that overflows is a SolveError (exact_sum). `cache` is
+    accepted and not read, as in compute_hessian; it stays in the signature
+    because the benchmark's traced replay (benchmark/traced.py) passes it
+    positionally.
     """
-    n, n_obs = state0.n, obs.n_terms
-    coeffs = np.array([c for c, _ in obs.terms])
-    x, z, phase = state0.input_frame(*stack_rows([p for _, p in obs.terms] + gens.paulis, n))
+    obs.check_width(state0.n, "state")
+    obs.check_width(gens.n_qubits, "generators")
+    n_obs, coeffs = obs.n_terms, obs.coeffs
+    ox, oz, ophase = obs.rows
+    x, z, phase = state0.input_frame(
+        np.vstack([ox, gens.x]), np.vstack([oz, gens.z]), np.concatenate([ophase, gens.phase])
+    )
     # O_i P'_k: observable terms along axis 1, generators along axis 0
     px, _, pp = mul_rows(
         x[None, :n_obs], z[None, :n_obs], phase[None, :n_obs],
         x[n_obs:, None], z[n_obs:, None], phase[n_obs:, None],
     )
-    im = frame_values(px, pp).imag
-    g = np.empty(gens.n_params)
-    for k in range(gens.n_params):
-        nz = im[k] != 0
-        g[k] = -2.0 * math.fsum((im[k, nz] * coeffs[nz]).tolist())
-    return g
+    # zero terms leave each fsum unchanged: it returns +0.0 for an exact zero
+    terms = (frame_values(px, pp).imag * coeffs).tolist()
+    return np.array([-2.0 * exact_sum(row) for row in terms], dtype=float)
 
 
 def apply_dropout(gradient: np.ndarray, threshold: float) -> np.ndarray:
@@ -151,11 +155,16 @@ def compute_hessian(
     kept = np.nonzero(mask)[0].tolist()
     nk = len(kept)
     A = np.zeros((nk, nk))
+    obs.check_width(state0.n, "state")
+    obs.check_width(gens.n_qubits, "generators")
     n, n_obs = state0.n, obs.n_terms
-    coeffs = [c for c, _ in obs.terms]
+    coeffs = obs.coeffs.tolist()
     # terms O~_i in rows 0..N_o-1, then the kept generators G~_s
+    ox, oz, ophase = obs.rows
     x, z, phase = state0.input_frame(
-        *stack_rows([p for _, p in obs.terms] + [gens.paulis[k] for k in kept], n)
+        np.vstack([ox, gens.x[kept]]),
+        np.vstack([oz, gens.z[kept]]),
+        np.concatenate([ophase, gens.phase[kept]]),
     )
     frame = [PauliString(n, *row) for row in zip(x, z, phase.tolist())]
     terms, paulis = frame[:n_obs], frame[n_obs:]
@@ -166,9 +175,9 @@ def compute_hessian(
     # <O_i>: the terms carry phase 0, so these are the unphased values
     values = frame_values(ox, phase[:n_obs]).tolist()
     if e0 is None:
-        e0 = math.fsum(c * v.real for c, v in zip(coeffs, values))
+        e0 = exact_sum(c * v.real for c, v in zip(coeffs, values))
     for s in range(nk):
-        diag = math.fsum(
+        diag = exact_sum(
             c * (PHASES[2 * f] * v).real for c, f, v in zip(coeffs, a[s], values)
         )
         A[s, s] = 2.0 * diag - 2.0 * e0
@@ -190,7 +199,7 @@ def compute_hessian(
                 v = c if q.phase == 0 else -c
                 first.append(v)
                 second.append(-v if f ^ flip else v)
-            A[s, t] = A[t, s] = 2.0 * math.fsum(first) - 2.0 * math.fsum(second)
+            A[s, t] = A[t, s] = 2.0 * exact_sum(first) - 2.0 * exact_sum(second)
     return A
 
 

@@ -10,10 +10,13 @@ Units are opaque to the engine (Hartree by convention for chemistry inputs).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Tuple
 
-from .errors import DimensionMismatchError, ObservableFormatError, PauliFormatError
+import numpy as np
+
+from .errors import DimensionMismatchError, ObservableFormatError, PauliFormatError, SolveError
 from .pauli import PauliString, parse_pauli, stack_rows
 from .tableau import StabilizerTableau, frame_values
 
@@ -35,6 +38,16 @@ class Observable:
     @property
     def n_terms(self) -> int:
         return len(self.terms)
+
+    @cached_property
+    def rows(self):
+        """The terms as packed rows (x, z, phase), as stack_rows gives them; packed once."""
+        return stack_rows([p for _, p in self.terms], self.n_qubits)
+
+    @cached_property
+    def coeffs(self) -> np.ndarray:
+        """The coefficients c_i, in term order."""
+        return np.array([c for c, _ in self.terms], dtype=float)
 
     @classmethod
     def from_strings(cls, n_qubits: int, terms: Dict[str, float]) -> "Observable":
@@ -66,9 +79,22 @@ class Observable:
     def expectation_at_clifford_point(self, state: StabilizerTableau) -> float:
         """sum_i c_i <psi|P_i|psi> on a stabilizer state; exact, real."""
         self.check_width(state.n, "state")
-        x, _, k = state.input_frame(*stack_rows([p for _, p in self.terms], self.n_qubits))
+        x, _, k = state.input_frame(*self.rows)
         # Hermitian phase-free terms give real expectations; compensated sum.
-        return math.fsum(c * v for (c, _), v in zip(self.terms, frame_values(x, k).real.tolist()))
+        return exact_sum(c * v for (c, _), v in zip(self.terms, frame_values(x, k).real.tolist()))
+
+
+def exact_sum(values) -> float:
+    """math.fsum of `values`; SolveError when the sum overflows the float range.
+
+    fsum raises OverflowError when finite terms add past the largest float,
+    so a sum of observable coefficients that does ends in SolveError, as a
+    non-finite gradient or Hessian does.
+    """
+    try:
+        return math.fsum(values)
+    except OverflowError as exc:
+        raise SolveError(f"a sum of observable coefficients overflows ({exc})") from None
 
 
 def parse_observable(document: str, prune_threshold: float = 0.0) -> Observable:

@@ -211,9 +211,14 @@ class PauliString:
 
 
 def _bits(words: np.ndarray, n: int) -> np.ndarray:
-    """(..., n) 0/1 floats of packed (..., words) rows; exact in matmul."""
+    """(..., n) 0/1 float32 values of packed (..., words) rows.
+
+    float32 holds every integer up to 2^24 exactly, so a matmul of these
+    bits is exact while its sums stay below that (tableau.input_frame's
+    stay at most 2n).
+    """
     octets = np.ascontiguousarray(words, dtype="<u8").view(np.uint8)
-    return np.unpackbits(octets, axis=-1, count=n, bitorder="little").astype(np.float64)
+    return np.unpackbits(octets, axis=-1, count=n, bitorder="little").astype(np.float32)
 
 
 def _pack(bits: np.ndarray, words: int) -> np.ndarray:

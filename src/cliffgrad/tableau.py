@@ -5,15 +5,23 @@ a uint64 word, plus a sign bit; pauli._pack and pauli._bits pack and unpack
 them. conjugate_rows, the one row-batched gate update, conjugates any
 number of rows through a Clifford gate, reading each wire's bit at its word
 address; the destabilizer/stabilizer tableau and the Clifford sweep in
-circuit.py both use it. One sign-exact reconstruction serves every
-expectation: input_frame maps a batch of rows Q to U†QU, the frame in which
-the state is |0...0>, as a few GF(2) matrix products with no loop over the
-tableau rows, and frame_values reads <psi|Q|psi> off the images.
-expectation returns 0 when Q anticommutes with a stabilizer, one popcount
-parity over the packed words, and otherwise reads the frame of Q.
-conjugate_pauli is an independent conjugation of one Pauli string: it
-unpacks the bits, updates them one qubit at a time and packs the result,
-and stays the reference that conjugate_rows is tested against.
+circuit.py both use it. Every single-qubit Clifford (H, S, SDG, X, Y, Z and
+C1) is one of the 24 entries of the single-qubit table, and conjugate_rows
+applies it as one gather: a 24 x 4 table maps a row's (x_q, z_q) to its
+image and sign flip. The table index may differ from row to row, which is
+how the stacked sweep conjugates many ansätze through one gate position at
+once. CNOT, CZ and SWAP are updated through their {H, CNOT} primitives.
+
+One sign-exact reconstruction serves every expectation: input_frame maps a
+batch of rows Q to U†QU, the frame in which the state is |0...0>, as a few
+GF(2) matrix products with no loop over the tableau rows, and frame_values
+reads <psi|Q|psi> off the images. expectation returns 0 when Q
+anticommutes with a stabilizer, one popcount parity over the packed words,
+and otherwise reads the frame of Q. conjugate_pauli is an independent
+conjugation of one Pauli string: it unpacks the bits, updates them one
+{H, S, CNOT} primitive at a time and packs the result. The single-qubit
+table is derived from it at import, and it stays the reference that
+conjugate_rows is tested against.
 
 All gates reduce to the primitives {H, S, CNOT}; the 24 single-qubit
 Clifford gates are enumerated by a fixed table of H/S words (see
@@ -181,31 +189,92 @@ def conjugate_pauli(circuit: Iterable[CliffordGate], p: PauliString) -> PauliStr
 # ---------------------------------------------------------------------------
 
 
-def conjugate_rows(x: np.ndarray, z: np.ndarray, r: np.ndarray, gate: CliffordGate) -> None:
+def _single_qubit_table():
+    """The 24 x 4 update table and the table index of each named single-qubit kind.
+
+    Entry [i, c] holds, for C1 gate i and a row whose bits on the wire are
+    c = x | z << 1, the XOR that takes the bits to their image (bit 0 for x,
+    bit 1 for z) and the sign flip (bit 2). The images of H and S are read
+    off conjugate_pauli on one qubit; every other gate's are composed from
+    its H/S primitives (CLIFFORD_1Q_WORDS for C1).
+    """
+    primitive = {}
+    for name in ("H", "S"):
+        images = [
+            conjugate_pauli([CliffordGate(name, (0,))], PauliString.from_bits([c & 1], [c >> 1]))
+            for c in range(4)
+        ]
+        primitive[name] = [(q.x_bit(0), q.z_bit(0), q.phase // 2) for q in images]
+
+    def images(gate: CliffordGate) -> tuple:
+        out = []
+        for c in range(4):
+            x, z, flip = c & 1, c >> 1, 0
+            for name, _ in gate.primitives():
+                x, z, f = primitive[name][x | z << 1]
+                flip ^= f
+            out.append((x, z, flip))
+        return tuple(out)
+
+    rows = [images(CliffordGate("C1", (0,), i)) for i in range(24)]
+    table = np.array(
+        [[(x ^ (c & 1)) | (z ^ (c >> 1)) << 1 | flip << 2 for c, (x, z, flip) in enumerate(row)]
+         for row in rows],
+        dtype=np.uint64,
+    )
+    kinds = ("H", "S", "SDG", "X", "Y", "Z")
+    return table, {k: rows.index(images(CliffordGate(k, (0,)))) for k in kinds}
+
+
+_1Q_TABLE, _1Q_KIND_INDEX = _single_qubit_table()
+
+
+def single_qubit_index(gate: CliffordGate) -> int:
+    """The single-qubit gate's entry in the 24-element table (0 is the identity)."""
+    return gate.index if gate.kind == "C1" else _1Q_KIND_INDEX[gate.kind]
+
+
+def conjugate_rows(
+    x: np.ndarray, z: np.ndarray, r: np.ndarray, gate: CliffordGate, index=None
+) -> None:
     """Replace every row P by g P g† in place, for the Clifford gate g.
 
     Row i is the Hermitian Pauli (-1)^r[i] * (x[i], z[i]) in PauliString's
     packed layout: x and z are (rows, words) uint64 arrays, r the (rows,)
     sign bits. The caller checks the gate's wires against the width.
+
+    A single-qubit gate is one gather from the single-qubit table. `index`,
+    given only for a single-qubit gate, replaces the gate's table entry: a
+    scalar, or one entry per row, so that each row goes through its own
+    single-qubit Clifford on the gate's wire. CNOT, CZ and SWAP run their
+    {H, CNOT} primitives.
     """
+    if len(gate.wires) == 1:
+        if index is None:
+            index = single_qubit_index(gate)
+        if not (index.any() if isinstance(index, np.ndarray) else index):
+            return  # the identity on every row
+        w, b = divmod(gate.wires[0], _WORD_BITS)
+        delta = _1Q_TABLE[index, ((x[:, w] >> b) & 1) | ((z[:, w] >> b) & 1) << 1]
+        x[:, w] ^= (delta & 1) << b
+        z[:, w] ^= ((delta >> 1) & 1) << b
+        r ^= delta >> 2
+        return
     for name, wires in gate.primitives():
-        if name == "CNOT":
-            (wa, ba), (wb, bb) = divmod(wires[0], _WORD_BITS), divmod(wires[1], _WORD_BITS)
-            xa, za = (x[:, wa] >> ba) & 1, (z[:, wa] >> ba) & 1
-            xb, zb = (x[:, wb] >> bb) & 1, (z[:, wb] >> bb) & 1
-            r ^= xa & zb & (xb ^ za ^ 1)
-            x[:, wb] ^= xa << bb
-            z[:, wa] ^= zb << ba
-            continue
-        w, b = divmod(wires[0], _WORD_BITS)
-        xq, zq = (x[:, w] >> b) & 1, (z[:, w] >> b) & 1
-        r ^= xq & zq
-        if name == "H":
+        if name == "H":  # inside CZ
+            w, b = divmod(wires[0], _WORD_BITS)
+            xq, zq = (x[:, w] >> b) & 1, (z[:, w] >> b) & 1
+            r ^= xq & zq
             swap = (xq ^ zq) << b
             x[:, w] ^= swap
             z[:, w] ^= swap
-        else:  # S
-            z[:, w] ^= xq << b
+            continue
+        (wa, ba), (wb, bb) = divmod(wires[0], _WORD_BITS), divmod(wires[1], _WORD_BITS)
+        xa, za = (x[:, wa] >> ba) & 1, (z[:, wa] >> ba) & 1
+        xb, zb = (x[:, wb] >> bb) & 1, (z[:, wb] >> bb) & 1
+        r ^= xa & zb & (xb ^ za ^ 1)
+        x[:, wb] ^= xa << bb
+        z[:, wa] ^= zb << ba
 
 
 # ---------------------------------------------------------------------------
@@ -330,6 +399,9 @@ class StabilizerTableau:
         """
         n = self.n
         t, select, base, upper = self._frame_tables()
+        # float32 bits (pauli._bits) are exact here: q @ select and s @ t sum
+        # at most 2n ones, s @ upper at most n, and s @ base is integer, all
+        # far below float32's 2^24
         q = np.hstack([_bits(x, n), _bits(z, n)])
         # parities as int: float % 2 is several times slower than the matmul
         s = (q @ select).astype(np.int64) & 1

@@ -12,7 +12,13 @@ packed words) on a tableau evolved by a random Clifford circuit:
   pair at a time (the per-object path; pauli.mul_per_s in the benchmark),
 - input_frame: 256 random rows mapped to the input frame,
 - expectation: one Pauli with a nonzero expectation (the frame path),
-- conjugate_rows: a block of 256 rows through 32 random Clifford gates.
+- conjugate_rows: a block of 256 rows through 32 random Clifford gates,
+- conjugate_rows_1q: the same block through 32 random single-qubit gates
+  (H, S, SDG, X, Y, Z and C1) only.
+
+select_ansatz screens 32 candidates of depth 2, real and complex, at n = 8
+and 65 against a Heisenberg chain (XX + YY + ZZ on every bond), three
+rounds each: generation, the stacked Clifford sweep and the gradients.
 
 The dense simulator's gates are timed as one energy-and-gradient sweep (one
 forward and one backward pass) at n = 8 and 12 on a real depth-2 ansatz and
@@ -33,7 +39,7 @@ import numpy as np
 import pytest
 
 from cliffgrad import dense
-from cliffgrad.circuit import generate_hwe_ansatz
+from cliffgrad.circuit import generate_hwe_ansatz, select_ansatz
 from cliffgrad.expansion import (
     apply_dropout,
     compute_gradient,
@@ -112,6 +118,31 @@ def test_conjugate_rows(benchmark, n):
             conjugate_rows(x, z, r, g)
 
     benchmark(sweep)
+
+
+@pytest.mark.parametrize("n", WIDTHS)
+def test_conjugate_rows_1q(benchmark, n):
+    x, z, _ = _rows(n, ROWS, 2)
+    r = np.zeros(ROWS, dtype=np.uint8)
+    rng = np.random.default_rng(4)
+    gates = [g for g in random_clifford_gates(rng, n, 96) if len(g.wires) == 1][:32]
+
+    def sweep():
+        for g in gates:
+            conjugate_rows(x, z, r, g)
+
+    benchmark(sweep)
+
+
+@pytest.mark.parametrize("variant", ("real", "complex"))
+@pytest.mark.parametrize("n", (8, 65))
+def test_select_ansatz(benchmark, n, variant):
+    terms = {f"{a}{q} {a}{q + 1}": 1.0 for q in range(n - 1) for a in "XYZ"}
+    obs = Observable.from_strings(n, terms)
+    reference = ("01" * n)[:n]
+    benchmark.pedantic(
+        select_ansatz, (32, n, 2, obs, reference, 5, variant), rounds=3, iterations=1
+    )
 
 
 @pytest.mark.parametrize("form", ("gates", "normal"))

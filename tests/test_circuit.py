@@ -3,19 +3,23 @@ import json
 import numpy as np
 import pytest
 
+from cliffgrad import circuit
 from cliffgrad.circuit import (
     AnsatzCircuit,
     RotationGate,
+    _clifford_sweep,
     candidate_seed,
     generate_hwe_ansatz,
     select_ansatz,
 )
 from cliffgrad.dense import finite_diff_gradient, simulate
 from cliffgrad.errors import CircuitFormatError
+from cliffgrad.expansion import compute_gradient
 from cliffgrad.observable import Observable
-from cliffgrad.tableau import CliffordGate, StabilizerTableau
+from cliffgrad.pauli import PauliString
+from cliffgrad.tableau import CliffordGate, StabilizerTableau, conjugate_pauli
 
-from conftest import random_bitstring
+from conftest import general_clifford_circuit, random_bitstring
 
 
 def tableaus_equal(a: StabilizerTableau, b: StabilizerTableau) -> bool:
@@ -157,3 +161,107 @@ def test_select_winner_matches_finite_difference_recomputation():
         fd_sums.append(float(np.abs(finite_diff_gradient(cand, obs, ref)).sum()))
     assert np.abs(np.array(fd_sums) - np.array(sums)).max() < 1e-6
     assert int(np.argmax(fd_sums)) == best.metadata["candidate_index"]
+
+
+def _redress(circ: AnsatzCircuit, rng) -> AnsatzCircuit:
+    """circ with every single-qubit Clifford replaced by a random C1 on its wire.
+
+    The result shares circ's skeleton, so the two can be swept stacked.
+    """
+    elements = [
+        CliffordGate("C1", e.wires, int(rng.integers(0, 24)))
+        if isinstance(e, CliffordGate) and len(e.wires) == 1 else e
+        for e in circ.elements
+    ]
+    return AnsatzCircuit(circ.n_qubits, elements)
+
+
+def _suffix_images(circ: AnsatzCircuit) -> list:
+    """P'_k by conjugate_pauli through the Clifford gates after rotation k."""
+    images = {}
+    for pos, e in enumerate(circ.elements):
+        if isinstance(e, RotationGate):
+            suffix = [g for g in circ.elements[pos + 1:] if isinstance(g, CliffordGate)]
+            seed = PauliString.single(circ.n_qubits, e.axis, e.wire)
+            images[e.param] = conjugate_pauli(suffix, seed)
+    return [images[k] for k in range(len(images))]
+
+
+@pytest.mark.parametrize("kind", ("real", "complex", "general"))
+@pytest.mark.parametrize("n", (3, 65, 130))
+def test_stacked_sweep_equals_one_sweep_per_ansatz(rng, n, kind):
+    if kind == "general":  # a Clifford part that is not the identity
+        base = general_clifford_circuit(rng, n, 8)
+        cands = [base] + [_redress(base, rng) for _ in range(3)]
+    else:
+        cands = [generate_hwe_ansatz(n, 1, s, kind) for s in (3, 4, 5)]
+    ref = random_bitstring(rng, n)
+    stacked = _clifford_sweep(cands, ref)
+    assert len(stacked) == len(cands)
+    for cand, (state, gens) in zip(cands, stacked):
+        [(alone, gens_alone)] = _clifford_sweep([cand], ref)
+        assert tableaus_equal(state, alone)
+        assert tableaus_equal(state, StabilizerTableau(n, ref).apply_circuit(cand.clifford_elements()))
+        for a in ("x", "z", "phase"):
+            assert np.array_equal(getattr(gens, a), getattr(gens_alone, a))
+        assert gens.positions == gens_alone.positions
+        assert gens.paulis == _suffix_images(cand)
+
+
+def test_conjugated_generators_paulis_are_the_packed_rows(rng):
+    circ = general_clifford_circuit(rng, 65, 10)
+    [(_, gens)] = _clifford_sweep([circ], None)
+    assert gens.n_params == 10 and gens.x.shape == (10, 2)
+    assert gens.paulis == [
+        PauliString(65, x, z, int(k)) for x, z, k in zip(gens.x, gens.z, gens.phase)
+    ]
+    assert gens.paulis == _suffix_images(circ)
+    assert gens.paulis is gens.paulis  # built once
+
+
+def test_stacked_sweep_rejects_ansatze_of_different_skeletons():
+    base = generate_hwe_ansatz(4, 1, 1, "complex")
+    # base starts C1(0) C1(1) CZ(0, 1) ... and its first rotation comes later
+    first_rotation = next(i for i, e in enumerate(base.elements) if isinstance(e, RotationGate))
+    rot = base.elements[first_rotation]
+
+    def changed(pos, element):
+        elements = list(base.elements)
+        elements[pos] = element
+        return AnsatzCircuit(4, elements)
+
+    others = [
+        generate_hwe_ansatz(5, 1, 1, "complex"),            # width
+        generate_hwe_ansatz(4, 2, 1, "complex"),            # length
+        changed(0, CliffordGate("H", (2,))),               # single-qubit wire
+        changed(2, CliffordGate("CNOT", (0, 1))),           # two-qubit kind
+        changed(2, CliffordGate("C1", (0,), 1)),            # arity
+        changed(first_rotation, RotationGate("Z" if rot.axis != "Z" else "X", rot.wire, rot.param)),
+    ]
+    for other in others:
+        with pytest.raises(ValueError, match="stacked ansätze differ"):
+            _clifford_sweep([base, other], "0000")
+    with pytest.raises(ValueError, match="stacked ansätze differ at element 2"):
+        _clifford_sweep([changed(2, CliffordGate("C1", (0,), 1)), base], None)
+
+
+@pytest.mark.parametrize("rows", (None, 1, 3 * (12 + 90)))
+@pytest.mark.parametrize("count", (1, 7))
+def test_select_sums_equal_one_sweep_per_candidate(monkeypatch, count, rows):
+    if rows is not None:  # chunks of one candidate, and of three
+        monkeypatch.setattr(circuit, "SWEEP_ROWS", rows)
+    obs = _ising(6)
+    timings = {}
+    best, sums = select_ansatz(count, 6, 2, obs, "010101", 11, "complex", timings=timings)
+    loop, cands = [], []
+    for i in range(count):
+        cands.append(generate_hwe_ansatz(6, 2, candidate_seed(11, i), "complex"))
+        [(state0, gens)] = _clifford_sweep([cands[-1]], "010101")
+        loop.append(float(np.abs(compute_gradient(obs, state0, gens)).sum()))
+    assert sums == loop
+    assert count == 1 or len(set(loop)) > 1
+    winner = loop.index(max(loop))
+    assert best.metadata["candidate_index"] == winner
+    assert best.elements == cands[winner].elements
+    assert set(timings) == {"generate_s", "sweep_s", "gradient_s"}
+    assert all(t >= 0 for t in timings.values())

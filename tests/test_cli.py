@@ -83,6 +83,23 @@ def test_overflowing_merged_coefficient_is_exit_2(tmp_path, toy, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("terms", ["1e308 Z0\n1e308 Z1\n", "1e308 Z0\n1e308 X0\n"],
+                         ids=["sum-overflows", "entries-overflow"])
+def test_overflowing_observable_sum_is_exit_4(tmp_path, capsys, terms):
+    n = 2 if "Z1" in terms else 1
+    ham = tmp_path / "huge.txt"
+    ham.write_text(f"qubits {n}\n{terms}")
+    ans = tmp_path / "ansatz.json"
+    ans.write_text(json.dumps(json.loads(TOY_ANSATZ) | {"n_qubits": n}))
+    out = tmp_path / "r.json"
+    rc = main(["expand", "--hamiltonian", str(ham), "--ansatz", str(ans),
+               "--reference", "0" * n, "--out", str(out)])
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 ROTATION = {"type": "rotation", "axis": "Y", "wire": 0, "param": 0}
 C1 = {"type": "clifford", "kind": "C1", "wires": [0], "index": 3}
 
@@ -366,6 +383,8 @@ def test_select_ansatz_report(tmp_path):
     assert doc["winner_sum_abs_gradient"] == max(sums)
     assert sums[doc["winner_index"]] == max(sums)
     assert out.is_file()
+    assert set(doc["timings"]) == {"generate_s", "sweep_s", "gradient_s"}
+    assert all(t >= 0 for t in doc["timings"].values())
 
 
 def test_bench_csv_schema(tmp_path, capsys):

@@ -95,7 +95,7 @@ def test_generators_of_general_clifford_part_match_conjugate_pauli(rng, n):
     gens = conjugate_generators(circ)
     # select-ansatz sweeps the state and the generators as one row block
     ref = random_bitstring(rng, n)
-    state, joint = _clifford_sweep(circ, ref)
+    [(state, joint)] = _clifford_sweep([circ], ref)
     alone = StabilizerTableau(n, ref).apply_circuit(circ.clifford_elements())
     assert all(np.array_equal(getattr(state, a), getattr(alone, a)) for a in "xzr")
     assert joint.paulis == gens.paulis and joint.positions == gens.positions

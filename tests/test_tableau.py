@@ -114,6 +114,55 @@ def test_conjugate_rows_matches_conjugate_pauli(rng, n):
         assert PauliString(n, x[i], z[i], 2 * int(r[i])) == conjugate_pauli(gates, p)
 
 
+SINGLE_QUBIT_KINDS = [(k, None) for k in ("H", "S", "SDG", "X", "Y", "Z")] + [
+    ("C1", i) for i in range(24)
+]
+
+
+def _every_letter_rows(rng, n: int, wire: int, count: int) -> list:
+    """Hermitian rows, random off `wire`, whose letter on `wire` cycles I, X, Z, Y."""
+    xb, zb = rng.integers(0, 2, (count, n)), rng.integers(0, 2, (count, n))
+    xb[:, wire], zb[:, wire] = np.arange(count) % 2, np.arange(count) // 2 % 2
+    return [PauliString.from_bits(xb[i], zb[i], 2 * int(rng.integers(0, 2))) for i in range(count)]
+
+
+def _packed(rows):
+    x, z = np.array([p.x for p in rows]), np.array([p.z for p in rows])
+    return x, z, np.array([p.phase // 2 for p in rows], dtype=np.uint8)
+
+
+def _unpacked(n, x, z, r) -> list:
+    return [PauliString(n, x[i], z[i], 2 * int(r[i])) for i in range(len(r))]
+
+
+@pytest.mark.parametrize("n", WIDTHS)
+def test_single_qubit_table_matches_conjugate_pauli(rng, n):
+    for wire in (0, n - 1):  # the first word and the last, partial one
+        rows = _every_letter_rows(rng, n, wire, 12)
+        for kind, index in SINGLE_QUBIT_KINDS:
+            gate = CliffordGate(kind, (wire,), index)
+            x, z, r = _packed(rows)
+            conjugate_rows(x, z, r, gate)
+            assert _unpacked(n, x, z, r) == [conjugate_pauli([gate], p) for p in rows], gate
+
+
+@pytest.mark.parametrize("n", WIDTHS)
+def test_single_qubit_table_takes_one_index_per_row(rng, n):
+    wire = n - 1
+    # row i carries letter i % 4 on the wire and goes through C1 entry i // 4
+    rows = _every_letter_rows(rng, n, wire, 96)
+    index = np.arange(96) // 4
+    x, z, r = _packed(rows)
+    conjugate_rows(x, z, r, CliffordGate("C1", (wire,), 0), index)
+    assert _unpacked(n, x, z, r) == [
+        conjugate_pauli([CliffordGate("C1", (wire,), int(i))], p) for i, p in zip(index, rows)
+    ]
+    # all-identity entries leave every row as it was
+    x, z, r = _packed(rows)
+    conjugate_rows(x, z, r, CliffordGate("H", (wire,)), np.zeros(96, dtype=int))
+    assert _unpacked(n, x, z, r) == rows
+
+
 def _input_frame_expectation(gates, bits: str, q: PauliString) -> complex:
     """<b|C† Q C|b> from conjugating Q by C† bit by bit; no tableau involved."""
     n = q.n_qubits
