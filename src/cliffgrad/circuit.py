@@ -29,7 +29,7 @@ from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
-from .errors import CircuitFormatError, WireError
+from .errors import CircuitFormatError, SolveError, WireError
 from .pauli import PauliString, _WORD_BITS, _n_words
 from .tableau import (
     CLIFFORD_1Q_HADAMARD,
@@ -429,7 +429,8 @@ def select_ansatz(
     most SWEEP_ROWS rows (at least one candidate each) are swept as one
     stacked block, and only one chunk is held at a time. A `timings` dict
     receives the seconds spent generating (generate_s), sweeping (sweep_s)
-    and in the gradients (gradient_s).
+    and in the gradients (gradient_s). A gradient entry or a sum |g_l| past
+    the float range is a SolveError.
     """
     from .expansion import compute_gradient
 
@@ -459,7 +460,10 @@ def select_ansatz(
         swept = _clifford_sweep(cands, reference)
         t2 = time.perf_counter()
         for cand, (state0, gens) in zip(cands, swept):
-            s = float(np.abs(compute_gradient(observable, state0, gens)).sum())
+            with np.errstate(over="ignore"):
+                s = float(np.abs(compute_gradient(observable, state0, gens)).sum())
+            if not np.isfinite(s):
+                raise SolveError(f"sum |g| of candidate {len(sums)} overflows the float range")
             sums.append(s)
             if s > best_sum:
                 best, best_sum = cand, s

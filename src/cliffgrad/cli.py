@@ -20,14 +20,15 @@ and writes no output file.
     2  input error: a missing or malformed Hamiltonian, ansatz or result
        file; an output path in a missing directory, or one that is a
        directory; an out-of-range or non-finite flag; a negative --seed; a
-       result whose parameter count differs from the ansatz; a reference
-       bitstring that is not n characters of 0/1 (CircuitFormatError); a
-       Hamiltonian whose width differs from the ansatz or --qubits
-       (DimensionMismatchError)
+       result whose width (counters.n_qubits) or parameter count differs
+       from the ansatz; a reference bitstring that is not n characters of
+       0/1 (CircuitFormatError); a Hamiltonian whose width differs from
+       the ansatz or --qubits (DimensionMismatchError)
     3  reserved; nothing raises it
     4  solve error: the quadratic model's eigensolve failed, its entries
        are not finite, or a sum of observable terms (e0, a gradient or a
-       Hessian entry) overflows the float range (SolveError)
+       Hessian entry, or a select-ansatz candidate's sum |g|) overflows
+       the float range (SolveError)
     5  resource cap: a dense simulation above --cap qubits, or exact
        diagonalization above 14 qubits (ResourceCapError)
 """
@@ -223,16 +224,20 @@ def cmd_expand(args) -> int:
     return EXIT_OK
 
 
-def _load_result(path: str, n_params: int) -> ExpansionResult:
-    """The expansion result at `path`, which must have the ansatz's n_params."""
+def _load_result(path: str, circ: AnsatzCircuit) -> ExpansionResult:
+    """The expansion result at `path`, which must have the ansatz's width and n_params."""
     try:
         doc = json.loads(_read_text(path))
         result = ExpansionResult.from_dict(doc)
     except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
         raise _InputError(f"{path}: invalid result document: {exc}")
-    if result.theta_star.size != n_params:
+    if result.n_qubits != circ.n_qubits:
         raise _InputError(
-            f"{path}: result has {result.theta_star.size} parameters, ansatz has {n_params}"
+            f"{path}: result is on {result.n_qubits} qubits, ansatz on {circ.n_qubits}"
+        )
+    if result.theta_star.size != circ.n_params:
+        raise _InputError(
+            f"{path}: result has {result.theta_star.size} parameters, ansatz has {circ.n_params}"
         )
     return result
 
@@ -240,7 +245,7 @@ def _load_result(path: str, n_params: int) -> ExpansionResult:
 def cmd_verify(args) -> int:
     obs = _load_observable(args.hamiltonian)
     circ = _load_ansatz(args.ansatz)
-    result = _load_result(args.result, circ.n_params)
+    result = _load_result(args.result, circ)
     e_circuit = energy(circ, result.theta_star, args.reference, obs, cap=args.cap)
     payload = {
         "e0": result.e0,
@@ -265,7 +270,7 @@ def cmd_optimize(args) -> int:
     obs = _load_observable(args.hamiltonian)
     circ = _load_ansatz(args.ansatz)
     # a result given with --init zero is not used, but its hash is in the document
-    expansion = _load_result(args.result, circ.n_params) if args.result else None
+    expansion = _load_result(args.result, circ) if args.result else None
     if args.init != "zero" and expansion is None:
         raise _InputError(f"--init {args.init} requires --result")
     trace = optimize_bfgs(

@@ -5,14 +5,17 @@ an ansatz of Clifford gates and single-qubit Pauli rotations, from
 stabilizer-state expectations. One left-to-right sweep conjugates all K
 rotation generators as a block of packed Pauli rows with
 tableau.conjugate_rows, the gate update that also evolves the state.
-The gradient and the Hessian each map the observable terms and the
-generators into the state's input frame once
-(StabilizerTableau.input_frame), where every expectation reads
-[x~ = 0] * i^k~ with no tableau lookup. The gradient reads every
-<O_i P'_k> from one batched row product; the Hessian forms each
-off-diagonal product of the images once. The quadratic model is then
-minimized at its stationary point theta* = -pinv(A) g, giving the
-second-order estimate <O>* of the optimum.
+One frame per expansion (_Frame) maps the observable terms and all K
+generators into the state's input frame with one
+StabilizerTableau.input_frame call, where every expectation reads
+[x~ = 0] * i^k~ with no tableau lookup, and forms every O~_i P~_k with
+one batched row product. e0 reads the term images, the gradient reads
+the products, and the Hessian wraps the kept products and forms each
+off-diagonal product P~_e O~_i P~_l once. compute_gradient and
+compute_hessian build the same frame, so they give expand's values bit
+for bit. The quadratic model is then minimized at its stationary point
+theta* = -pinv(A) g, giving the second-order estimate <O>* of the
+optimum.
 
 Derivative identities (R_k(t) = exp(i t P_k), P'_k the generator conjugated
 through everything applied after it):
@@ -73,40 +76,104 @@ class _ExpectationCache:
         self.hits = 0
 
 
+class _Frame:
+    """The N_o terms and all K generators of one expansion, in the state's input frame.
+
+    One input_frame call maps the term rows O_i and the generator rows P'_k
+    through U† . U, where U|0...0> = |psi> (StabilizerTableau.input_frame),
+    and one mul_rows call forms the (K, N_o) products O~_i P~_k of the
+    images. e0, the gradient and the Hessian all read these rows, so each
+    image and each such product is formed once per expansion. Every
+    expectation of an image is [x~ = 0] * i^k~ (tableau.frame_values).
+    """
+
+    def __init__(self, obs: Observable, state0: StabilizerTableau, gens: ConjugatedGenerators):
+        obs.check_width(state0.n, "state")
+        obs.check_width(gens.n_qubits, "generators")
+        self.obs, self.gens, n_o = obs, gens, obs.n_terms
+        stacked = map(np.concatenate, zip(obs.rows, (gens.x, gens.z, gens.phase)))
+        rows = state0.input_frame(*stacked)
+        # (x~, z~, k~) of the terms O~_i, then of the generators P~_k
+        self.terms, self.generators = [r[:n_o] for r in rows], [r[n_o:] for r in rows]
+        # O~_i P~_k: terms along axis 1, generators along axis 0
+        self.products = mul_rows(*[r[None, :n_o] for r in rows], *[r[n_o:, None] for r in rows])
+
+    @property
+    def e0(self) -> float:
+        """<O> at the Clifford point, from the term images."""
+        return self.obs.frame_expectation(self.terms)
+
+    def gradient(self) -> np.ndarray:
+        """g_k = -2 fsum_i c_i Im <O~_i P~_k>; SolveError for an entry past the float range."""
+        px, _, pp = self.products
+        # zero terms leave each fsum unchanged: it returns +0.0 for an exact zero
+        terms = (frame_values(px, pp).imag * self.obs.coeffs).tolist()
+        g = np.array([-2.0 * exact_sum(row) for row in terms], dtype=float)
+        if not np.isfinite(g).all():
+            raise SolveError("a gradient entry overflows the float range")
+        return g
+
+    def hessian(self, mask: Optional[np.ndarray] = None, e0: Optional[float] = None) -> np.ndarray:
+        """A over the kept parameters (all when mask is None); compute_hessian."""
+        kept = np.nonzero(mask)[0] if mask is not None else np.arange(self.gens.n_params)
+        nk, n = kept.size, self.gens.n_qubits
+        A = np.zeros((nk, nk))
+        coeffs = self.obs.coeffs.tolist()
+        gx, gz, gphase = (r[kept] for r in self.generators)
+        px, pz, pp = (r[kept] for r in self.products)
+        paulis = [PauliString(n, *row) for row in zip(gx, gz, gphase.tolist())]
+        # a[s, i]: kept generator s anticommutes with O_i, exactly when their
+        # product is anti-Hermitian, i.e. has an odd phase
+        a = (pp & 1).tolist()
+        # b[s, t]: kept generator s anticommutes with kept generator t
+        b = (_row_popcount((gx[:, None] & gz) ^ (gz[:, None] & gx)) & 1).tolist()
+        # <O_i>: the terms carry phase 0, so these are the unphased values
+        values = frame_values(self.terms[0], self.terms[2]).tolist()
+        e0 = self.e0 if e0 is None else e0
+        for s in range(nk):
+            diag = exact_sum(
+                c * (PHASES[2 * f] * v).real for c, f, v in zip(coeffs, a[s], values)
+            )
+            A[s, s] = 2.0 * diag - 2.0 * e0
+
+        # Right products O~_i * P~_l, one list per kept generator, wrapped from the product rows.
+        right = [[PauliString(n, *row) for row in zip(*rows)] for rows in zip(px, pz, pp.tolist())]
+        positions = [self.gens.positions[k] for k in kept]
+        for s in range(nk):
+            for t in range(s + 1, nk):
+                # the earlier-in-circuit generator goes left-adjacent to the state
+                e, l = (s, t) if positions[s] <= positions[t] else (t, s)
+                pe, flip = paulis[e], b[e][l]
+                first, second = [], []
+                for c, r, f in zip(coeffs, right[l], a[e]):
+                    q = pauli_mul(pe, r)
+                    # <q> = [x~ = 0] i^k~, whose real part is 0 unless k~ is even
+                    if q.phase % 2 or q.x.any():
+                        continue
+                    v = c if q.phase == 0 else -c
+                    first.append(v)
+                    second.append(-v if f ^ flip else v)
+                A[s, t] = A[t, s] = 2.0 * exact_sum(first) - 2.0 * exact_sum(second)
+        return A
+
+
 def compute_gradient(
     obs: Observable,
     state0: StabilizerTableau,
     gens: ConjugatedGenerators,
     cache: Optional[_ExpectationCache] = None,
 ) -> np.ndarray:
-    """g_k = -2 Im <psi(0)| O P'_k |psi(0)>, in the state's input frame.
+    """g_k = -2 Im <psi(0)| O P'_k |psi(0)>, in the state's input frame (_Frame).
 
-    The N_o terms and the K generators are mapped through U† . U once each
-    (StabilizerTableau.input_frame), read straight from their packed rows
-    (Observable.rows, ConjugatedGenerators.x/z/phase), and one (K, N_o)
-    broadcast product gives every <O_i P'_k> as [x = 0] * i^k
-    (tableau.frame_values). Each term is exactly 0 or ±c_i and math.fsum
-    rounds correctly, so g is the same as summing c_i Im <O_i P'_k> term by
-    term; a sum that overflows is a SolveError (exact_sum). `cache` is
-    accepted and not read, as in compute_hessian; it stays in the signature
-    because the benchmark's traced replay (benchmark/traced.py) passes it
-    positionally.
+    Every <O_i P'_k> is read from the frame's (K, N_o) products as
+    [x = 0] * i^k. Each term is exactly 0 or ±c_i and math.fsum rounds
+    correctly, so g is the same as summing c_i Im <O_i P'_k> term by term.
+    A sum that overflows, or an entry that -2 * sum takes past the float
+    range, is a SolveError. `cache` is accepted and not read, as in
+    compute_hessian; it stays in the signature because the benchmark's
+    traced replay (benchmark/traced.py) passes it positionally.
     """
-    obs.check_width(state0.n, "state")
-    obs.check_width(gens.n_qubits, "generators")
-    n_obs, coeffs = obs.n_terms, obs.coeffs
-    ox, oz, ophase = obs.rows
-    x, z, phase = state0.input_frame(
-        np.vstack([ox, gens.x]), np.vstack([oz, gens.z]), np.concatenate([ophase, gens.phase])
-    )
-    # O_i P'_k: observable terms along axis 1, generators along axis 0
-    px, _, pp = mul_rows(
-        x[None, :n_obs], z[None, :n_obs], phase[None, :n_obs],
-        x[n_obs:, None], z[n_obs:, None], phase[n_obs:, None],
-    )
-    # zero terms leave each fsum unchanged: it returns +0.0 for an exact zero
-    terms = (frame_values(px, pp).imag * coeffs).tolist()
-    return np.array([-2.0 * exact_sum(row) for row in terms], dtype=float)
+    return _Frame(obs, state0, gens).gradient()
 
 
 def apply_dropout(gradient: np.ndarray, threshold: float) -> np.ndarray:
@@ -126,22 +193,21 @@ def compute_hessian(
     cache: Optional[_ExpectationCache] = None,
 ) -> np.ndarray:
     """Hessian restricted to kept parameters, returned as a dense symmetric
-    matrix over the kept index order, in the state's input frame.
+    matrix over the kept index order, in the state's input frame (_Frame).
 
-    The N_o terms and the kept generators are mapped through U† . U by one
-    input_frame call; every product below is of those images, whose
-    expectation is [x~ = 0] * i^k~ (tableau.frame_values). Each unordered
-    pair is evaluated once and mirrored. With e earlier in the circuit than
-    l and R_li = O_i P'_l, the product q = P'_e R_li is formed once
-    (pauli_mul). The first sum reads it at phase k~; the second reads
-    R_li P'_e, which is q with phase k~ + 2 (a_ei ⊕ b_el) (module
-    docstring). The diagonal forms no product: its terms are
-    c_i Re(i^(2 a_ki) <O_i>). a (kept generators × terms) and b (kept ×
-    kept) are one broadcast popcount each, on the images, since
-    conjugation keeps commutation. Every term is c * Re(i^k~ [x~ = 0]),
+    Each unordered pair is evaluated once and mirrored. With e earlier in
+    the circuit than l, R_li = O~_i P~_l is the frame's product row, and
+    q = P~_e R_li is formed once (pauli_mul). The first sum reads it at
+    phase k~; the second reads R_li P~_e, which is q with phase
+    k~ + 2 (a_ei ⊕ b_el) (module docstring). The diagonal forms no
+    product: its terms are c_i Re(i^(2 a_ki) <O_i>). a_ki is the parity of
+    the phase of O~_i P~_k, which is anti-Hermitian exactly when the two
+    anticommute; b (kept × kept) is one broadcast popcount of the images,
+    since conjugation keeps commutation. Every term is c * Re(i^k~ [x~ = 0]),
     summed by math.fsum in term order. A term that is 0 is skipped: fsum
     rounds the exact sum and returns +0.0 for a sum of no terms or of ±0,
     so A is bit-identical to the two-product formula, sign bits included.
+    e0 defaults to <O> read from the same frame.
 
     `jobs` and `cache` are accepted and not read: the pair loop is
     Python-bound, so threads under the GIL only slowed it, and no memo
@@ -149,58 +215,7 @@ def compute_hessian(
     the command line, because the benchmark's traced replay
     (benchmark/traced.py) passes them positionally.
     """
-    K = gens.n_params
-    if mask is None:
-        mask = np.ones(K, dtype=bool)
-    kept = np.nonzero(mask)[0].tolist()
-    nk = len(kept)
-    A = np.zeros((nk, nk))
-    obs.check_width(state0.n, "state")
-    obs.check_width(gens.n_qubits, "generators")
-    n, n_obs = state0.n, obs.n_terms
-    coeffs = obs.coeffs.tolist()
-    # terms O~_i in rows 0..N_o-1, then the kept generators G~_s
-    ox, oz, ophase = obs.rows
-    x, z, phase = state0.input_frame(
-        np.vstack([ox, gens.x[kept]]),
-        np.vstack([oz, gens.z[kept]]),
-        np.concatenate([ophase, gens.phase[kept]]),
-    )
-    frame = [PauliString(n, *row) for row in zip(x, z, phase.tolist())]
-    terms, paulis = frame[:n_obs], frame[n_obs:]
-    ox, oz, gx, gz = x[:n_obs], z[:n_obs], x[n_obs:], z[n_obs:]
-    # a[s, i]: kept generator s anticommutes with O_i; b[s, t]: with kept generator t
-    a = (_row_popcount((gx[:, None] & oz) ^ (gz[:, None] & ox)) & 1).tolist()
-    b = (_row_popcount((gx[:, None] & gz) ^ (gz[:, None] & gx)) & 1).tolist()
-    # <O_i>: the terms carry phase 0, so these are the unphased values
-    values = frame_values(ox, phase[:n_obs]).tolist()
-    if e0 is None:
-        e0 = exact_sum(c * v.real for c, v in zip(coeffs, values))
-    for s in range(nk):
-        diag = exact_sum(
-            c * (PHASES[2 * f] * v).real for c, f, v in zip(coeffs, a[s], values)
-        )
-        A[s, s] = 2.0 * diag - 2.0 * e0
-
-    # Right products O~_i * G~_l, one list per kept generator.
-    right = [[pauli_mul(o, g) for o in terms] for g in paulis]
-    positions = [gens.positions[k] for k in kept]
-    for s in range(nk):
-        for t in range(s + 1, nk):
-            # the earlier-in-circuit generator goes left-adjacent to the state
-            e, l = (s, t) if positions[s] <= positions[t] else (t, s)
-            pe, flip = paulis[e], b[e][l]
-            first, second = [], []
-            for c, r, f in zip(coeffs, right[l], a[e]):
-                q = pauli_mul(pe, r)
-                # <q> = [x~ = 0] i^k~, whose real part is 0 unless k~ is even
-                if q.phase % 2 or q.x.any():
-                    continue
-                v = c if q.phase == 0 else -c
-                first.append(v)
-                second.append(-v if f ^ flip else v)
-            A[s, t] = A[t, s] = 2.0 * exact_sum(first) - 2.0 * exact_sum(second)
-    return A
+    return _Frame(obs, state0, gens).hessian(mask, e0)
 
 
 def solve_quadratic(
@@ -397,10 +412,11 @@ def expand(
     rtol: float = 1e-10,
     stable_subspace: bool = False,
 ) -> ExpansionResult:
-    """Full pipeline: state -> generators -> g -> dropout -> A -> theta*.
+    """Full pipeline: state -> generators -> frame (e0, g) -> dropout -> A -> theta*.
 
-    Every expectation is read in the input frame and no memo cache is looked
-    up, so the two cache counters are always 0; they stay in `counters`
+    One _Frame serves e0, the gradient and the Hessian. Every expectation is
+    read in the input frame and no memo cache is looked up, so the two
+    cache counters are always 0; they stay in `counters`
     because the benchmark's traced replay compares the whole dict. Raises
     DimensionMismatchError when the observable and the ansatz differ in
     width, and CircuitFormatError for a malformed reference.
@@ -408,15 +424,16 @@ def expand(
     observable.check_width(ansatz.n_qubits)
     t0 = time.perf_counter()
     state0 = ansatz.clifford_point_state(reference)
-    e0 = observable.expectation_at_clifford_point(state0)
     t1 = time.perf_counter()
     gens = conjugate_generators(ansatz)
     t2 = time.perf_counter()
-    gradient = compute_gradient(observable, state0, gens)
+    frame = _Frame(observable, state0, gens)
+    e0 = frame.e0
+    gradient = frame.gradient()
     t3 = time.perf_counter()
     mask = apply_dropout(gradient, threshold)
     t4 = time.perf_counter()
-    hessian = compute_hessian(observable, state0, gens, mask, e0)
+    hessian = frame.hessian(mask, e0)
     t5 = time.perf_counter()
     theta_star, optimum, rank, model = _solve(
         e0, gradient, hessian, mask, rtol, stable_subspace

@@ -79,7 +79,12 @@ class Observable:
     def expectation_at_clifford_point(self, state: StabilizerTableau) -> float:
         """sum_i c_i <psi|P_i|psi> on a stabilizer state; exact, real."""
         self.check_width(state.n, "state")
-        x, _, k = state.input_frame(*self.rows)
+        return self.frame_expectation(state.input_frame(*self.rows))
+
+    def frame_expectation(self, images) -> float:
+        """sum_i c_i <O~_i> from the terms' input-frame images, the (x~, z~, k~)
+        rows that StabilizerTableau.input_frame returns; exact, real."""
+        x, _, k = images
         # Hermitian phase-free terms give real expectations; compensated sum.
         return exact_sum(c * v for (c, _), v in zip(self.terms, frame_values(x, k).real.tolist()))
 

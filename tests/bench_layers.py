@@ -29,6 +29,9 @@ compute_hessian is timed on two instances, three rounds each: the shipped
 8-site chain with a real depth-4 ansatz and no dropout (K = 72), and a
 66-qubit dimerized chain (staggered Z fields, XX on every other bond; two
 packed words) with a real depth-1 ansatz at dropout 1e-6 (64 of 198 kept).
+expansion_frame times the stage that e0, the gradient and the Hessian
+share on the same two instances: one input_frame call over the terms and
+all K generators, and the (K, N_o) mul_rows product, without the pair loop.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ import pytest
 from cliffgrad import dense
 from cliffgrad.circuit import generate_hwe_ansatz, select_ansatz
 from cliffgrad.expansion import (
+    _Frame,
     apply_dropout,
     compute_gradient,
     compute_hessian,
@@ -180,3 +184,11 @@ def test_compute_hessian(benchmark, name):
     gens = conjugate_generators(circ)
     mask = apply_dropout(compute_gradient(obs, state0, gens), threshold)
     benchmark.pedantic(compute_hessian, (obs, state0, gens, mask), rounds=3, iterations=1)
+
+
+@pytest.mark.parametrize("name", ("chain8", "wide66"))
+def test_expansion_frame(benchmark, name):
+    obs, circ, reference, _ = _hessian_instance(name)
+    state0 = circ.clifford_point_state(reference)
+    gens = conjugate_generators(circ)
+    benchmark(_Frame, obs, state0, gens)

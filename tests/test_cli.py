@@ -100,6 +100,23 @@ def test_overflowing_observable_sum_is_exit_4(tmp_path, capsys, terms):
     assert not out.exists()
 
 
+# -2 * (1e308 + 0) overflows a gradient entry; with 6e307 every entry is
+# finite and only the candidate's sum |g| overflows
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("coeff", ["1e308", "6e307"], ids=["entry-overflows", "sum-overflows"])
+def test_overflowing_select_gradient_is_exit_4(tmp_path, capsys, coeff):
+    ham = tmp_path / "huge.txt"
+    ham.write_text(f"qubits 2\n{coeff} X0\n{coeff} X1\n")
+    ansatz, report = tmp_path / "a.json", tmp_path / "report.json"
+    rc = main(["select-ansatz", "--hamiltonian", str(ham), "--qubits", "2", "--depth", "1",
+               "--variant", "real", "--count", "3", "--reference", "00",
+               "--out", str(ansatz), "--report-out", str(report)])
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not ansatz.exists() and not report.exists()
+
+
 ROTATION = {"type": "rotation", "axis": "Y", "wire": 0, "param": 0}
 C1 = {"type": "clifford", "kind": "C1", "wires": [0], "index": 3}
 
@@ -264,6 +281,26 @@ def test_optimize_rejects_mismatched_result(tmp_path, toy, capsys, init):
                "--reference", "0", "--result", str(res), "--init", init])
     assert rc == 2
     assert "result has 2 parameters, ansatz has 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ("verify", "optimize"))
+def test_result_of_another_width_is_exit_2(tmp_path, capsys, command):
+    # a 6-qubit depth-1 and a 2-qubit depth-4 real ansatz both have K = 18
+    files = {}
+    for n, depth in ((6, 1), (2, 4)):
+        ham, ans = tmp_path / f"ham{n}.txt", tmp_path / f"ansatz{n}.json"
+        ham.write_text(f"qubits {n}\n" + "".join(f"0.5 X{q}\n-1.0 Z{q}\n" for q in range(n)))
+        assert main(["gen-ansatz", "--qubits", str(n), "--depth", str(depth),
+                     "--variant", "real", "--out", str(ans)]) == 0
+        files[n] = ["--hamiltonian", str(ham), "--ansatz", str(ans), "--reference", "0" * n]
+    res = tmp_path / "result2.json"
+    assert main(["expand", *files[2], "--out", str(res)]) == 0
+    capsys.readouterr()
+    extra = ["--init", "pert-hessian"] if command == "optimize" else []
+    rc = main([command, *files[6], "--result", str(res), *extra])
+    assert rc == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "result is on 2 qubits, ansatz on 6" in err
 
 
 @pytest.mark.parametrize(

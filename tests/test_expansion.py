@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cliffgrad import circuit
+from cliffgrad import circuit, expansion
 from cliffgrad.circuit import (
     AnsatzCircuit,
     RotationGate,
@@ -343,7 +343,8 @@ def test_hessian_matches_two_product_formula_on_general_clifford_part(rng, n):
             for e in general_clifford_circuit(rng, n, 10).elements
         ]
         circ = AnsatzCircuit(n, elements + random_clifford_gates(rng, n, 2 * n))
-        state0 = circ.clifford_point_state(random_bitstring(rng, n))
+        ref = random_bitstring(rng, n)
+        state0 = circ.clifford_point_state(ref)
         gens = conjugate_generators(circ)
         # signed generators on a state that is not a basis state
         if not (any(p.phase == 2 for p in gens.paulis)
@@ -365,6 +366,12 @@ def test_hessian_matches_two_product_formula_on_general_clifford_part(rng, n):
             A = assert_hessian_is_two_product_formula(obs, state0, circ, mask)
             if mask.all():
                 off_diagonal_nonzeros += np.count_nonzero(A - np.diag(np.diag(A)))
+        # expand and the stage functions the traced replay calls agree bit for bit
+        res = expand(circ, obs, ref, threshold=0.0)
+        e0 = obs.expectation_at_clifford_point(state0)
+        assert_bit_identical(np.array(res.e0), np.array(e0))
+        assert_bit_identical(res.gradient, compute_gradient(obs, state0, gens))
+        assert_bit_identical(res.hessian_kept, compute_hessian(obs, state0, gens, None, e0))
     assert off_diagonal_nonzeros > 0
 
 
@@ -395,6 +402,28 @@ def test_hessian_makes_no_tableau_lookup(monkeypatch):
     monkeypatch.setattr(StabilizerTableau, "expectation", lookup)
     after = expand(circ, obs, "01010101", threshold=0.0)
     assert np.array_equal(after.hessian_kept, before.hessian_kept)
+
+
+def test_expand_maps_into_the_input_frame_once(monkeypatch):
+    obs = parse_observable(CHAIN8.read_text())
+    circ = generate_hwe_ansatz(8, 1, 1, "real")
+    calls = {"input_frame": 0, "pauli_mul": 0}
+
+    def counted(name, fn):
+        def call(*args):
+            calls[name] += 1
+            return fn(*args)
+        return call
+
+    monkeypatch.setattr(
+        StabilizerTableau, "input_frame", counted("input_frame", StabilizerTableau.input_frame)
+    )
+    monkeypatch.setattr(expansion, "pauli_mul", counted("pauli_mul", pauli_mul))
+    res = expand(circ, obs, "01010101", threshold=0.0)
+    k, n_o = res.counters["K_kept"], res.counters["N_o"]
+    assert k == circ.n_params >= 2
+    # one map for e0, g and A; one product per off-diagonal pair and term
+    assert calls == {"input_frame": 1, "pauli_mul": k * (k - 1) // 2 * n_o}
 
 
 def test_apply_dropout():
