@@ -28,7 +28,8 @@ and writes no output file.
     4  solve error: the quadratic model's eigensolve failed, its entries
        are not finite, or a sum of observable terms (e0, a gradient or a
        Hessian entry, or a select-ansatz candidate's sum |g|) overflows
-       the float range (SolveError)
+       the float range; or ARPACK failed to converge on the exact ground
+       energy of verify --exact-ground (SolveError)
     5  resource cap: a dense simulation above --cap qubits, or exact
        diagonalization above 14 qubits (ResourceCapError)
 """

@@ -5,20 +5,34 @@ ansatz at arbitrary parameters, finite-difference derivative oracles,
 exact diagonalization of small observables, and the BFGS warm-start
 experiment (zero vs theta* vs theta* + initial Hessian).
 
-An ansatz is compiled once into an op list (each Clifford gate's matrix and
-each rotation's Pauli action). Forward sweeps over it simulate batches of
-parameter vectors; the finite-difference gradient and Hessian stay as the
-oracles the tests compare against.
+Every Pauli action is compiled once into a gather table: P psi =
+psi[idx] * phase, with idx[c] = c XOR x and the phases already permuted.
+_actions builds the tables of a whole set of packed rows in one
+vectorised call: the observable's terms, the conjugated generators, or
+the single-qubit rotations of an op list.
 
-BFGS sweeps the ansatz in Pauli-rotation normal form instead. Moving each
-rotation left through the Clifford gates after it rewrites the circuit as
+An ansatz is compiled once into an op list (each Clifford gate's matrix and
+each rotation's gather table). Forward sweeps over it simulate batches of
+parameter vectors. The gate-by-gate op list stays the oracle: simulate,
+energy and the finite-difference gradient and Hessian sweep it, and the
+tests compare against them.
+
+BFGS sweeps the ansatz in Pauli-rotation normal form instead, over the
+generators' gather tables. Moving each rotation left through the Clifford
+gates after it rewrites the circuit as
 U(theta) = R(theta_K, P'_K)...R(theta_1, P'_1) C_total, with the conjugated
 generators P'_k (signs included) that expansion.conjugate_generators
-returns. C_total|reference> is computed once, and each exact gradient is
-one forward and one backward (adjoint) sweep over the K rotations alone,
-with no gate matrices. The normal form is built from the stabilizer
-engine's generators, so it cannot check them: the gate-by-gate op list
-stays the oracle behind simulate, energy and the finite differences.
+returns. C_total|reference> is computed
+once, and each exact gradient is one forward and one backward (adjoint)
+sweep over the K rotations alone, with no gate matrices. The observable's
+term images are gathered as stacked blocks of at most _GATHER_ELEMENTS
+amplitudes, but the energy still sums term by term and O psi accumulates in
+term order, so every value is bit-identical to a sweep that applies one
+term at a time. The normal form is built from the stabilizer engine's
+generators, so it cannot check them.
+
+exact_ground_energy builds the observable's CSR matrix from the same
+tables, one CSR per block of terms under the same budget.
 
 Rotation convention matches the expansion: R(theta) = exp(i theta P)
 = cos(theta) I + i sin(theta) P.
@@ -36,10 +50,10 @@ from typing import List, NamedTuple, Optional, Tuple
 import numpy as np
 
 from .circuit import AnsatzCircuit, RotationGate
-from .errors import ResourceCapError
+from .errors import ResourceCapError, SolveError
 from .expansion import ExpansionResult, conjugate_generators
 from .observable import Observable
-from .pauli import PHASES, PauliString, _bits
+from .pauli import PHASES, PauliString, _bits, _row_popcount, stack_rows
 from .tableau import CLIFFORD_1Q_WORDS, CliffordGate, check_reference
 
 DEFAULT_QUBIT_CAP = 20
@@ -119,27 +133,24 @@ def basis_state(
     return amps
 
 
-def _pauli_action(n: int, p: PauliString) -> Tuple[np.ndarray, np.ndarray]:
-    """Permutation and per-source phases such that P|b> = phase[b] |perm[b]>."""
-    idx = np.arange(2**n)
+def _actions(x: np.ndarray, z: np.ndarray, phase: np.ndarray, n: int) -> Tuple[np.ndarray, ...]:
+    """Gather tables of M packed Pauli rows: P_m psi = psi[..., idx[m]] * phase[m].
+
+    Both tables are (M, 2^n): idx[m, c] = c XOR x_m, and phase[m, c] is the
+    phase P_m gives the basis state |idx[m, c]> on its way to |c>.
+    """
     # qubit 0 is the most significant bit of a basis index
-    xmask, zmask = _bits(np.stack([p.x, p.z]), n).astype(np.int64) @ (1 << np.arange(n)[::-1])
-    perm = idx ^ xmask
-    # P|b> = i^(phase + n_Y) (-1)^|b ∧ z| |b ⊕ x>, since Y = i XZ
-    zsign = 1 - 2 * (np.bitwise_count(idx & zmask) % 2).astype(np.int64)
-    phase = PHASES[(p.phase + p.n_y()) % 4] * zsign
-    return perm, phase.astype(complex)
-
-
-def _apply_action(states: np.ndarray, perm: np.ndarray, phase: np.ndarray) -> np.ndarray:
-    out = np.empty_like(states)
-    out[:, perm] = states * phase
-    return out
+    xmask, zmask = _bits(np.stack([x, z]), n).astype(np.int64) @ (1 << np.arange(n)[::-1])
+    idx = np.arange(2**n) ^ xmask[:, None]
+    # P|b> = i^(phase + n_Y) (-1)^|b ∧ z| |b ⊕ x>, since Y = i XZ; read at b = idx
+    signed = np.array(PHASES)[(phase + _row_popcount(x & z)) % 4][:, None] * np.array([1, -1])
+    odd = np.bitwise_count(idx & zmask[:, None]) % 2 == 1
+    return idx, np.where(odd, signed[:, 1:], signed[:, :1])
 
 
 class _Rotation(NamedTuple):
     param: int
-    perm: np.ndarray
+    idx: np.ndarray
     phase: np.ndarray
 
 
@@ -158,14 +169,13 @@ def _op_list(ansatz: AnsatzCircuit, cap: int) -> list:
     """The ansatz in time order as _Rotation / _Gate ops, each built once."""
     n = ansatz.n_qubits
     _check_cap(n, cap)
-    ops = []
-    for e in ansatz.elements:
-        if isinstance(e, RotationGate):
-            p = PauliString.single(n, e.axis, e.wire)
-            ops.append(_Rotation(e.param, *_pauli_action(n, p)))
-        else:
-            ops.append(_gate(e))
-    return ops
+    rotations = [e for e in ansatz.elements if isinstance(e, RotationGate)]
+    rows = stack_rows([PauliString.single(n, e.axis, e.wire) for e in rotations], n)
+    tables = zip(*_actions(*rows, n))
+    return [
+        _Rotation(e.param, *next(tables)) if isinstance(e, RotationGate) else _gate(e)
+        for e in ansatz.elements
+    ]
 
 
 def _normal_form(ansatz: AnsatzCircuit, reference: str, cap: int) -> Tuple[list, np.ndarray]:
@@ -178,54 +188,79 @@ def _normal_form(ansatz: AnsatzCircuit, reference: str, cap: int) -> Tuple[list,
     basis = basis_state(reference, n, cap=cap)
     gens = conjugate_generators(ansatz)
     order = sorted(range(gens.n_params), key=gens.positions.__getitem__)
-    rotations = [_Rotation(k, *_pauli_action(n, gens.paulis[k])) for k in order]
+    idx, phase = _actions(gens.x[order], gens.z[order], gens.phase[order], n)
+    rotations = [_Rotation(*op) for op in zip(order, idx, phase)]
     gates = [_gate(e) for e in ansatz.clifford_elements()]
-    return rotations, _forward(gates, basis, np.empty((1, 0)), n)
+    no_theta = np.empty((1, 0))
+    return rotations, _forward(gates, basis, no_theta, no_theta, n)
 
 
-def _forward(ops: list, amps: np.ndarray, thetas: np.ndarray, n: int) -> np.ndarray:
+def _forward(ops: list, amps: np.ndarray, cos: np.ndarray, sin: np.ndarray, n: int) -> np.ndarray:
+    """Sweep (B, 2^n) states through ops; cos and sin are (B, K), of every theta."""
+    isin = 1j * sin
     for op in ops:
         if isinstance(op, _Rotation):
-            t = thetas[:, op.param]
-            amps = np.cos(t)[:, None] * amps + (1j * np.sin(t))[:, None] * _apply_action(
-                amps, op.perm, op.phase
-            )
+            k = op.param
+            p_amps = amps.take(op.idx, axis=1) * op.phase
+            amps = cos[:, k, None] * amps + isin[:, k, None] * p_amps
         else:
             amps = _apply_matrix(amps, op.u, op.wires, n)
     return amps
 
 
-def _observable_actions(observable: Observable) -> list:
-    n = observable.n_qubits
-    return [(c, *_pauli_action(n, p)) for c, p in observable.terms]
+# Most complex amplitudes one gathered block of term images may hold; the
+# terms are gathered a block at a time so memory stays bounded at the cap.
+_GATHER_ELEMENTS = 1 << 22
+
+
+def _observable_actions(observable: Observable) -> Tuple[np.ndarray, ...]:
+    """(coeffs, idx, phase): the coefficients and the terms' gather tables."""
+    return (observable.coeffs, *_actions(*observable.rows, observable.n_qubits))
+
+
+def _term_blocks(states: np.ndarray, terms: Tuple[np.ndarray, ...]):
+    """(coeffs, images, energies) per block of terms, in term order:
+    images[:, t] is P_t states and energies[:, t] the real <states|P_t|states>,
+    for at most _GATHER_ELEMENTS amplitudes of images (and at least one term)."""
+    coeffs, idx, phase = terms
+    step = max(1, _GATHER_ELEMENTS // states.size)
+    bra = states.conj()
+    for b in (slice(lo, lo + step) for lo in range(0, coeffs.size, step)):
+        block = states.take(idx[b], axis=1) * phase[b]
+        # one einsum sums each term's products in the same order as one per term
+        yield coeffs[b], block, np.einsum("bi,bti->bt", bra, block).real
 
 
 def _energy_and_gradient(
-    ops: list, terms: list, reference: np.ndarray, theta: np.ndarray, n: int
+    ops: list, terms: tuple, reference: np.ndarray, theta: np.ndarray, n: int
 ) -> Tuple[float, np.ndarray]:
     """Energy and its exact gradient by adjoint differentiation.
 
     One forward sweep gives psi and lambda = O psi. The backward sweep undoes
     each op on the stacked pair (phi, lambda); at rotation k, where
     d phi / d theta_k = i P_k phi, it reads g_k = -2 Im <lambda|P_k|phi>
-    (Jones & Gacon, arXiv:2009.02823). `reference` is the (1, 2^n) input state.
+    (Jones & Gacon, arXiv:2009.02823). `reference` is the (1, 2^n) input
+    state. cos and sin of theta are taken once per sweep.
     """
-    psi = _forward(ops, reference, theta[None, :], n)
+    cos, sin = np.cos(theta), np.sin(theta)
+    psi = _forward(ops, reference, cos[None], sin[None], n)
     # the energy sums term by term as energies_batch does, so it equals energy()
-    value = 0.0
-    lam = np.zeros_like(psi)
-    for c, perm, phase in terms:
-        p_psi = _apply_action(psi, perm, phase)
-        value += c * np.einsum("bi,bi->b", psi.conj(), p_psi).real[0]
-        lam += c * p_psi
+    value, lam = 0.0, np.zeros_like(psi)
+    for coeffs, images, energies in _term_blocks(psi, terms):
+        for c, e in zip(coeffs, energies[0]):
+            value += c * e
+        for weighted in (images * coeffs[:, None]).transpose(1, 0, 2):
+            lam += weighted
     grad = np.zeros(theta.size)
     states = np.vstack([psi, lam])
     for op in reversed(ops):
         if isinstance(op, _Rotation):
-            p_states = _apply_action(states, op.perm, op.phase)
-            grad[op.param] -= 2.0 * np.vdot(states[1], p_states[0]).imag
-            t = theta[op.param]
-            states = np.cos(t) * states - 1j * np.sin(t) * p_states
+            k = op.param
+            # take keeps the rows C-contiguous; a strided row would send vdot
+            # down another BLAS path and change the gradient's last bits
+            p_states = states.take(op.idx, axis=1) * op.phase
+            grad[k] -= 2.0 * np.vdot(states[1], p_states[0]).imag
+            states = cos[k] * states - 1j * sin[k] * p_states
         else:
             states = _apply_matrix(states, op.u_dag, op.wires, n)
     return float(value), grad
@@ -254,7 +289,7 @@ def simulate_batch(
             f"theta has {thetas.shape[1]} entries, ansatz has {ansatz.n_params} parameters"
         )
     amps = basis_state(reference, ansatz.n_qubits, thetas.shape[0], cap)
-    return _forward(_op_list(ansatz, cap), amps, thetas, ansatz.n_qubits)
+    return _forward(_op_list(ansatz, cap), amps, np.cos(thetas), np.sin(thetas), ansatz.n_qubits)
 
 
 def energy(
@@ -281,8 +316,9 @@ def energies_batch(
     observable.check_width(ansatz.n_qubits)
     amps = simulate_batch(ansatz, thetas, reference, cap)
     vals = np.zeros(amps.shape[0])
-    for c, perm, phase in _observable_actions(observable):
-        vals += c * np.einsum("bi,bi->b", amps.conj(), _apply_action(amps, perm, phase)).real
+    for coeffs, _, energies in _term_blocks(amps, _observable_actions(observable)):
+        for c, e in zip(coeffs, energies.T):
+            vals += c * e
     return vals
 
 
@@ -353,34 +389,43 @@ def finite_diff_hessian(
 # ---------------------------------------------------------------------------
 
 
-def _pauli_sparse(n: int, p: PauliString):
-    import scipy.sparse
-
-    perm, phase = _pauli_action(n, p)
-    dim = 2**n
-    return scipy.sparse.csr_matrix((phase, (perm, np.arange(dim))), shape=(dim, dim))
-
-
 def exact_ground_energy(observable: Observable, cap: int = 14) -> float:
-    """Minimum eigenvalue of the observable matrix (n <= cap)."""
+    """Minimum eigenvalue of the observable matrix (n <= cap).
+
+    H is built from the terms' gather tables as one CSR matrix per block of
+    at most _GATHER_ELEMENTS table entries (one block up to 1024 terms at
+    n = 12), row c holding c_i phase_i[c] at column idx_i[c] for every term
+    i of the block. Raises SolveError when ARPACK fails (n > 6).
+    """
     n = observable.n_qubits
     if n > cap:
         raise ResourceCapError(f"exact diagonalization refused for n={n} > {cap}")
-    H = None
-    for c, p in observable.terms:
-        m = c * _pauli_sparse(n, p)
-        H = m if H is None else H + m
-    if H is None:
+    if observable.n_terms == 0:
         return 0.0
-    if n <= 6:
-        return float(np.linalg.eigvalsh(H.toarray()).min())
+    import scipy.sparse
     import scipy.sparse.linalg
 
+    (x, z, p), coeffs, dim = observable.rows, observable.coeffs, 2**n
+    step = max(1, _GATHER_ELEMENTS // dim)
+    H = None
+    for b in (slice(lo, lo + step) for lo in range(0, coeffs.size, step)):
+        idx, phase = _actions(x[b], z[b], p[b], n)
+        data, m = (coeffs[b, None] * phase).T.ravel(), idx.shape[0]
+        block = scipy.sparse.csr_matrix(
+            (data, idx.T.ravel(), np.arange(0, dim * m + 1, m)), (dim, dim)
+        )
+        H = block if H is None else H + block
+    H.sum_duplicates()
+    if n <= 6:
+        return float(np.linalg.eigvalsh(H.toarray()).min())
     # A seeded start vector makes the value reproducible; ARPACK's own is
     # random. An all-ones vector would not do: it is invariant under every
     # basis permutation, so orthogonal to ground states odd under one.
-    v0 = np.random.default_rng(0).standard_normal(H.shape[0])
-    vals = scipy.sparse.linalg.eigsh(H, k=1, which="SA", v0=v0, return_eigenvectors=False)
+    v0 = np.random.default_rng(0).standard_normal(dim)
+    try:
+        vals = scipy.sparse.linalg.eigsh(H, k=1, which="SA", v0=v0, return_eigenvectors=False)
+    except scipy.sparse.linalg.ArpackError as exc:
+        raise SolveError(f"exact ground energy: ARPACK failed: {exc}") from exc
     return float(vals[0])
 
 

@@ -23,7 +23,14 @@ rounds each: generation, the stacked Clifford sweep and the gradients.
 The dense simulator's gates are timed as one energy-and-gradient sweep (one
 forward and one backward pass) at n = 8 and 12 on a real depth-2 ansatz and
 a chain Hamiltonian, over the gate-by-gate op list and over the
-Pauli-rotation normal form that BFGS uses.
+Pauli-rotation normal form that BFGS uses, each with the compiled gather
+tables of its rotations and of the observable's terms. exact_ground_energy
+is timed on the same chain Hamiltonians at n = 8 (ARPACK on the one CSR
+matrix of the 21 terms) and n = 12 (33 terms), table building included.
+
+conftest.py pins the BLAS and OpenMP pools to one thread before numpy loads,
+as benchmark/run.py does, so the timings measure the kernels and not thread
+hand-off.
 
 compute_hessian is timed on two instances, three rounds each: the shipped
 8-site chain with a real depth-4 ansatz and no dropout (K = 72), and a
@@ -164,6 +171,12 @@ def test_energy_and_gradient(benchmark, n, form):
     actions = dense._observable_actions(obs)
     theta = np.random.default_rng(n).uniform(-np.pi, np.pi, circ.n_params)
     benchmark(dense._energy_and_gradient, ops, actions, start, theta, n)
+
+
+@pytest.mark.parametrize("n", (8, 12))
+def test_exact_ground_energy(benchmark, n):
+    terms = {f"{a}{q} {a}{q + 1}": 1.0 for q in range(n - 1) for a in "XYZ"}
+    benchmark(dense.exact_ground_energy, Observable.from_strings(n, terms))
 
 
 def _hessian_instance(name: str):

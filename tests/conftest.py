@@ -2,14 +2,23 @@
 
 from __future__ import annotations
 
-import numpy as np
-import pytest
+import os
 
-from cliffgrad.circuit import AnsatzCircuit, RotationGate, generate_hwe_ansatz
-from cliffgrad.dense import _apply_matrix, gate_matrix
-from cliffgrad.observable import Observable
-from cliffgrad.pauli import PauliString
-from cliffgrad.tableau import CliffordGate
+# Pin the BLAS/OpenMP pools before numpy loads, as benchmark/run.py does:
+# pytest imports this file before any test module, so a pin in a test module
+# would come too late. On a shared 2-core machine a threaded pool makes the
+# layer timings of bench_layers.py measure thread hand-off, not the kernels.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from cliffgrad.circuit import AnsatzCircuit, RotationGate, generate_hwe_ansatz  # noqa: E402
+from cliffgrad.dense import _apply_matrix, gate_matrix  # noqa: E402
+from cliffgrad.observable import Observable  # noqa: E402
+from cliffgrad.pauli import PauliString  # noqa: E402
+from cliffgrad.tableau import CliffordGate  # noqa: E402
 
 GATE_KINDS = ["H", "S", "SDG", "X", "Y", "Z", "CNOT", "CZ", "SWAP", "C1"]
 

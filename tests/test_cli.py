@@ -573,6 +573,31 @@ def test_verify_exact_ground_is_reproducible(tmp_path):
     assert values[0] == values[1]
 
 
+def test_verify_arpack_failure_is_exit_4(tmp_path, capsys, monkeypatch):
+    import scipy.sparse.linalg
+
+    ans = tmp_path / "ansatz.json"
+    res = tmp_path / "result.json"
+    assert main(["gen-ansatz", "--qubits", "8", "--depth", "1", "--variant", "real",
+                 "--out", str(ans)]) == 0
+    assert main(["expand", "--hamiltonian", str(CHAIN8), "--ansatz", str(ans),
+                 "--reference", "01010101", "--out", str(res)]) == 0
+    capsys.readouterr()
+
+    def no_convergence(*args, **kwargs):
+        raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", np.zeros(0), np.zeros(0))
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
+    out = tmp_path / "verify.json"
+    rc = main(["verify", "--hamiltonian", str(CHAIN8), "--ansatz", str(ans),
+               "--reference", "01010101", "--result", str(res), "--exact-ground",
+               "--out", str(out)])
+    stdout, err = capsys.readouterr()
+    assert rc == 4
+    assert stdout == "" and err.startswith("error: ") and len(err.splitlines()) == 1
+    assert not out.exists()
+
+
 def test_importing_the_cli_loads_no_scipy():
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     code = "import sys, cliffgrad.cli; print([m for m in sys.modules if m.startswith('scipy')])"

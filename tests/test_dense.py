@@ -1,4 +1,5 @@
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,9 +17,10 @@ from cliffgrad.dense import (
     simulate,
     warm_start_hess_inv,
 )
-from cliffgrad.errors import ResourceCapError
-from cliffgrad.expansion import expand
+from cliffgrad.errors import ResourceCapError, SolveError
+from cliffgrad.expansion import conjugate_generators, expand
 from cliffgrad.observable import Observable, parse_observable
+from cliffgrad.pauli import PHASES, PauliString
 from cliffgrad.tableau import StabilizerTableau
 
 from conftest import (
@@ -27,6 +29,9 @@ from conftest import (
     random_clifford_gates,
     random_observable,
 )
+
+DATA = Path(__file__).resolve().parents[1] / "data"
+CHAIN8, CHAIN10 = DATA / "chain8.txt", DATA / "chain10.txt"
 
 
 def ry_circuit():
@@ -110,6 +115,37 @@ def test_exact_ground_energy_sparse_path():
     terms = {f"Z{q} Z{q+1}": -1.0 for q in range(7)}
     obs = Observable.from_strings(8, terms)
     assert exact_ground_energy(obs) == pytest.approx(-7.0)
+
+
+@pytest.mark.parametrize("budget", (None, 5))
+@pytest.mark.parametrize("path", (CHAIN8, CHAIN10))
+def test_exact_ground_energy_arpack_matches_dense_spectrum(monkeypatch, path, budget):
+    # the shipped chains have XX and YY terms, so H has off-diagonal entries;
+    # budget 5 (in states) builds H from blocks of five terms
+    obs = parse_observable(path.read_text())
+    assert obs.n_qubits > 6
+    if budget is not None:
+        monkeypatch.setattr(dense, "_GATHER_ELEMENTS", budget * 2**obs.n_qubits)
+    want = np.linalg.eigvalsh(obs.to_matrix()).min()
+    assert abs(exact_ground_energy(obs) - want) <= 1e-10
+
+
+@pytest.mark.parametrize("n", (3, 8))
+def test_exact_ground_energy_of_constant_and_empty_observables(n):
+    # n = 3 takes the dense eigensolve, n = 8 ARPACK
+    assert exact_ground_energy(Observable.from_strings(n, {"": 2.5})) == pytest.approx(2.5)
+    assert exact_ground_energy(Observable(n, [])) == 0.0
+
+
+def test_arpack_failure_is_a_solve_error(monkeypatch):
+    import scipy.sparse.linalg
+
+    def no_convergence(*args, **kwargs):
+        raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", np.zeros(0), np.zeros(0))
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
+    with pytest.raises(SolveError, match="ARPACK"):
+        exact_ground_energy(parse_observable(CHAIN8.read_text()))
 
 
 def test_resource_caps():
@@ -248,3 +284,158 @@ def test_optimize_rejects_expansion_of_another_width(monkeypatch, init, theta_st
     monkeypatch.setattr(dense, "_energy_and_gradient", no_sweep)
     with pytest.raises(ValueError, match="ansatz has 1 parameters"):
         optimize_bfgs(ry_circuit(), obs, "0", init=init, expansion=res)
+
+
+# ---------------------------------------------------------------------------
+# Reference sweep: one scatter per Pauli action, term by term
+# ---------------------------------------------------------------------------
+
+
+def scatter_action(n, p):
+    """Permutation and per-source phases such that P|b> = phase[b] |perm[b]>."""
+    basis = np.arange(2**n)
+    # qubit 0 is the most significant bit of a basis index
+    xmask = sum(p.x_bit(q) << (n - 1 - q) for q in range(n))
+    zmask = sum(p.z_bit(q) << (n - 1 - q) for q in range(n))
+    zsign = 1 - 2 * (np.bitwise_count(basis & zmask) % 2).astype(np.int64)
+    phase = PHASES[(p.phase + p.n_y()) % 4] * zsign
+    return basis ^ xmask, phase.astype(complex)
+
+
+def scatter(states, perm, phase):
+    out = np.empty_like(states)
+    out[:, perm] = states * phase
+    return out
+
+
+def scatter_ops(circ, ref, form):
+    """(ops, start) of the gate-by-gate op list or the normal form, with each
+    rotation as (param, perm, phase) for scatter."""
+    n = circ.n_qubits
+    if form == "gates":
+        ops = [
+            (e.param, *scatter_action(n, PauliString.single(n, e.axis, e.wire)))
+            if isinstance(e, RotationGate)
+            else dense._gate(e)
+            for e in circ.elements
+        ]
+        return ops, basis_state(ref, n)
+    gens = conjugate_generators(circ)
+    order = sorted(range(gens.n_params), key=gens.positions.__getitem__)
+    ops = [(k, *scatter_action(n, gens.paulis[k])) for k in order]
+    return ops, dense._normal_form(circ, ref, DEFAULT_QUBIT_CAP)[1]
+
+
+def scatter_forward(ops, start, thetas, n):
+    psi = start
+    for op in ops:
+        if isinstance(op, dense._Gate):
+            psi = dense._apply_matrix(psi, op.u, op.wires, n)
+        else:
+            t = thetas[:, op[0]]
+            psi = np.cos(t)[:, None] * psi + (1j * np.sin(t))[:, None] * scatter(psi, *op[1:])
+    return psi
+
+
+def scatter_energies(ops, obs, start, thetas, n):
+    psi = scatter_forward(ops, start, thetas, n)
+    vals = np.zeros(psi.shape[0])
+    for c, p in obs.terms:
+        vals += c * np.einsum("bi,bi->b", psi.conj(), scatter(psi, *scatter_action(n, p))).real
+    return vals
+
+
+def scatter_sweep(ops, obs, start, theta, n):
+    """Energy and adjoint gradient, one scatter per rotation and per term."""
+    psi = scatter_forward(ops, start, theta[None, :], n)
+    value = 0.0
+    lam = np.zeros_like(psi)
+    for c, p in obs.terms:
+        p_psi = scatter(psi, *scatter_action(n, p))
+        value += c * np.einsum("bi,bi->b", psi.conj(), p_psi).real[0]
+        lam += c * p_psi
+    grad = np.zeros(theta.size)
+    states = np.vstack([psi, lam])
+    for op in reversed(ops):
+        if isinstance(op, dense._Gate):
+            states = dense._apply_matrix(states, op.u_dag, op.wires, n)
+        else:
+            p_states = scatter(states, *op[1:])
+            grad[op[0]] -= 2.0 * np.vdot(states[1], p_states[0]).imag
+            t = theta[op[0]]
+            states = np.cos(t) * states - 1j * np.sin(t) * p_states
+    return float(value), grad
+
+
+def compiled(circ, ref, form):
+    if form == "gates":
+        return dense._op_list(circ, DEFAULT_QUBIT_CAP), basis_state(ref, circ.n_qubits)
+    return dense._normal_form(circ, ref, DEFAULT_QUBIT_CAP)
+
+
+def assert_bit_identical(got, want):
+    assert got[0] == want[0] and np.array_equal(got[1], want[1])
+    # sign bits too: a -0.0 would show in the optimize trace
+    assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes()
+    assert got[1].tobytes() == want[1].tobytes()
+
+
+@pytest.mark.parametrize("budget", (None, 3, 0))
+@pytest.mark.parametrize("form", ("gates", "normal"))
+@pytest.mark.parametrize("kind", ("real", "complex", "general"))
+def test_gather_sweep_is_bit_identical_to_scatter_sweep(rng, monkeypatch, kind, form, budget):
+    # budget 3 (in states) gathers three terms per block, 0 one term per block
+    for _ in range(4):
+        n = int(rng.integers(2, 7))
+        if kind == "general":
+            circ = general_clifford_circuit(rng, n, int(rng.integers(1, 13)))
+        else:
+            circ = generate_hwe_ansatz(n, int(rng.integers(1, 3)), int(rng.integers(0, 1000)), kind)
+        obs = random_observable(rng, n, max_terms=8)
+        ref = random_bitstring(rng, n)
+        if budget is not None:
+            monkeypatch.setattr(dense, "_GATHER_ELEMENTS", budget * 2**n)
+        ops, start = compiled(circ, ref, form)
+        terms = dense._observable_actions(obs)
+        want_ops, want_start = scatter_ops(circ, ref, form)
+        assert np.array_equal(start, want_start)
+        for _ in range(3):
+            theta = rng.uniform(-np.pi, np.pi, circ.n_params)
+            assert_bit_identical(
+                dense._energy_and_gradient(ops, terms, start, theta, n),
+                scatter_sweep(want_ops, obs, want_start, theta, n),
+            )
+        if form == "gates":
+            thetas = rng.uniform(-np.pi, np.pi, (5, circ.n_params))
+            got = dense.energies_batch(circ, thetas, ref, obs)
+            starts = np.repeat(want_start, 5, axis=0)
+            assert got.tobytes() == scatter_energies(want_ops, obs, starts, thetas, n).tobytes()
+
+
+@pytest.mark.parametrize("form", ("gates", "normal"))
+def test_gather_sweep_of_an_observable_without_terms(rng, form):
+    circ = generate_hwe_ansatz(4, 1, 3, "complex")
+    obs = Observable(4, [])
+    ops, start = compiled(circ, "0110", form)
+    theta = rng.uniform(-np.pi, np.pi, circ.n_params)
+    got = dense._energy_and_gradient(ops, dense._observable_actions(obs), start, theta, 4)
+    want_ops, want_start = scatter_ops(circ, "0110", form)
+    assert_bit_identical(got, scatter_sweep(want_ops, obs, want_start, theta, 4))
+    assert got[0] == 0.0 and not got[1].any()
+
+
+def test_bfgs_trace_is_identical_under_the_scatter_sweep(monkeypatch):
+    obs = parse_observable(CHAIN8.read_text())
+    circ = generate_hwe_ansatz(8, 1, 2, "real")
+    ref = "01010101"
+    compiled_trace = optimize_bfgs(circ, obs, ref, init="zero").to_dict()
+    want_ops, want_start = scatter_ops(circ, ref, "normal")
+
+    def scatter_energy_and_gradient(ops, terms, start, theta, n):
+        return scatter_sweep(want_ops, obs, want_start, theta, n)
+
+    monkeypatch.setattr(dense, "_energy_and_gradient", scatter_energy_and_gradient)
+    scatter_trace = optimize_bfgs(circ, obs, ref, init="zero").to_dict()
+    assert compiled_trace["n_iterations"] > 5
+    del compiled_trace["timings"], scatter_trace["timings"]
+    assert compiled_trace == scatter_trace
