@@ -53,7 +53,7 @@ from .circuit import AnsatzCircuit, RotationGate
 from .errors import ResourceCapError, SolveError
 from .expansion import ExpansionResult, conjugate_generators
 from .observable import Observable
-from .pauli import PHASES, PauliString, _bits, _row_popcount, stack_rows
+from .pauli import PHASES, _bits, _row_popcount, pack_masks
 from .tableau import CLIFFORD_1Q_WORDS, CliffordGate, check_reference
 
 DEFAULT_QUBIT_CAP = 20
@@ -170,8 +170,8 @@ def _op_list(ansatz: AnsatzCircuit, cap: int) -> list:
     n = ansatz.n_qubits
     _check_cap(n, cap)
     rotations = [e for e in ansatz.elements if isinstance(e, RotationGate)]
-    rows = stack_rows([PauliString.single(n, e.axis, e.wire) for e in rotations], n)
-    tables = zip(*_actions(*rows, n))
+    masks = [((e.axis != "Z") << e.wire, (e.axis != "X") << e.wire) for e in rotations]
+    tables = zip(*_actions(*pack_masks(masks, n), np.zeros(len(masks), dtype=np.int64), n))
     return [
         _Rotation(e.param, *next(tables)) if isinstance(e, RotationGate) else _gate(e)
         for e in ansatz.elements

@@ -3,71 +3,93 @@
 Format (bit-exact): the first non-comment line is ``qubits N``; every other
 non-comment line is ``<coefficient> <pauli tokens...>`` with a decimal
 float coefficient and whitespace-separated letter+index tokens ("X0 Z3").
-An empty token list denotes the identity term. ``#`` starts a comment.
-Units are opaque to the engine (Hartree by convention for chemistry inputs).
+Qubit counts and indices are ASCII digits. An empty token list denotes the
+identity term. ``#`` starts a comment. Units are opaque to the engine
+(Hartree by convention for chemistry inputs).
+
+An Observable is stored as packed rows only: the terms' x and z words and
+their coefficients. The parser reads each line's tokens into two bit masks
+(pauli.read_pauli), merges duplicates on the masks and packs every row at
+once, so loading builds no PauliString. The (c, PauliString) list, terms,
+is built when something reads it: serialize, to_matrix, the tests and
+the benchmark's checks.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Dict, List, Tuple
 
 import numpy as np
 
 from .errors import DimensionMismatchError, ObservableFormatError, PauliFormatError, SolveError
-from .pauli import PauliString, parse_pauli, stack_rows
+from .pauli import PauliString, ascii_int, pack_masks, parse_pauli, read_pauli, stack_rows
 from .tableau import StabilizerTableau, frame_values
 
 
-@dataclass
+@dataclass(eq=False)
 class Observable:
-    """O = sum_i c_i P_i with real coefficients and phase-free Pauli terms."""
+    """O = sum_i c_i P_i with real coefficients and phase-free Pauli terms.
+
+    x and z are the terms' packed (N_o, words) uint64 rows and coeffs the
+    (N_o,) float c_i, in term order.
+    """
 
     n_qubits: int
-    terms: List[Tuple[float, PauliString]]
+    x: np.ndarray
+    z: np.ndarray
+    coeffs: np.ndarray
 
-    def __post_init__(self):
-        for c, p in self.terms:
-            if p.n_qubits != self.n_qubits:
-                raise DimensionMismatchError("observable term width mismatch")
-            if p.phase != 0:
-                raise ObservableFormatError("observable terms must carry phase +1")
+    @classmethod
+    def from_terms(cls, n_qubits: int, terms) -> "Observable":
+        """The observable of (c, PauliString) pairs, each on n_qubits with phase +1.
 
-    @property
-    def n_terms(self) -> int:
-        return len(self.terms)
-
-    @cached_property
-    def rows(self):
-        """The terms as packed rows (x, z, phase), as stack_rows gives them; packed once."""
-        return stack_rows([p for _, p in self.terms], self.n_qubits)
-
-    @cached_property
-    def coeffs(self) -> np.ndarray:
-        """The coefficients c_i, in term order."""
-        return np.array([c for c, _ in self.terms], dtype=float)
+        DimensionMismatchError for a term on another width (from stack_rows),
+        ObservableFormatError for a phased term.
+        """
+        if any(p.phase for _, p in terms):
+            raise ObservableFormatError("observable terms must carry phase +1")
+        x, z, _ = stack_rows([p for _, p in terms], n_qubits)
+        return cls(n_qubits, x, z, np.array([c for c, _ in terms], dtype=float))
 
     @classmethod
     def from_strings(cls, n_qubits: int, terms: Dict[str, float]) -> "Observable":
-        return cls(n_qubits, [(float(c), parse_pauli(t, n_qubits)) for t, c in terms.items()])
+        """One term per entry, in order; duplicates are kept, not merged."""
+        masks = [read_pauli(t, n_qubits) for t in terms]
+        return cls(n_qubits, *pack_masks(masks, n_qubits), np.array([*terms.values()], float))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Observable):
+            return NotImplemented
+        mine, theirs = (self.x, self.z, self.coeffs), (other.x, other.z, other.coeffs)
+        return self.n_qubits == other.n_qubits and all(map(np.array_equal, mine, theirs))
+
+    @property
+    def n_terms(self) -> int:
+        return len(self.coeffs)
+
+    @property
+    def rows(self):
+        """The terms as packed rows (x, z, phase), phase all 0."""
+        return self.x, self.z, np.zeros(self.n_terms, dtype=np.int64)
+
+    @cached_property
+    def terms(self) -> List[Tuple[float, PauliString]]:
+        """The (c_i, P_i) pairs in term order, built when first read."""
+        n, coeffs = self.n_qubits, self.coeffs.tolist()
+        return [(c, PauliString(n, x, z)) for c, x, z in zip(coeffs, self.x, self.z)]
 
     def serialize(self) -> str:
         lines = [f"qubits {self.n_qubits}"]
-        for c, p in self.terms:
-            text = p.to_text()
-            lines.append(f"{c!r} {text}".rstrip())
+        lines += [f"{c!r} {p.to_text()}".rstrip() for c, p in self.terms]
         return "\n".join(lines) + "\n"
 
     def to_matrix(self):
-        import numpy as np
-
-        out = None
-        for c, p in self.terms:
-            m = c * p.to_matrix()
-            out = m if out is None else out + m
-        return out
+        """sum_i c_i P_i as a dense matrix, summed in term order; None with no terms."""
+        mats = [c * p.to_matrix() for c, p in self.terms]
+        return reduce(np.add, mats) if mats else None
 
     def check_width(self, n_qubits: int, what: str = "ansatz") -> None:
         """DimensionMismatchError unless the observable acts on n_qubits qubits."""
@@ -86,7 +108,8 @@ class Observable:
         rows that StabilizerTableau.input_frame returns; exact, real."""
         x, _, k = images
         # Hermitian phase-free terms give real expectations; compensated sum.
-        return exact_sum(c * v for (c, _), v in zip(self.terms, frame_values(x, k).real.tolist()))
+        values = frame_values(x, k).real.tolist()
+        return exact_sum(c * v for c, v in zip(self.coeffs.tolist(), values))
 
 
 def exact_sum(values) -> float:
@@ -105,17 +128,19 @@ def exact_sum(values) -> float:
 def parse_observable(document: str, prune_threshold: float = 0.0) -> Observable:
     """Parse the wire format; duplicate Pauli terms are summed on load.
 
-    A duplicate whose sum leaves the finite range is an ObservableFormatError
-    that names its line.
+    Terms keep the order in which each Pauli first appears, and a duplicate
+    adds its coefficient to the running sum left to right. A duplicate whose
+    sum leaves the finite range is an ObservableFormatError that names its
+    line.
 
     After merging, terms with |coefficient| < prune_threshold are dropped;
-    the default threshold 0 keeps everything.
+    the default threshold 0 keeps everything. A negative or NaN threshold
+    is an ObservableFormatError.
     """
-    if prune_threshold < 0:
-        raise ObservableFormatError("prune threshold must be >= 0")
+    if not prune_threshold >= 0:
+        raise ObservableFormatError(f"prune threshold must be >= 0, got {prune_threshold!r}")
     n_qubits = None
-    merged: Dict[tuple, Tuple[float, PauliString]] = {}
-    order: List[tuple] = []
+    merged: Dict[Tuple[int, int], float] = {}
     for lineno, raw in enumerate(document.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -126,12 +151,9 @@ def parse_observable(document: str, prune_threshold: float = 0.0) -> Observable:
                 raise ObservableFormatError(
                     f"line {lineno}: expected 'qubits N' header, got {line!r}"
                 )
-            try:
-                n_qubits = int(parts[1])
-            except ValueError:
-                raise ObservableFormatError(f"line {lineno}: bad qubit count {parts[1]!r}")
-            if n_qubits < 1:
-                raise ObservableFormatError(f"line {lineno}: qubit count must be positive")
+            n_qubits = ascii_int(parts[1])
+            if not n_qubits:  # None (not ASCII digits) or 0
+                raise ObservableFormatError(f"line {lineno}: qubit count must be a positive int")
             continue
         coef_text, *pauli_text = line.split(None, 1)
         try:
@@ -141,22 +163,19 @@ def parse_observable(document: str, prune_threshold: float = 0.0) -> Observable:
         if not math.isfinite(coef):
             raise ObservableFormatError(f"line {lineno}: coefficient must be finite")
         try:
-            pauli = parse_pauli("".join(pauli_text), n_qubits)
+            key = read_pauli("".join(pauli_text), n_qubits)
         except PauliFormatError as exc:
             raise ObservableFormatError(f"line {lineno}: {exc}") from exc
-        key = pauli.key()
         if key in merged:
-            total = merged[key][0] + coef
-            if not math.isfinite(total):
+            coef = merged[key] + coef
+            if not math.isfinite(coef):
+                text = parse_pauli("".join(pauli_text), n_qubits).to_text()
                 raise ObservableFormatError(
                     f"line {lineno}: merged coefficient of duplicate term "
-                    f"{pauli.to_text() or 'I'!r} overflows"
+                    f"{text or 'I'!r} overflows"
                 )
-            merged[key] = (total, pauli)
-        else:
-            merged[key] = (coef, pauli)
-            order.append(key)
+        merged[key] = coef
     if n_qubits is None:
         raise ObservableFormatError("empty document: missing 'qubits N' header")
-    terms = [merged[k] for k in order if abs(merged[k][0]) >= prune_threshold]
-    return Observable(n_qubits, terms)
+    kept = {key: c for key, c in merged.items() if abs(c) >= prune_threshold}
+    return Observable(n_qubits, *pack_masks(kept, n_qubits), np.array([*kept.values()], float))

@@ -6,8 +6,13 @@ i^k * (L_0 ⊗ L_1 ⊗ ... ⊗ L_{n-1}), where the letter on qubit j is decoded
 from the bit pair (x_j, z_j): (0,0)=I, (1,0)=X, (0,1)=Z, (1,1)=Y.
 
 Qubit q is bit q % 64 of word q // 64, and the bits above n_qubits in the
-top word are 0. _pack and _bits own that layout: every packed word in the
-package is built by _pack, and every unpacked bit is read by _bits.
+top word are 0. _pack, pack_masks and _bits own that layout: every packed
+word in the package is built by _pack (from 0/1 arrays) or pack_masks (from
+Python-int bit masks, bit q for qubit q), and every unpacked bit is read by
+_bits.
+
+Text is read by one token reader, read_pauli, which gives a string's two bit
+masks; parse_pauli and the observable parser both use it.
 
 Qubit 0 is the leftmost wire in all textual forms. All phase arithmetic is
 integer (mod 4), so products of Pauli strings are exact. pauli_mul
@@ -17,15 +22,14 @@ rows with the same phase formula.
 
 from __future__ import annotations
 
-import re
-
 import numpy as np
 
 from .errors import DimensionMismatchError, PauliFormatError
 
 _WORD_BITS = 64
 
-_TOKEN_RE = re.compile(r"([IXYZ])(\d+)$")
+# (x, z) bits of each letter
+_LETTER_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 
 # Sign of the phase exponent as a complex number, indexed by k mod 4.
 PHASES = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
@@ -90,8 +94,7 @@ class PauliString:
 
     @classmethod
     def identity(cls, n_qubits: int) -> "PauliString":
-        w = _n_words(n_qubits)
-        return cls(n_qubits, np.zeros(w, np.uint64), np.zeros(w, np.uint64))
+        return cls.from_bits([0] * n_qubits, [0] * n_qubits)
 
     @classmethod
     def from_bits(cls, x_bits, z_bits, phase: int = 0) -> "PauliString":
@@ -108,13 +111,9 @@ class PauliString:
         """A single-site Pauli letter on the given qubit."""
         if not 0 <= qubit < n_qubits:
             raise ValueError(f"qubit {qubit} out of range for {n_qubits} qubits")
-        if letter not in ("I", "X", "Y", "Z"):
+        if letter not in _LETTER_BITS:
             raise PauliFormatError(f"unknown Pauli letter {letter!r}")
-        x = np.zeros(n_qubits, dtype=np.uint8)
-        z = np.zeros(n_qubits, dtype=np.uint8)
-        x[qubit] = letter in ("X", "Y")
-        z[qubit] = letter in ("Z", "Y")
-        return cls.from_bits(x, z, phase)
+        return parse_pauli(f"{letter}{qubit}", n_qubits).with_phase(phase)
 
     # -- bit access ---------------------------------------------------------
 
@@ -228,6 +227,15 @@ def _pack(bits: np.ndarray, words: int) -> np.ndarray:
     return np.packbits(padded, axis=-1, bitorder="little").view("<u8").astype(np.uint64)
 
 
+def pack_masks(masks, n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
+    """(x, z), each (M, words) uint64, of M (x, z) pairs of Python-int bit
+    masks below 2**n_qubits, as read_pauli gives them."""
+    n_bytes = 8 * _n_words(n_qubits)
+    data = b"".join(m.to_bytes(n_bytes, "little") for part in zip(*masks) for m in part)
+    x, z = np.frombuffer(data, dtype="<u8").reshape(2, -1, n_bytes // 8).astype(np.uint64)
+    return x, z
+
+
 def pauli_mul(a: PauliString, b: PauliString) -> PauliString:
     """Exact operator product a·b with the accumulated i^k phase.
 
@@ -296,25 +304,39 @@ def commutes(a: PauliString, b: PauliString) -> bool:
     return (_popcount(a.x & b.z) + _popcount(a.z & b.x)) % 2 == 0
 
 
-def parse_pauli(text: str, n_qubits: int) -> PauliString:
-    """Parse 'X0 Z3'-style tokens into a phase +1 PauliString.
+def ascii_int(text: str) -> int | None:
+    """The int of a string of ASCII digits, else None.
 
-    The empty string parses to the identity. Each qubit index may appear at
-    most once; letters are uppercase IXYZ only.
+    int() alone would also take other scripts' digits ('٣') and
+    underscores ('1_0').
     """
-    x = np.zeros(n_qubits, dtype=np.uint8)
-    z = np.zeros(n_qubits, dtype=np.uint8)
-    seen = set()
+    return int(text) if text.isascii() and text.isdigit() else None
+
+
+def read_pauli(text: str, n_qubits: int) -> tuple[int, int]:
+    """(x, z) Python-int bit masks of 'X0 Z3'-style tokens; bit q is qubit q.
+
+    The empty string reads as the identity (0, 0). Each qubit index may
+    appear at most once; letters are uppercase IXYZ only and indices ASCII
+    digits only. PauliFormatError otherwise.
+    """
+    x = z = seen = 0
     for tok in text.split():
-        m = _TOKEN_RE.match(tok)
-        if not m:
+        bits, q = _LETTER_BITS.get(tok[0]), ascii_int(tok[1:])
+        if bits is None or q is None:
             raise PauliFormatError(f"bad Pauli token {tok!r}")
-        letter, q = m.group(1), int(m.group(2))
         if q >= n_qubits:
             raise PauliFormatError(f"qubit index {q} out of range (n_qubits={n_qubits})")
-        if q in seen:
+        bit = 1 << q
+        if seen & bit:
             raise PauliFormatError(f"duplicate qubit index {q} in {text!r}")
-        seen.add(q)
-        x[q] = letter in ("X", "Y")
-        z[q] = letter in ("Z", "Y")
-    return PauliString.from_bits(x, z)
+        seen |= bit
+        x |= bit * bits[0]
+        z |= bit * bits[1]
+    return x, z
+
+
+def parse_pauli(text: str, n_qubits: int) -> PauliString:
+    """Parse 'X0 Z3'-style tokens (read_pauli's syntax) into a phase +1 PauliString."""
+    x, z = pack_masks([read_pauli(text, n_qubits)], n_qubits)
+    return PauliString(n_qubits, x[0], z[0])

@@ -32,6 +32,12 @@ conftest.py pins the BLAS and OpenMP pools to one thread before numpy loads,
 as benchmark/run.py does, so the timings measure the kernels and not thread
 hand-off.
 
+parse_observable is timed on a generated Jordan-Wigner-like document of
+60,000 lines on 48 qubits (the width of an H24 chain), three rounds: one-
+and two-body terms, each pair of X/Y letters joined by a string of Z, with
+coefficients from a fixed seed. No file is committed; the document is built
+before the clock starts.
+
 compute_hessian is timed on two instances, three rounds each: the shipped
 8-site chain with a real depth-4 ansatz and no dropout (K = 72), and a
 66-qubit dimerized chain (staggered Z fields, XX on every other bond; two
@@ -177,6 +183,28 @@ def test_energy_and_gradient(benchmark, n, form):
 def test_exact_ground_energy(benchmark, n):
     terms = {f"{a}{q} {a}{q + 1}": 1.0 for q in range(n - 1) for a in "XYZ"}
     benchmark(dense.exact_ground_energy, Observable.from_strings(n, terms))
+
+
+def _jw_document(n: int, lines: int, seed: int) -> str:
+    """Terms like Jordan-Wigner hopping: X or Y on two or four sorted qubits,
+    each pair joined by Z on every qubit between them."""
+    rng = np.random.default_rng(seed)
+    out = [f"qubits {n}"]
+    for _ in range(lines):
+        qubits = np.sort(rng.choice(n, size=2 * int(rng.integers(1, 3)), replace=False))
+        letters = {}
+        for a, b in zip(qubits[::2], qubits[1::2]):
+            letters |= {q: "Z" for q in range(a + 1, b)}
+            letters[a], letters[b] = rng.choice(["X", "Y"], 2)
+        tokens = " ".join(f"{letters[q]}{q}" for q in sorted(letters))
+        out.append(f"{rng.normal():.15g} {tokens}")
+    return "\n".join(out) + "\n"
+
+
+def test_parse_observable(benchmark):
+    document = _jw_document(48, 60_000, 48)
+    obs = benchmark.pedantic(parse_observable, (document,), rounds=3, iterations=1)
+    assert obs.n_qubits == 48 and obs.n_terms > 0
 
 
 def _hessian_instance(name: str):

@@ -70,6 +70,18 @@ def test_malformed_hamiltonian_is_exit_2(tmp_path, toy, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+# Arabic-Indic digits one and zero: int() reads them, the wire format does not
+@pytest.mark.parametrize("doc,line", [("qubits \u0661\n1.0 Z0\n", "line 1"),
+                                      ("qubits 1\n1.0 Z\u0660\n", "line 2")])
+def test_non_ascii_digits_are_exit_2(tmp_path, toy, capsys, doc, line):
+    ham = tmp_path / "digits.txt"
+    ham.write_text(doc, encoding="utf-8")
+    rc = main(["expand", "--hamiltonian", str(ham), "--ansatz", str(toy[1]),
+               "--reference", "0", "--out", str(tmp_path / "r.json")])
+    assert rc == 2
+    assert line in capsys.readouterr().err
+
+
 def test_overflowing_merged_coefficient_is_exit_2(tmp_path, toy, capsys):
     ham = tmp_path / "huge.txt"
     ham.write_text("qubits 1\n1e308 Z0\n0.5 X0\n1e308 Z0\n")

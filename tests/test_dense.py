@@ -83,7 +83,7 @@ def test_energy_linear_in_observable_terms(rng):
     theta = rng.normal(size=circ.n_params) * 0.2
     o1 = Observable.from_strings(3, {"Z0": 1.0})
     o2 = Observable.from_strings(3, {"X1 X2": 0.5})
-    both = Observable(3, o1.terms + o2.terms)
+    both = Observable.from_terms(3, o1.terms + o2.terms)
     assert energy(circ, theta, "000", both) == pytest.approx(
         energy(circ, theta, "000", o1) + energy(circ, theta, "000", o2), abs=1e-12
     )
@@ -134,7 +134,7 @@ def test_exact_ground_energy_arpack_matches_dense_spectrum(monkeypatch, path, bu
 def test_exact_ground_energy_of_constant_and_empty_observables(n):
     # n = 3 takes the dense eigensolve, n = 8 ARPACK
     assert exact_ground_energy(Observable.from_strings(n, {"": 2.5})) == pytest.approx(2.5)
-    assert exact_ground_energy(Observable(n, [])) == 0.0
+    assert exact_ground_energy(Observable.from_terms(n, [])) == 0.0
 
 
 def test_arpack_failure_is_a_solve_error(monkeypatch):
@@ -415,7 +415,7 @@ def test_gather_sweep_is_bit_identical_to_scatter_sweep(rng, monkeypatch, kind, 
 @pytest.mark.parametrize("form", ("gates", "normal"))
 def test_gather_sweep_of_an_observable_without_terms(rng, form):
     circ = generate_hwe_ansatz(4, 1, 3, "complex")
-    obs = Observable(4, [])
+    obs = Observable.from_terms(4, [])
     ops, start = compiled(circ, "0110", form)
     theta = rng.uniform(-np.pi, np.pi, circ.n_params)
     got = dense._energy_and_gradient(ops, dense._observable_actions(obs), start, theta, 4)
