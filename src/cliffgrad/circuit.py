@@ -5,19 +5,22 @@ single-qubit Pauli rotations R(theta) = exp(i * theta * P). The generator
 produces brickwork circuits from two mirrored regions so that the circuit
 composes to the identity at theta = 0; a computational-basis reference
 state (e.g. a Hartree-Fock occupation bitstring) is injected at the input.
-One sweep over the Clifford gates gives both the theta = 0 stabilizer
-state and the conjugated rotation generators P'_k, as packed rows
+The theta = 0 stabilizer state is the reference's tableau taken through
+the Clifford gates (clifford_point_state); one sweep over the same gates
+gives the conjugated rotation generators P'_k as packed rows
 (ConjugatedGenerators).
 
 The sweep (_clifford_sweep) takes a list of ansätze that share a skeleton:
 the same width and, at every position, the same rotation (axis, wire,
 param), the same two-qubit gate, or single-qubit Clifford gates on the same
 wire. Candidates generated for one width, depth and variant always do.
-Their rows are stacked into one block and swept gate position by gate
-position; at a single-qubit position each ansatz's rows take its own entry
-of the single-qubit table (tableau.conjugate_rows). select_ansatz sweeps
-its candidates in chunks of at most SWEEP_ROWS rows; one ansatz is a stack
-of one.
+Their generator rows are stacked into one block and swept gate position by
+gate position; at a single-qubit position each ansatz's rows take its own
+entry of the single-qubit table (tableau.conjugate_rows). One ansatz is a
+stack of one. select_ansatz sweeps its candidates in chunks of at most
+SWEEP_ROWS rows and reads every candidate's gradient against one state:
+each candidate composes to the identity at theta = 0, so its state is the
+reference itself.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import List, Optional, Tuple, Union
 
 import numpy as np
@@ -38,7 +42,7 @@ from .tableau import (
     StabilizerTableau,
     _check_wires,
     conjugate_rows,
-    single_qubit_index,
+    table_index,
 )
 
 ANSATZ_SCHEMA_VERSION = 1
@@ -115,7 +119,7 @@ class AnsatzCircuit:
 
     def clifford_point_state(self, reference: str) -> StabilizerTableau:
         """Tableau of U(0)|reference>."""
-        return _clifford_sweep([self], reference, generators=False)[0][0]
+        return StabilizerTableau(self.n_qubits, reference).apply_circuit(self.clifford_elements())
 
     # -- serialization ------------------------------------------------------
 
@@ -202,21 +206,18 @@ class ConjugatedGenerators:
     z: np.ndarray
     phase: np.ndarray
     positions: List[int]            # element index of the rotation, by param id
-    _paulis: Optional[List[PauliString]] = field(default=None, init=False, repr=False)
 
     @property
     def n_params(self) -> int:
         return len(self.positions)
 
-    @property
+    @cached_property
     def paulis(self) -> List[PauliString]:
         """The rows as PauliStrings, indexed by param id; built on first use."""
-        if self._paulis is None:
-            self._paulis = [
-                PauliString(self.n_qubits, x, z, k)
-                for x, z, k in zip(self.x, self.z, self.phase.tolist())
-            ]
-        return self._paulis
+        return [
+            PauliString(self.n_qubits, x, z, k)
+            for x, z, k in zip(self.x, self.z, self.phase.tolist())
+        ]
 
 
 # Rows of one stacked block; select_ansatz sweeps its candidates in chunks of
@@ -238,76 +239,49 @@ def _skeleton_mismatch(column) -> Optional[str]:
     return f"{bad[0]} against {e}" if bad else None
 
 
-def _clifford_sweep(
-    ansatze: List[AnsatzCircuit], reference: Optional[str], generators: bool = True
-) -> List[Tuple[Optional[StabilizerTableau], Optional[ConjugatedGenerators]]]:
+def _clifford_sweep(ansatze: List[AnsatzCircuit]) -> List[ConjugatedGenerators]:
     """One left-to-right sweep of the Clifford gates over one stacked row block.
 
     The ansätze share a skeleton: one width and, at every position, the same
     rotation, the same two-qubit gate, or single-qubit Clifford gates on the
     same wire (a generated candidate set of one width, depth and variant);
-    ValueError otherwise. Each ansatz owns R = 2n + K consecutive rows: the
-    2n tableau rows of `reference` (none when it is None) and, with
-    `generators`, K generator rows. Generator row k is seeded with rotation
-    k's generator when the sweep reaches it, and every later Clifford gate
-    conjugates the whole block, each ansatz's rows through its own
-    single-qubit gate (one table entry per row, tableau.conjugate_rows), so
-    it ends as P'_k, the image of the generator under the Clifford content
-    after its rotation (rotations at zero are identity). Unseeded rows are
-    the identity, which no gate changes, and every P'_k comes out
-    Hermitian. Rows never mix, so each ansatz's rows equal what a sweep of
-    that ansatz alone gives.
+    ValueError otherwise. Each ansatz owns K consecutive generator rows.
+    Row k is seeded with rotation k's generator when the sweep reaches it,
+    and every later Clifford gate conjugates the whole block, each ansatz's
+    rows through its own single-qubit gate (one table entry per row,
+    tableau.conjugate_rows), so it ends as P'_k, the image of the generator
+    under the Clifford content after its rotation (rotations at zero are
+    identity). Unseeded rows are the identity, which no gate changes, and
+    every P'_k comes out Hermitian. Rows never mix, so each ansatz's rows
+    equal what a sweep of that ansatz alone gives.
 
-    Returns one (tableau of U(0)|reference> or None, ConjugatedGenerators or
-    None) pair per ansatz, in order.
+    Returns one ConjugatedGenerators per ansatz, in order.
     """
     first = ansatze[0]
-    n, A = first.n_qubits, len(ansatze)
+    n, A, K, W = first.n_qubits, len(ansatze), first.n_params, _n_words(first.n_qubits)
     if any(a.n_qubits != n or len(a.elements) != len(first.elements) for a in ansatze):
         raise ValueError("stacked ansätze differ in width or length")
-    start = None if reference is None else StabilizerTableau(n, reference)
-    m = 0 if start is None else 2 * n
-    K = first.n_params if generators else 0
-    R, W = m + K, _n_words(n)
-    x = np.zeros((A, R, W), dtype=np.uint64)
-    z = np.zeros_like(x)
-    r = np.zeros((A, R), dtype=np.uint8)
-    if start is not None:
-        x[:, :m], z[:, :m], r[:, :m] = start.x, start.z, start.r
-    # the same memory as one (A * R)-row block, which conjugate_rows updates
-    rows_x, rows_z, rows_r = x.reshape(A * R, W), z.reshape(A * R, W), r.reshape(A * R)
+    x, z = np.zeros((2, A, K, W), dtype=np.uint64)
+    r = np.zeros((A, K), dtype=np.uint8)
+    # the same memory as one (A * K)-row block, which conjugate_rows updates
+    rows = x.reshape(A * K, W), z.reshape(A * K, W), r.reshape(A * K)
     positions = [0] * K
     for pos, column in enumerate(zip(*(a.elements for a in ansatze))):
-        why = _skeleton_mismatch(column) if A > 1 else None
+        why = _skeleton_mismatch(column)
         if why:
             raise ValueError(f"stacked ansätze differ at element {pos}: {why}")
         e = column[0]
-        if isinstance(e, RotationGate):
-            if generators:  # the row is still the identity: set the axis's letter
-                w, bit = divmod(e.wire, _WORD_BITS)
-                x[:, m + e.param, w] = (e.axis != "Z") << bit
-                z[:, m + e.param, w] = (e.axis != "X") << bit
-                positions[e.param] = pos
+        if isinstance(e, RotationGate):  # the row is still the identity: set the axis's letter
+            w, bit = divmod(e.wire, _WORD_BITS)
+            x[:, e.param, w] = (e.axis != "Z") << bit
+            z[:, e.param, w] = (e.axis != "X") << bit
+            positions[e.param] = pos
             continue
         _check_wires(e, n)
-        if len(e.wires) == 2 or A == 1:
-            conjugate_rows(rows_x, rows_z, rows_r, e)
-            continue
-        index = [single_qubit_index(c) for c in column]
-        per_row = index[0] if len(set(index)) == 1 else np.repeat(index, R)
-        conjugate_rows(rows_x, rows_z, rows_r, e, per_row)
-    out = []
-    for a in range(A):
-        state = None
-        if start is not None:
-            state = StabilizerTableau(n, reference)
-            state.x, state.z, state.r = x[a, :m].copy(), z[a, :m].copy(), r[a, :m].copy()
-        gens = None
-        if generators:
-            phase = 2 * r[a, m:].astype(np.int64)
-            gens = ConjugatedGenerators(n, x[a, m:].copy(), z[a, m:].copy(), phase, list(positions))
-        out.append((state, gens))
-    return out
+        index = [table_index(c) for c in column]
+        conjugate_rows(*rows, e, index[0] if len(set(index)) == 1 else np.repeat(index, K))
+    phase = 2 * r.astype(np.int64)
+    return [ConjugatedGenerators(n, x[a], z[a], phase[a], list(positions)) for a in range(A)]
 
 
 # ---------------------------------------------------------------------------
@@ -424,10 +398,12 @@ def select_ansatz(
 
     Ties break toward the lowest candidate index. Returns
     (best AnsatzCircuit, list of per-candidate gradient-norm sums). The
-    count, seed and observable width are checked before any candidate is
-    generated. The candidates share a skeleton, so consecutive chunks of at
-    most SWEEP_ROWS rows (at least one candidate each) are swept as one
-    stacked block, and only one chunk is held at a time. A `timings` dict
+    count, seed, observable width and reference are checked before any
+    candidate is generated. The candidates share a skeleton, so consecutive
+    chunks of at most SWEEP_ROWS generator rows (at least one candidate
+    each) are swept as one stacked block, and only one chunk is held at a
+    time. Every gradient is read against one tableau of |reference>, the
+    state of every generated candidate at theta = 0. A `timings` dict
     receives the seconds spent generating (generate_s), sweeping (sweep_s)
     and in the gradients (gradient_s). A gradient entry or a sum |g_l| past
     the float range is a SolveError.
@@ -446,20 +422,22 @@ def select_ansatz(
         cand.metadata["master_seed"] = int(seed)
         return cand
 
+    # every candidate composes to the identity at theta = 0
+    state0 = StabilizerTableau(n_qubits, reference)
     best = None
     best_sum = -1.0
     sums = []
     while len(sums) < count:
         t0 = time.perf_counter()
         cands = [candidate(len(sums))]
-        # every candidate has the first one's 2n + K rows
-        chunk = max(1, SWEEP_ROWS // (2 * n_qubits + cands[0].n_params))
+        # every candidate has the first one's K rows
+        chunk = max(1, SWEEP_ROWS // cands[0].n_params)
         while len(cands) < chunk and len(sums) + len(cands) < count:
             cands.append(candidate(len(sums) + len(cands)))
         t1 = time.perf_counter()
-        swept = _clifford_sweep(cands, reference)
+        swept = _clifford_sweep(cands)
         t2 = time.perf_counter()
-        for cand, (state0, gens) in zip(cands, swept):
+        for cand, gens in zip(cands, swept):
             with np.errstate(over="ignore"):
                 s = float(np.abs(compute_gradient(observable, state0, gens)).sum())
             if not np.isfinite(s):

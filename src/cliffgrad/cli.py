@@ -18,8 +18,9 @@ and writes no output file.
     1  any other package error, such as an output document that strict
        JSON cannot hold (NaN or infinity)
     2  input error: a missing or malformed Hamiltonian, ansatz or result
-       file; an output path in a missing directory, or one that is a
-       directory; an out-of-range or non-finite flag; a negative --seed; a
+       file, or one that is not UTF-8 text; an output path in a missing
+       directory, or one that is a directory; an out-of-range or
+       non-finite flag; a negative --seed; a
        result whose width (counters.n_qubits) or parameter count differs
        from the ansatz; a reference bitstring that is not n characters of
        0/1 (CircuitFormatError); a Hamiltonian whose width differs from
@@ -99,7 +100,10 @@ def _read_text(path: str) -> str:
     p = Path(path)
     if not p.is_file():
         raise _InputError(f"input file not found: {p}")
-    return p.read_text()
+    try:
+        return p.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise _InputError(f"{p}: not UTF-8 text: {exc.reason} at byte {exc.start}")
 
 
 def _load_observable(path: str) -> Observable:

@@ -59,7 +59,7 @@ from .tableau import StabilizerTableau, frame_values
 def conjugate_generators(ansatz: AnsatzCircuit) -> ConjugatedGenerators:
     """P'_k for every rotation, from one left-to-right sweep over a packed
     block of K rows (circuit._clifford_sweep)."""
-    return _clifford_sweep([ansatz], None)[0][1]
+    return _clifford_sweep([ansatz])[0]
 
 
 class _ExpectationCache:

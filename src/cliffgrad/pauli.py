@@ -128,10 +128,6 @@ class PauliString:
     def letter(self, qubit: int) -> str:
         return "IXZY"[self.x_bit(qubit) + 2 * self.z_bit(qubit)]
 
-    def weight(self) -> int:
-        """Number of non-identity sites."""
-        return _popcount(self.x | self.z)
-
     def n_y(self) -> int:
         """Number of Y sites, popcount(x & z), counted once at construction."""
         return self._n_y
@@ -139,13 +135,6 @@ class PauliString:
     @property
     def is_hermitian(self) -> bool:
         return self.phase % 2 == 0
-
-    @property
-    def is_identity(self) -> bool:
-        return not (self.x.any() or self.z.any())
-
-    def phase_value(self) -> complex:
-        return PHASES[self.phase]
 
     # -- algebra ------------------------------------------------------------
 

@@ -3,33 +3,35 @@
 Every Pauli row uses PauliString's layout: x and z bits packed 64 qubits to
 a uint64 word, plus a sign bit; pauli._pack and pauli._bits pack and unpack
 them. conjugate_rows, the one row-batched gate update, conjugates any
-number of rows through a Clifford gate, reading each wire's bit at its word
-address; the destabilizer/stabilizer tableau and the Clifford sweep in
-circuit.py both use it. Every single-qubit Clifford (H, S, SDG, X, Y, Z and
-C1) is one of the 24 entries of the single-qubit table, and conjugate_rows
-applies it as one gather: a 24 x 4 table maps a row's (x_q, z_q) to its
-image and sign flip. The table index may differ from row to row, which is
-how the stacked sweep conjugates many ansätze through one gate position at
-once. CNOT, CZ and SWAP are updated through their {H, CNOT} primitives.
+number of rows through a Clifford gate as one gather from an update table:
+the table maps a row's bits on the gate's wires to the XOR that takes them
+to their image and the sign flip. The single-qubit table has an entry for
+each of the 24 single-qubit Cliffords (H, S, SDG, X, Y, Z and C1 are all
+among them); the two-qubit table has one for each of CNOT, CZ and SWAP.
+The single-qubit entry may differ from row to row, which is how the stacked
+sweep in circuit.py conjugates many ansätze through one gate position at
+once. The destabilizer/stabilizer tableau applies gates the same way.
 
 One sign-exact reconstruction serves every expectation: input_frame maps a
 batch of rows Q to U†QU, the frame in which the state is |0...0>, as a few
 GF(2) matrix products with no loop over the tableau rows, and frame_values
 reads <psi|Q|psi> off the images. expectation returns 0 when Q
 anticommutes with a stabilizer, one popcount parity over the packed words,
-and otherwise reads the frame of Q. conjugate_pauli is an independent
-conjugation of one Pauli string: it unpacks the bits, updates them one
-{H, S, CNOT} primitive at a time and packs the result. The single-qubit
-table is derived from it at import, and it stays the reference that
-conjugate_rows is tested against.
+and otherwise reads the frame of Q.
 
-All gates reduce to the primitives {H, S, CNOT}; the 24 single-qubit
-Clifford gates are enumerated by a fixed table of H/S words (see
-CLIFFORD_1Q_WORDS, also shipped as data/single_qubit_cliffords.txt).
+conjugate_pauli is the one place that spells out how a gate acts: it
+conjugates one Pauli string on unpacked bits, one {H, S, CNOT} primitive
+at a time (CliffordGate.primitives), and packs the result. Both update
+tables are read off it at import, from the images of H, S and CNOT
+composed along each gate's primitives, and it stays the reference that
+conjugate_rows is tested against. The 24 single-qubit Cliffords are
+enumerated by a fixed table of H/S words (see CLIFFORD_1Q_WORDS, also
+shipped as data/single_qubit_cliffords.txt).
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -189,49 +191,63 @@ def conjugate_pauli(circuit: Iterable[CliffordGate], p: PauliString) -> PauliStr
 # ---------------------------------------------------------------------------
 
 
-def _single_qubit_table():
-    """The 24 x 4 update table and the table index of each named single-qubit kind.
+def _update_tables():
+    """The gather tables of conjugate_rows, read off conjugate_pauli.
 
-    Entry [i, c] holds, for C1 gate i and a row whose bits on the wire are
-    c = x | z << 1, the XOR that takes the bits to their image (bit 0 for x,
-    bit 1 for z) and the sign flip (bit 2). The images of H and S are read
-    off conjugate_pauli on one qubit; every other gate's are composed from
-    its H/S primitives (CLIFFORD_1Q_WORDS for C1).
+    A row's letter on a wire is 2x + z, and its code on a gate's k wires is
+    its letters in wire order, two bits each, the first wire's highest (the
+    order of itertools.product). Entry e of a table holds, at e << 2k |
+    code, the XOR that takes the code to its image's and, at bit 2k, the
+    sign flip. The images of the primitives H, S and CNOT are read off
+    conjugate_pauli, and every gate's entry composes them along its
+    primitives.
     """
-    primitive = {}
-    for name in ("H", "S"):
-        images = [
-            conjugate_pauli([CliffordGate(name, (0,))], PauliString.from_bits([c & 1], [c >> 1]))
-            for c in range(4)
-        ]
-        primitive[name] = [(q.x_bit(0), q.z_bit(0), q.phase // 2) for q in images]
+    images = {}  # (primitive, letters on its wires) -> (image letters, sign flip)
+    for gate in (CliffordGate("H", (0,)), CliffordGate("S", (0,)), CliffordGate("CNOT", (0, 1))):
+        for c in itertools.product(range(4), repeat=len(gate.wires)):
+            x, z = (sum((a >> s & 1) << j for j, a in enumerate(c)) for s in (1, 0))
+            q = conjugate_pauli([gate], PauliString(len(c), [x], [z]))
+            images[gate.kind, c] = [2 * q.x_bit(j) + q.z_bit(j) for j in gate.wires], q.phase // 2
 
-    def images(gate: CliffordGate) -> tuple:
+    def table(gates) -> np.ndarray:
+        k = len(gates[0].wires)
+        codes = list(itertools.product(range(4), repeat=k))
+        step = {}  # (name, wires, letters on the gate's k wires) -> (image, sign flip)
+        for name, wires in {p for gate in gates for p in gate.primitives()}:
+            for c in codes:
+                new, flip = images[name, tuple(c[w] for w in wires)]
+                image = tuple(new[wires.index(w)] if w in wires else a for w, a in enumerate(c))
+                step[name, wires, c] = image, flip
         out = []
-        for c in range(4):
-            x, z, flip = c & 1, c >> 1, 0
-            for name, _ in gate.primitives():
-                x, z, f = primitive[name][x | z << 1]
-                flip ^= f
-            out.append((x, z, flip))
-        return tuple(out)
+        for gate in gates:
+            for code, c in enumerate(codes):
+                image, flip = c, 0
+                for name, wires in gate.primitives():
+                    image, f = step[name, wires, image]
+                    flip ^= f
+                out.append(flip << 2 * k | codes.index(image) ^ code)
+        return np.array(out, dtype=np.uint64)
 
-    rows = [images(CliffordGate("C1", (0,), i)) for i in range(24)]
-    table = np.array(
-        [[(x ^ (c & 1)) | (z ^ (c >> 1)) << 1 | flip << 2 for c, (x, z, flip) in enumerate(row)]
-         for row in rows],
-        dtype=np.uint64,
-    )
-    kinds = ("H", "S", "SDG", "X", "Y", "Z")
-    return table, {k: rows.index(images(CliffordGate(k, (0,)))) for k in kinds}
-
-
-_1Q_TABLE, _1Q_KIND_INDEX = _single_qubit_table()
+    kind_index = {kind: i for i, kind in enumerate(("CNOT", "CZ", "SWAP"))}
+    # a named single-qubit kind's entry is its H/S word's; C1 entry i is word i
+    for kind in ("H", "S", "SDG", "X", "Y", "Z"):
+        word = "".join(p for p, _ in CliffordGate(kind, (0,)).primitives())
+        kind_index[kind] = CLIFFORD_1Q_WORDS.index(word)
+    one = table([CliffordGate("C1", (0,), i) for i in range(24)])
+    return one, table([CliffordGate(kind, (0, 1)) for kind in ("CNOT", "CZ", "SWAP")]), kind_index
 
 
-def single_qubit_index(gate: CliffordGate) -> int:
-    """The single-qubit gate's entry in the 24-element table (0 is the identity)."""
-    return gate.index if gate.kind == "C1" else _1Q_KIND_INDEX[gate.kind]
+_1Q_TABLE, _2Q_TABLE, _KIND_INDEX = _update_tables()
+
+
+def table_index(gate: CliffordGate) -> int:
+    """The gate's entry in its update table (single-qubit entry 0 is the identity)."""
+    return gate.index if gate.kind == "C1" else _KIND_INDEX[gate.kind]
+
+
+def _move(words: np.ndarray, src: int, dst: int) -> np.ndarray:
+    """Bit src of each word, moved to bit dst; every other bit 0."""
+    return (words >> src - dst if src >= dst else words << dst - src) & 1 << dst
 
 
 def conjugate_rows(
@@ -243,38 +259,26 @@ def conjugate_rows(
     packed layout: x and z are (rows, words) uint64 arrays, r the (rows,)
     sign bits. The caller checks the gate's wires against the width.
 
-    A single-qubit gate is one gather from the single-qubit table. `index`,
-    given only for a single-qubit gate, replaces the gate's table entry: a
-    scalar, or one entry per row, so that each row goes through its own
-    single-qubit Clifford on the gate's wire. CNOT, CZ and SWAP run their
-    {H, CNOT} primitives.
+    Every gate is one gather from an update table, indexed by the gate's
+    entry (table_index) and the row's bits on the gate's wires: the
+    single-qubit table (24 entries) or the two-qubit table (CNOT, CZ,
+    SWAP). `index` replaces the gate's entry: a scalar, or one entry per
+    row, so that each row goes through its own gate of the same arity on
+    the gate's wires.
     """
-    if len(gate.wires) == 1:
-        if index is None:
-            index = single_qubit_index(gate)
-        if not (index.any() if isinstance(index, np.ndarray) else index):
-            return  # the identity on every row
-        w, b = divmod(gate.wires[0], _WORD_BITS)
-        delta = _1Q_TABLE[index, ((x[:, w] >> b) & 1) | ((z[:, w] >> b) & 1) << 1]
-        x[:, w] ^= (delta & 1) << b
-        z[:, w] ^= ((delta >> 1) & 1) << b
-        r ^= delta >> 2
-        return
-    for name, wires in gate.primitives():
-        if name == "H":  # inside CZ
-            w, b = divmod(wires[0], _WORD_BITS)
-            xq, zq = (x[:, w] >> b) & 1, (z[:, w] >> b) & 1
-            r ^= xq & zq
-            swap = (xq ^ zq) << b
-            x[:, w] ^= swap
-            z[:, w] ^= swap
-            continue
-        (wa, ba), (wb, bb) = divmod(wires[0], _WORD_BITS), divmod(wires[1], _WORD_BITS)
-        xa, za = (x[:, wa] >> ba) & 1, (z[:, wa] >> ba) & 1
-        xb, zb = (x[:, wb] >> bb) & 1, (z[:, wb] >> bb) & 1
-        r ^= xa & zb & (xb ^ za ^ 1)
-        x[:, wb] ^= xa << bb
-        z[:, wa] ^= zb << ba
+    k = len(gate.wires)
+    index = table_index(gate) if index is None else index
+    if k == 1 and not (index.any() if isinstance(index, np.ndarray) else index):
+        return  # the identity on every row
+    at = [divmod(q, _WORD_BITS) for q in reversed(gate.wires)]  # the last wire's bits lowest
+    code = np.uint64(index) << 2 * k
+    for j, (w, b) in enumerate(at):
+        code = code | _move(x[:, w], b, 2 * j + 1) | _move(z[:, w], b, 2 * j)
+    delta = (_1Q_TABLE if k == 1 else _2Q_TABLE).take(code)
+    for j, (w, b) in enumerate(at):
+        x[:, w] ^= _move(delta, 2 * j + 1, b)
+        z[:, w] ^= _move(delta, 2 * j, b)
+    r ^= delta >> 2 * k
 
 
 # ---------------------------------------------------------------------------

@@ -45,6 +45,9 @@ packed words) with a real depth-1 ansatz at dropout 1e-6 (64 of 198 kept).
 expansion_frame times the stage that e0, the gradient and the Hessian
 share on the same two instances: one input_frame call over the terms and
 all K generators, and the (K, N_o) mul_rows product, without the pair loop.
+clifford_sweep times what expand does before the frame, the state
+(clifford_point_state) and the generators (conjugate_generators), on the
+same two instances and on a complex depth-2 ansatz at n = 8.
 """
 
 from __future__ import annotations
@@ -233,3 +236,17 @@ def test_expansion_frame(benchmark, name):
     state0 = circ.clifford_point_state(reference)
     gens = conjugate_generators(circ)
     benchmark(_Frame, obs, state0, gens)
+
+
+@pytest.mark.parametrize("name", ("chain8", "wide66", "complex8"))
+def test_clifford_sweep(benchmark, name):
+    if name == "complex8":
+        circ, reference = generate_hwe_ansatz(8, 2, 1, "complex"), "01010101"
+    else:
+        _, circ, reference, _ = _hessian_instance(name)
+
+    def sweep():
+        circ.clifford_point_state(reference)
+        conjugate_generators(circ)
+
+    benchmark(sweep)

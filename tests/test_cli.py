@@ -82,6 +82,27 @@ def test_non_ascii_digits_are_exit_2(tmp_path, toy, capsys, doc, line):
     assert line in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind", ("hamiltonian", "ansatz", "result"))
+def test_undecodable_input_file_is_exit_2(tmp_path, toy, capsys, kind):
+    ham, ans = toy
+    res = tmp_path / "result.json"
+    assert main(["expand", "--hamiltonian", str(ham), "--ansatz", str(ans),
+                 "--reference", "0", "--out", str(res)]) == 0
+    # one Latin-1 byte: a comment line, or a JSON string the reader ignores
+    path = {"hamiltonian": ham, "ansatz": ans, "result": res}[kind]
+    text = path.read_bytes()
+    if kind == "hamiltonian":
+        path.write_bytes(b"# caf\xe9\n" + text)
+    else:
+        path.write_bytes(b'{"note": "caf\xe9", ' + text.lstrip()[1:])
+    capsys.readouterr()
+    rc = main(["verify", "--hamiltonian", str(ham), "--ansatz", str(ans),
+               "--reference", "0", "--result", str(res)])
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    assert err.startswith(f"error: {path}: not UTF-8 text: ") and err.count("\n") == 1
+
+
 def test_overflowing_merged_coefficient_is_exit_2(tmp_path, toy, capsys):
     ham = tmp_path / "huge.txt"
     ham.write_text("qubits 1\n1e308 Z0\n0.5 X0\n1e308 Z0\n")

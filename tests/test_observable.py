@@ -30,7 +30,7 @@ def test_duplicate_terms_merge():
 def test_identity_constant_term():
     obs = parse_observable("qubits 1\n-1.0\n")
     assert obs.n_terms == 1
-    assert obs.terms[0][1].is_identity
+    assert obs.terms[0][1] == PauliString.identity(1)
     assert obs.expectation_at_clifford_point(StabilizerTableau(1)) == -1.0
 
 

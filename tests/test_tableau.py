@@ -119,11 +119,16 @@ SINGLE_QUBIT_KINDS = [(k, None) for k in ("H", "S", "SDG", "X", "Y", "Z")] + [
 ]
 
 
-def _every_letter_rows(rng, n: int, wire: int, count: int) -> list:
-    """Hermitian rows, random off `wire`, whose letter on `wire` cycles I, X, Z, Y."""
+def _every_letter_rows(rng, n: int, wires, count: int) -> list:
+    """Hermitian rows, random off `wires`, whose letters on `wires` cycle
+    through all 4^k combinations (I, X, Z, Y on wires[0] fastest), with the
+    sign flipping after each full cycle."""
     xb, zb = rng.integers(0, 2, (count, n)), rng.integers(0, 2, (count, n))
-    xb[:, wire], zb[:, wire] = np.arange(count) % 2, np.arange(count) // 2 % 2
-    return [PauliString.from_bits(xb[i], zb[i], 2 * int(rng.integers(0, 2))) for i in range(count)]
+    i = np.arange(count)
+    for j, wire in enumerate(wires):
+        xb[:, wire], zb[:, wire] = i >> 2 * j & 1, i >> 2 * j + 1 & 1
+    sign = i >> 2 * len(wires) & 1
+    return [PauliString.from_bits(xb[a], zb[a], 2 * int(sign[a])) for a in range(count)]
 
 
 def _packed(rows):
@@ -138,7 +143,7 @@ def _unpacked(n, x, z, r) -> list:
 @pytest.mark.parametrize("n", WIDTHS)
 def test_single_qubit_table_matches_conjugate_pauli(rng, n):
     for wire in (0, n - 1):  # the first word and the last, partial one
-        rows = _every_letter_rows(rng, n, wire, 12)
+        rows = _every_letter_rows(rng, n, (wire,), 12)
         for kind, index in SINGLE_QUBIT_KINDS:
             gate = CliffordGate(kind, (wire,), index)
             x, z, r = _packed(rows)
@@ -150,7 +155,7 @@ def test_single_qubit_table_matches_conjugate_pauli(rng, n):
 def test_single_qubit_table_takes_one_index_per_row(rng, n):
     wire = n - 1
     # row i carries letter i % 4 on the wire and goes through C1 entry i // 4
-    rows = _every_letter_rows(rng, n, wire, 96)
+    rows = _every_letter_rows(rng, n, (wire,), 96)
     index = np.arange(96) // 4
     x, z, r = _packed(rows)
     conjugate_rows(x, z, r, CliffordGate("C1", (wire,), 0), index)
@@ -161,6 +166,18 @@ def test_single_qubit_table_takes_one_index_per_row(rng, n):
     x, z, r = _packed(rows)
     conjugate_rows(x, z, r, CliffordGate("H", (wire,)), np.zeros(96, dtype=int))
     assert _unpacked(n, x, z, r) == rows
+
+
+@pytest.mark.parametrize("n", WIDTHS)
+def test_two_qubit_table_matches_conjugate_pauli(rng, n):
+    # wires 0 and n - 1 share a word at n = 3 and not at n = 65 or 130
+    for wires in ((0, n - 1), (n - 1, 0)):
+        rows = _every_letter_rows(rng, n, wires, 32)  # all 16 letter pairs, both signs
+        for kind in ("CNOT", "CZ", "SWAP"):
+            gate = CliffordGate(kind, wires)
+            x, z, r = _packed(rows)
+            conjugate_rows(x, z, r, gate)
+            assert _unpacked(n, x, z, r) == [conjugate_pauli([gate], p) for p in rows], gate
 
 
 def _input_frame_expectation(gates, bits: str, q: PauliString) -> complex:
