@@ -1,11 +1,12 @@
 """Command-line front end.
 
 Subcommands wire the pipeline together: ansatz generation and selection,
-Clifford-point expansion, dense verification, warm-started optimization,
-and a stage-timing benchmark. Every output document embeds the tool
-version, the full flag configuration, and SHA-256 hashes of the input
-files, so re-running a command on identical inputs reproduces the
-document modulo timing fields.
+Clifford-point expansion, dense verification and warm-started
+optimization. Every output document embeds the tool version, the full
+flag configuration, and SHA-256 hashes of the input files, so re-running
+a command on identical inputs reproduces the document modulo timing
+fields. An expand document times each stage and counts K, K_kept and
+N_o, so a depth sweep is one gen-ansatz and one expand per depth.
 
 Each input is checked once, where it enters: the library checks the
 widths, reference bitstrings, gate lists and seeds it is given, and the
@@ -20,7 +21,7 @@ and writes no output file.
     2  input error: a missing or malformed Hamiltonian, ansatz or result
        file, or one that is not UTF-8 text; an output path in a missing
        directory, or one that is a directory; an out-of-range or
-       non-finite flag; a negative --seed; a
+       non-finite flag; a negative --seed; a --cap below 1; a
        result whose width (counters.n_qubits) or parameter count differs
        from the ansatz; a reference bitstring that is not n characters of
        0/1 (CircuitFormatError); a Hamiltonian whose width differs from
@@ -38,7 +39,6 @@ and writes no output file.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import sys
@@ -206,6 +206,11 @@ def _check_non_negative(flag: str, value: float) -> None:
         raise _InputError(f"{flag} must be finite and >= 0, got {value!r}")
 
 
+def _check_at_least(flag: str, value: int, low: int) -> None:
+    if value < low:
+        raise _InputError(f"{flag} must be >= {low}, got {value}")
+
+
 def cmd_expand(args) -> int:
     _check_non_negative("--dropout-threshold", args.dropout_threshold)
     _check_non_negative("--rtol", args.rtol)
@@ -248,6 +253,7 @@ def _load_result(path: str, circ: AnsatzCircuit) -> ExpansionResult:
 
 
 def cmd_verify(args) -> int:
+    _check_at_least("--cap", args.cap, 1)  # a cap below one qubit admits no simulation
     obs = _load_observable(args.hamiltonian)
     circ = _load_ansatz(args.ansatz)
     result = _load_result(args.result, circ)
@@ -270,8 +276,8 @@ _INIT_MODES = {"zero": "zero", "pert": "theta_star", "pert-hessian": "theta_star
 
 def cmd_optimize(args) -> int:
     _check_non_negative("--gtol", args.gtol)
-    if args.max_iters < 0:
-        raise _InputError(f"--max-iters must be >= 0, got {args.max_iters}")
+    _check_at_least("--max-iters", args.max_iters, 0)
+    _check_at_least("--cap", args.cap, 1)
     obs = _load_observable(args.hamiltonian)
     circ = _load_ansatz(args.ansatz)
     # a result given with --init zero is not used, but its hash is in the document
@@ -289,87 +295,6 @@ def cmd_optimize(args) -> int:
         cap=args.cap,
     )
     _emit(_document(args, trace.to_dict()), args.trace_out)
-    return EXIT_OK
-
-
-def _random_observable(n_qubits: int, n_terms: int, seed: int) -> Observable:
-    rng = np.random.default_rng(seed)
-    terms = {}
-    while len(terms) < n_terms:
-        toks = []
-        for q in range(n_qubits):
-            letter = "IXYZ"[rng.integers(0, 4)]
-            if letter != "I":
-                toks.append(f"{letter}{q}")
-        terms.setdefault(" ".join(toks), float(rng.normal()))
-    return Observable.from_strings(n_qubits, terms)
-
-
-def _int_list(flag: str, text: str) -> list:
-    try:
-        return [int(s) for s in text.split(",")]
-    except ValueError:
-        raise _InputError(f"{flag} must be comma-separated integers, got {text!r}")
-
-
-def cmd_bench(args) -> int:
-    qubit_list = _int_list("--qubits", args.qubits)
-    depth_list = _int_list("--depths", args.depths)
-    _check_non_negative("--dropout-threshold", args.dropout_threshold)
-    _check_non_negative("--seed", args.seed)  # the random observable draws from it first
-    ham = _load_observable(args.hamiltonian) if args.hamiltonian else None
-    if ham is not None and ham.n_qubits not in qubit_list:
-        raise _InputError(
-            f"hamiltonian is on {ham.n_qubits} qubits, not one of --qubits {args.qubits}"
-        )
-    for n in qubit_list:
-        if n < 1:
-            raise _InputError(f"--qubits entries must be positive, got {n}")
-        # the random observable draws distinct strings, and only 4^n exist
-        if ham is None and not 1 <= args.terms <= 4**n:
-            raise _InputError(
-                f"--terms {args.terms} must be between 1 and 4^n, the number of "
-                f"Pauli strings on n={n} qubits",
-            )
-    rows = []
-    for n in qubit_list:
-        if ham is not None and ham.n_qubits != n:
-            print(f"skip n={n}: hamiltonian is on {ham.n_qubits} qubits")
-            continue
-        obs = ham if ham is not None else _random_observable(n, args.terms, args.seed)
-        reference = "0" * n
-        for depth in depth_list:
-            circ = generate_hwe_ansatz(n, depth, args.seed, args.variant)
-            res = expand(circ, obs, reference, threshold=args.dropout_threshold)
-            rows.append(
-                {
-                    "n": n,
-                    "depth": depth,
-                    "K": res.counters["K"],
-                    "K_kept": res.counters["K_kept"],
-                    "N_o": res.counters["N_o"],
-                    "t_grad": res.timings["gradient_s"],
-                    "t_hess": res.timings["hessian_s"],
-                    "t_solve": res.timings["solve_s"],
-                }
-            )
-            print(
-                f"n={n} depth={depth} K={rows[-1]['K']} "
-                f"t_hess={rows[-1]['t_hess']:.3f}s"
-            )
-    if args.out:
-        with open(args.out, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-            writer.writeheader()
-            writer.writerows(rows)
-    # empirical scaling exponent of the Hessian stage vs K at fixed n
-    for n in qubit_list:
-        sub = [r for r in rows if r["n"] == n and r["t_hess"] > 0]
-        if len(sub) >= 2:
-            ks = np.log([r["K"] for r in sub])
-            ts = np.log([r["t_hess"] for r in sub])
-            slope = np.polyfit(ks, ts, 1)[0]
-            print(f"n={n}: empirical t_hess ~ K^{slope:.2f}")
     return EXIT_OK
 
 
@@ -440,17 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cap", type=int, default=DEFAULT_QUBIT_CAP)
     p.add_argument("--trace-out", default=None)
     p.set_defaults(func=cmd_optimize)
-
-    p = sub.add_parser("bench", help="time the pipeline over a sweep")
-    p.add_argument("--qubits", required=True, help="comma-separated widths")
-    p.add_argument("--depths", required=True, help="comma-separated depths")
-    p.add_argument("--terms", type=int, default=16)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--variant", choices=("complex", "real"), default="real")
-    p.add_argument("--dropout-threshold", type=float, default=1e-6)
-    p.add_argument("--hamiltonian", default=None)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_bench)
 
     return parser
 

@@ -38,7 +38,7 @@ Rotation convention matches the expansion: R(theta) = exp(i theta P)
 = cos(theta) I + i sin(theta) P.
 
 scipy is imported inside the functions that use it, so that commands
-which never call them (expand, select-ansatz, bench) do not load it.
+which never call them (expand, select-ansatz) do not load it.
 """
 
 from __future__ import annotations

@@ -3,9 +3,10 @@
 Format (bit-exact): the first non-comment line is ``qubits N``; every other
 non-comment line is ``<coefficient> <pauli tokens...>`` with a decimal
 float coefficient and whitespace-separated letter+index tokens ("X0 Z3").
-Qubit counts and indices are ASCII digits. An empty token list denotes the
-identity term. ``#`` starts a comment. Units are opaque to the engine
-(Hartree by convention for chemistry inputs).
+Coefficients are ASCII with no underscores, and qubit counts and indices
+are ASCII digits. An empty token list denotes the identity term. ``#``
+starts a comment. Units are opaque to the engine (Hartree by convention
+for chemistry inputs).
 
 An Observable is stored as packed rows only: the terms' x and z words and
 their coefficients. The parser reads each line's tokens into two bit masks
@@ -157,6 +158,9 @@ def parse_observable(document: str, prune_threshold: float = 0.0) -> Observable:
             continue
         coef_text, *pauli_text = line.split(None, 1)
         try:
+            # float() alone would also take '1_0', '٣' and fullwidth '１.5'
+            if not coef_text.isascii() or "_" in coef_text:
+                raise ValueError
             coef = float(coef_text)
         except ValueError:
             raise ObservableFormatError(f"line {lineno}: bad coefficient {coef_text!r}")

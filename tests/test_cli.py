@@ -70,9 +70,11 @@ def test_malformed_hamiltonian_is_exit_2(tmp_path, toy, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
-# Arabic-Indic digits one and zero: int() reads them, the wire format does not
+# Arabic-Indic digits one, zero and three: int() and float() read them,
+# the wire format does not
 @pytest.mark.parametrize("doc,line", [("qubits \u0661\n1.0 Z0\n", "line 1"),
-                                      ("qubits 1\n1.0 Z\u0660\n", "line 2")])
+                                      ("qubits 1\n1.0 Z\u0660\n", "line 2"),
+                                      ("qubits 1\n\u0663 Z0\n", "line 2: bad coefficient")])
 def test_non_ascii_digits_are_exit_2(tmp_path, toy, capsys, doc, line):
     ham = tmp_path / "digits.txt"
     ham.write_text(doc, encoding="utf-8")
@@ -357,15 +359,19 @@ def test_verify_rejects_malformed_result(tmp_path, toy, capsys, field, value):
     assert out == "" and "invalid result document" in err
 
 
-def test_verify_cap_is_exit_5(tmp_path, toy, capsys):
-    ham, ans = toy
+def test_verify_cap_is_exit_5(tmp_path, capsys):
+    # a 2-qubit instance under the smallest cap, 1; a cap below 1 is exit 2
+    ham = tmp_path / "ham.txt"
+    ham.write_text("qubits 2\n1.0 X0 X1\n2.0 Z0\n")
+    ans = tmp_path / "ansatz.json"
     res = tmp_path / "result.json"
+    assert main(["gen-ansatz", "--qubits", "2", "--depth", "1", "--out", str(ans)]) == 0
     assert main(["expand", "--hamiltonian", str(ham), "--ansatz", str(ans),
-                 "--reference", "0", "--out", str(res)]) == 0
+                 "--reference", "00", "--out", str(res)]) == 0
     rc = main(["verify", "--hamiltonian", str(ham), "--ansatz", str(ans),
-               "--reference", "0", "--result", str(res), "--cap", "0"])
+               "--reference", "00", "--result", str(res), "--cap", "1"])
     assert rc == 5
-    assert "cap" in capsys.readouterr().err
+    assert "exceeds the cap of 1" in capsys.readouterr().err
 
 
 def test_reference_validation(tmp_path, toy):
@@ -457,33 +463,13 @@ def test_select_ansatz_report(tmp_path):
     assert all(t >= 0 for t in doc["timings"].values())
 
 
-def test_bench_csv_schema(tmp_path, capsys):
-    out = tmp_path / "bench.csv"
-    rc = main(["bench", "--qubits", "3", "--depths", "1", "--terms", "4",
-               "--seed", "1", "--out", str(out)])
-    assert rc == 0
-    header, row = out.read_text().strip().splitlines()
-    assert header == "n,depth,K,K_kept,N_o,t_grad,t_hess,t_solve"
-    fields = row.split(",")
-    assert fields[0] == "3" and fields[1] == "1"
-    assert int(fields[2]) == 9  # (2*1+1)*3 Y rotations, real variant default
-
-
-@pytest.mark.parametrize("terms", ("0", "17"))
-def test_bench_rejects_more_terms_than_pauli_strings(terms, capsys):
-    # only 4^2 = 16 distinct strings exist on 2 qubits
-    rc = main(["bench", "--qubits", "2", "--depths", "1", "--terms", terms])
-    assert rc == 2
-    assert "between 1 and 4^n" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize(
     "argv",
     [
-        ["bench", "--qubits", "a", "--depths", "1"],
-        ["bench", "--qubits", "2", "--depths", "x"],
-        ["bench", "--qubits", "4", "--depths", "1", "--hamiltonian", str(CHAIN8),
-         "--out", "{out}"],
+        ["verify", "--hamiltonian", "{ham}", "--ansatz", "{ans}", "--reference", "0",
+         "--result", "{res}", "--cap", "0", "--out", "{out}"],
+        ["optimize", "--hamiltonian", "{ham}", "--ansatz", "{ans}", "--reference", "0",
+         "--cap", "-1", "--trace-out", "{out}"],
         ["expand", "--hamiltonian", "{ham}", "--ansatz", "{ans}", "--reference", "0",
          "--dropout-threshold", "-1", "--out", "{out}"],
         ["expand", "--hamiltonian", "{ham}", "--ansatz", "{ans}", "--reference", "0",
@@ -500,23 +486,23 @@ def test_bench_rejects_more_terms_than_pauli_strings(terms, capsys):
          "--gtol", "inf", "--trace-out", "{out}"],
         ["optimize", "--hamiltonian", "{ham}", "--ansatz", "{ans}", "--reference", "0",
          "--max-iters", "-1", "--trace-out", "{out}"],
-        ["bench", "--qubits", "2", "--depths", "1", "--dropout-threshold", "inf",
-         "--out", "{out}"],
         ["gen-ansatz", "--qubits", "2", "--depth", "1", "--seed", "-1", "--out", "{out}"],
         ["select-ansatz", "--qubits", "8", "--depth", "1", "--count", "2", "--seed", "-1",
          "--hamiltonian", str(CHAIN8), "--reference", "01010101", "--out", "{out}"],
-        ["bench", "--qubits", "2", "--depths", "1", "--seed", "-1", "--out", "{out}"],
     ],
-    ids=["bench-qubits", "bench-depths", "bench-no-width", "expand-negative-dropout",
+    ids=["verify-zero-cap", "optimize-negative-cap", "expand-negative-dropout",
          "expand-nan-dropout", "expand-nan-rtol", "optimize-nan-gtol", "expand-inf-dropout",
          "expand-inf-rtol", "optimize-inf-gtol", "optimize-negative-max-iters",
-         "bench-inf-dropout", "gen-ansatz-negative-seed", "select-ansatz-negative-seed",
-         "bench-negative-seed"],
+         "gen-ansatz-negative-seed", "select-ansatz-negative-seed"],
 )
 def test_malformed_numeric_input_is_exit_2(tmp_path, toy, capsys, argv):
     ham, ans = toy
+    res = tmp_path / "result.json"
+    assert main(["expand", "--hamiltonian", str(ham), "--ansatz", str(ans),
+                 "--reference", "0", "--out", str(res)]) == 0
+    capsys.readouterr()
     out = tmp_path / "out"
-    rc = main([a.format(ham=ham, ans=ans, out=out) for a in argv])
+    rc = main([a.format(ham=ham, ans=ans, res=res, out=out) for a in argv])
     assert rc == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
@@ -556,14 +542,13 @@ def test_malformed_numeric_input_is_exit_2(tmp_path, toy, capsys, argv):
         ["select-ansatz", "--qubits", "2", "--depth", "1", "--count", "2",
          "--hamiltonian", "{ham}", "--reference", "00", "--out", "{out}",
          "--report-out", "{out}.report/r.json"],
-        ["bench", "--qubits", "2", "--depths", "1", "--out", "{out}/b.csv"],
     ],
     ids=["expand-width", "verify-width", "optimize-width", "select-ansatz-width",
          "verify-reference-length", "verify-reference-letter", "optimize-reference-length",
          "optimize-reference-letter", "optimize-zero-missing-result",
          "expand-out-missing-dir", "expand-out-is-dir", "verify-out-missing-dir",
          "optimize-trace-out-missing-dir", "gen-ansatz-out-missing-dir",
-         "select-ansatz-report-out-missing-dir", "bench-out-missing-dir"],
+         "select-ansatz-report-out-missing-dir"],
 )
 def test_mismatched_input_is_exit_2(tmp_path, toy, capsys, argv):
     ham, ans = toy

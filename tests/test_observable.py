@@ -70,11 +70,22 @@ def test_serializer_round_trip_stable():
         ("# c\nqubits \u0664\n1.0 Z0\n", "line 2: qubit count"),
         ("qubits 1_0\n1.0 Z0\n", "line 1: qubit count"),
         ("qubits +2\n1.0 Z0\n", "line 1: qubit count"),
+        # and coefficients are ASCII without underscores: float() would read
+        # '1_0' as 10.0, '\u0663' as 3.0 and fullwidth '\uff11.5' as 1.5
+        ("qubits 1\n1_0 Z0\n", "line 2: bad coefficient"),
+        ("qubits 1\n\u0663 Z0\n", "line 2: bad coefficient"),
+        ("qubits 1\n\uff11.5 Z0\n", "line 2: bad coefficient"),
     ],
 )
 def test_parse_errors_carry_line_numbers(doc, fragment):
     with pytest.raises(ObservableFormatError, match=fragment):
         parse_observable(doc)
+
+
+@pytest.mark.parametrize("text", ["+2", ".5", "1e3", "-0", "-4.25E-3"])
+def test_ascii_coefficient_forms_read_as_float(text):
+    (c,) = parse_observable(f"qubits 1\n{text} Z0\n").coeffs.tolist()
+    assert repr(c) == repr(float(text))  # repr keeps the sign of -0.0
 
 
 def test_prune_threshold():
