@@ -177,8 +177,12 @@ def compute_gradient(
 
 
 def apply_dropout(gradient: np.ndarray, threshold: float) -> np.ndarray:
-    """Keep mask: |g_k| >= threshold (threshold 0 keeps everything)."""
-    if threshold < 0:
+    """Keep mask: |g_k| >= threshold (threshold 0 keeps everything).
+
+    ValueError for a negative or NaN threshold: NaN would drop every
+    parameter, as no |g_k| >= NaN.
+    """
+    if not threshold >= 0:
         raise ValueError("dropout threshold must be >= 0")
     return np.abs(gradient) >= threshold
 
@@ -245,8 +249,12 @@ def _solve(e0, gradient, hessian_kept, mask, rtol, stable_subspace):
     discarded_by_rtol (|lambda| <= cutoff) and condition_number, the ratio
     of the largest to the smallest |lambda| that is inverted. That is None
     when nothing is inverted (or the ratio overflows), as strict JSON holds
-    no inf.
+    no inf. ValueError unless rtol is finite and >= 0: a NaN cutoff would
+    invert nothing yet count nothing discarded, and a negative one would
+    invert the null space.
     """
+    if not 0 <= rtol < math.inf:
+        raise ValueError(f"rtol must be finite and >= 0, got {rtol!r}")
     K = mask.size
     kept = np.nonzero(mask)[0]
     theta = np.zeros(K)

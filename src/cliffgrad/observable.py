@@ -3,10 +3,13 @@
 Format (bit-exact): the first non-comment line is ``qubits N``; every other
 non-comment line is ``<coefficient> <pauli tokens...>`` with a decimal
 float coefficient and whitespace-separated letter+index tokens ("X0 Z3").
-Coefficients are ASCII with no underscores, and qubit counts and indices
-are ASCII digits. An empty token list denotes the identity term. ``#``
-starts a comment. Units are opaque to the engine (Hartree by convention
-for chemistry inputs).
+Lines end only at ``\n``, and only ASCII whitespace (``string.whitespace``:
+spaces, tabs, ...) separates tokens, so a non-ASCII space or line separator
+stays inside its token and the line is a format error. Coefficients are
+ASCII with no underscores, and qubit counts and indices are ASCII digits.
+An empty token list denotes the identity term. ``#`` starts a comment.
+Units are opaque to the engine (Hartree by convention for chemistry
+inputs).
 
 An Observable is stored as packed rows only: the terms' x and z words and
 their coefficients. The parser reads each line's tokens into two bit masks
@@ -19,6 +22,7 @@ the benchmark's checks.
 from __future__ import annotations
 
 import math
+import string
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from typing import Dict, List, Tuple
@@ -27,6 +31,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, ObservableFormatError, PauliFormatError, SolveError
 from .pauli import PauliString, ascii_int, pack_masks, parse_pauli, read_pauli, stack_rows
+from .pauli import split_tokens
 from .tableau import StabilizerTableau, frame_values
 
 
@@ -142,12 +147,12 @@ def parse_observable(document: str, prune_threshold: float = 0.0) -> Observable:
         raise ObservableFormatError(f"prune threshold must be >= 0, got {prune_threshold!r}")
     n_qubits = None
     merged: Dict[Tuple[int, int], float] = {}
-    for lineno, raw in enumerate(document.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+    for lineno, raw in enumerate(document.split("\n"), start=1):
+        line = raw.split("#", 1)[0].strip(string.whitespace)
         if not line:
             continue
         if n_qubits is None:
-            parts = line.split()
+            parts = split_tokens(line)
             if len(parts) != 2 or parts[0] != "qubits":
                 raise ObservableFormatError(
                     f"line {lineno}: expected 'qubits N' header, got {line!r}"
@@ -156,7 +161,7 @@ def parse_observable(document: str, prune_threshold: float = 0.0) -> Observable:
             if not n_qubits:  # None (not ASCII digits) or 0
                 raise ObservableFormatError(f"line {lineno}: qubit count must be a positive int")
             continue
-        coef_text, *pauli_text = line.split(None, 1)
+        coef_text, *pauli_text = split_tokens(line, 1)
         try:
             # float() alone would also take '1_0', '٣' and fullwidth '１.5'
             if not coef_text.isascii() or "_" in coef_text:

@@ -19,14 +19,15 @@ reads <psi|Q|psi> off the images. expectation returns 0 when Q
 anticommutes with a stabilizer, one popcount parity over the packed words,
 and otherwise reads the frame of Q.
 
-conjugate_pauli is the one place that spells out how a gate acts: it
-conjugates one Pauli string on unpacked bits, one {H, S, CNOT} primitive
-at a time (CliffordGate.primitives), and packs the result. Both update
-tables are read off it at import, from the images of H, S and CNOT
-composed along each gate's primitives, and it stays the reference that
-conjugate_rows is tested against. The 24 single-qubit Cliffords are
-enumerated by a fixed table of H/S words (see CLIFFORD_1Q_WORDS, also
-shipped as data/single_qubit_cliffords.txt).
+_conjugate_masks is the one place that spells out how a gate acts: it
+walks a Pauli string, held as two Python-int bit masks and a phase,
+through one {H, S, CNOT} primitive at a time (CliffordGate.primitives).
+Every entry of both update tables is read straight off it at import, one
+walk per gate and letter code, and conjugate_pauli, its PauliString
+wrapper, stays the reference that conjugate_rows is tested against. The 24
+single-qubit Cliffords are enumerated by a fixed table of H/S words
+(CLIFFORD_1Q_WORDS, also shipped as data/single_qubit_cliffords.txt), and
+a single-qubit gate's primitives are the word of its table entry.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ import numpy as np
 
 from .errors import CircuitFormatError, DimensionMismatchError, WireError
 from .pauli import PHASES, PauliString, _WORD_BITS, _bits, _n_words, _pack, _row_popcount
+from .pauli import pack_masks, unpack_mask
 
 # ---------------------------------------------------------------------------
 # Single-qubit Clifford table
@@ -68,6 +70,11 @@ _KIND_ARITY = {
     "H": 1, "S": 1, "SDG": 1, "X": 1, "Y": 1, "Z": 1,
     "CNOT": 2, "CZ": 2, "SWAP": 2, "C1": 1,
 }
+
+# Each named kind's entry in its update table. A single-qubit kind's entry
+# is its H/S word: SDG = SSS, Z = SS, X = HSSH and Y = HSSHSS (X then Z; Y
+# equals ZX up to a global phase, irrelevant under conjugation).
+_KIND_INDEX = {"H": 1, "S": 2, "SDG": 10, "X": 12, "Y": 23, "Z": 5, "CNOT": 0, "CZ": 1, "SWAP": 2}
 
 
 @dataclass(frozen=True)
@@ -107,21 +114,12 @@ class CliffordGate:
         return self
 
     def primitives(self) -> list:
-        """Expand into (name, wires) primitives over {H, S, CNOT}, time order."""
+        """Expand into (name, wires) primitives over {H, S, CNOT}, time order.
+
+        A single-qubit gate is the H/S word of its table entry (table_index),
+        letter by letter; CZ is H CNOT H on the target and SWAP three CNOTs.
+        """
         k, w = self.kind, self.wires
-        if k == "H":
-            return [("H", w)]
-        if k == "S":
-            return [("S", w)]
-        if k == "SDG":
-            return [("S", w)] * 3
-        if k == "Z":
-            return [("S", w)] * 2
-        if k == "X":
-            return [("H", w), ("S", w), ("S", w), ("H", w)]
-        if k == "Y":
-            # Y equals ZX up to global phase, irrelevant under conjugation.
-            return CliffordGate("X", w).primitives() + CliffordGate("Z", w).primitives()
         if k == "CNOT":
             return [("CNOT", w)]
         if k == "CZ":
@@ -130,9 +128,12 @@ class CliffordGate:
         if k == "SWAP":
             a, b = w
             return [("CNOT", (a, b)), ("CNOT", (b, a)), ("CNOT", (a, b))]
-        if k == "C1":
-            return [(ch, w) for ch in CLIFFORD_1Q_WORDS[self.index]]
-        raise AssertionError(k)
+        return [(ch, w) for ch in CLIFFORD_1Q_WORDS[table_index(self)]]
+
+
+def table_index(gate: CliffordGate) -> int:
+    """The gate's entry in its update table (single-qubit entry 0 is the identity)."""
+    return gate.index if gate.kind == "C1" else _KIND_INDEX[gate.kind]
 
 
 def _check_wires(gate: CliffordGate, n_qubits: int) -> None:
@@ -158,32 +159,43 @@ def check_reference(reference: str, n_qubits: int) -> None:
 # ---------------------------------------------------------------------------
 
 
-def conjugate_pauli(circuit: Iterable[CliffordGate], p: PauliString) -> PauliString:
-    """Return C p C† for the Clifford circuit C (gates in time order).
+def _conjugate_masks(circuit: Iterable[CliffordGate], n: int, x: int, z: int, phase: int):
+    """(x, z, phase) of C P C† for P = i^phase (x, z) on n qubits.
 
-    Exact sign tracking on unpacked bits, one qubit at a time; cost
-    O(gate primitives), each primitive touching only its wires.
+    x and z are Python-int bit masks, bit q for qubit q, and the phase is
+    an exponent of i. The walk takes one {H, S, CNOT} primitive at a time
+    (CliffordGate.primitives), each touching only its wires, with exact
+    sign tracking (Aaronson & Gottesman, arXiv:quant-ph/0406196).
     """
-    n = p.n_qubits
-    x = _bits(p.x, n).astype(int).tolist()
-    z = _bits(p.z, n).astype(int).tolist()
-    phase = p.phase
     for gate in circuit:
         _check_wires(gate, n)
         for name, wires in gate.primitives():
             if name == "CNOT":
                 a, b = wires
-                phase ^= 2 * (x[a] & z[b] & (1 ^ x[b] ^ z[a]))
-                x[b] ^= x[a]
-                z[a] ^= z[b]
+                xa, zb = x >> a & 1, z >> b & 1
+                phase ^= 2 * (xa & zb & (1 ^ (x >> b & 1) ^ (z >> a & 1)))
+                x, z = x ^ xa << b, z ^ zb << a
                 continue
             (q,) = wires
-            phase ^= 2 * (x[q] & z[q])
-            if name == "H":
-                x[q], z[q] = z[q], x[q]
+            xq, zq = x >> q & 1, z >> q & 1
+            phase ^= 2 * (xq & zq)
+            if name == "H":  # swap the bits: XOR both with their difference
+                x, z = x ^ (xq ^ zq) << q, z ^ (xq ^ zq) << q
             else:  # S
-                z[q] ^= x[q]
-    return PauliString.from_bits(x, z, phase)
+                z ^= xq << q
+    return x, z, phase
+
+
+def conjugate_pauli(circuit: Iterable[CliffordGate], p: PauliString) -> PauliString:
+    """Return C p C† for the Clifford circuit C (gates in time order).
+
+    The PauliString wrapper of _conjugate_masks: exact sign tracking on bit
+    masks; cost O(gate primitives), each primitive touching only its wires.
+    """
+    n = p.n_qubits
+    x, z, phase = _conjugate_masks(circuit, n, unpack_mask(p.x), unpack_mask(p.z), p.phase)
+    (x,), (z,) = pack_masks([(x, z)], n)
+    return PauliString(n, x, z, phase)
 
 
 # ---------------------------------------------------------------------------
@@ -191,58 +203,31 @@ def conjugate_pauli(circuit: Iterable[CliffordGate], p: PauliString) -> PauliStr
 # ---------------------------------------------------------------------------
 
 
-def _update_tables():
-    """The gather tables of conjugate_rows, read off conjugate_pauli.
+def _code(x: int, z: int, k: int) -> int:
+    """A row's code on a gate's k wires from its bit masks x and z there:
+    its letters 2x + z in wire order, two bits each, the first wire's highest."""
+    return sum((2 * (x >> j & 1) + (z >> j & 1)) << 2 * (k - 1 - j) for j in range(k))
 
-    A row's letter on a wire is 2x + z, and its code on a gate's k wires is
-    its letters in wire order, two bits each, the first wire's highest (the
-    order of itertools.product). Entry e of a table holds, at e << 2k |
-    code, the XOR that takes the code to its image's and, at bit 2k, the
-    sign flip. The images of the primitives H, S and CNOT are read off
-    conjugate_pauli, and every gate's entry composes them along its
-    primitives.
+
+def _update_table(gates) -> np.ndarray:
+    """A gather table of conjugate_rows, read straight off _conjugate_masks.
+
+    Entry e holds, at e << 2k | code, the XOR that takes the code to its
+    image's and, at bit 2k, the sign flip: one walk of gate e, on wires
+    0..k-1 of a k-qubit register, per code.
     """
-    images = {}  # (primitive, letters on its wires) -> (image letters, sign flip)
-    for gate in (CliffordGate("H", (0,)), CliffordGate("S", (0,)), CliffordGate("CNOT", (0, 1))):
-        for c in itertools.product(range(4), repeat=len(gate.wires)):
-            x, z = (sum((a >> s & 1) << j for j, a in enumerate(c)) for s in (1, 0))
-            q = conjugate_pauli([gate], PauliString(len(c), [x], [z]))
-            images[gate.kind, c] = [2 * q.x_bit(j) + q.z_bit(j) for j in gate.wires], q.phase // 2
-
-    def table(gates) -> np.ndarray:
-        k = len(gates[0].wires)
-        codes = list(itertools.product(range(4), repeat=k))
-        step = {}  # (name, wires, letters on the gate's k wires) -> (image, sign flip)
-        for name, wires in {p for gate in gates for p in gate.primitives()}:
-            for c in codes:
-                new, flip = images[name, tuple(c[w] for w in wires)]
-                image = tuple(new[wires.index(w)] if w in wires else a for w, a in enumerate(c))
-                step[name, wires, c] = image, flip
-        out = []
-        for gate in gates:
-            for code, c in enumerate(codes):
-                image, flip = c, 0
-                for name, wires in gate.primitives():
-                    image, f = step[name, wires, image]
-                    flip ^= f
-                out.append(flip << 2 * k | codes.index(image) ^ code)
-        return np.array(out, dtype=np.uint64)
-
-    kind_index = {kind: i for i, kind in enumerate(("CNOT", "CZ", "SWAP"))}
-    # a named single-qubit kind's entry is its H/S word's; C1 entry i is word i
-    for kind in ("H", "S", "SDG", "X", "Y", "Z"):
-        word = "".join(p for p, _ in CliffordGate(kind, (0,)).primitives())
-        kind_index[kind] = CLIFFORD_1Q_WORDS.index(word)
-    one = table([CliffordGate("C1", (0,), i) for i in range(24)])
-    return one, table([CliffordGate(kind, (0, 1)) for kind in ("CNOT", "CZ", "SWAP")]), kind_index
+    k = len(gates[0].wires)
+    out = np.zeros(len(gates) << 2 * k, dtype=np.uint64)
+    for e, gate in enumerate(gates):
+        for x, z in itertools.product(range(1 << k), repeat=2):
+            x2, z2, phase = _conjugate_masks([gate], k, x, z, 0)
+            code = _code(x, z, k)
+            out[e << 2 * k | code] = phase // 2 << 2 * k | _code(x2, z2, k) ^ code
+    return out
 
 
-_1Q_TABLE, _2Q_TABLE, _KIND_INDEX = _update_tables()
-
-
-def table_index(gate: CliffordGate) -> int:
-    """The gate's entry in its update table (single-qubit entry 0 is the identity)."""
-    return gate.index if gate.kind == "C1" else _KIND_INDEX[gate.kind]
+_1Q_TABLE = _update_table([CliffordGate("C1", (0,), i) for i in range(24)])
+_2Q_TABLE = _update_table([CliffordGate(kind, (0, 1)) for kind in ("CNOT", "CZ", "SWAP")])
 
 
 def _move(words: np.ndarray, src: int, dst: int) -> np.ndarray:

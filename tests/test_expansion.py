@@ -427,6 +427,27 @@ def test_apply_dropout():
         apply_dropout(g, -1.0)
 
 
+@pytest.mark.parametrize("rtol", [float("nan"), -1.0, float("inf")])
+def test_bad_rtol_is_rejected_by_expand_and_solve_quadratic(rtol):
+    # NaN inverted nothing yet counted nothing discarded, and -1 inverted
+    # the null space (condition number 6.7e16 on chain8)
+    circ = generate_hwe_ansatz(8, 1, 3, "real")
+    obs = parse_observable(CHAIN8.read_text())
+    with pytest.raises(ValueError, match="rtol"):
+        expand(circ, obs, "01010101", rtol=rtol)
+    with pytest.raises(ValueError, match="rtol"):
+        solve_quadratic(0.0, np.array([1.0, 0.0]), np.diag([2.0, 0.0]), np.ones(2, bool), rtol)
+
+
+def test_nan_dropout_threshold_is_rejected():
+    # NaN would drop every parameter: no |g_k| >= NaN
+    with pytest.raises(ValueError, match="dropout threshold"):
+        apply_dropout(np.array([0.0, 0.2]), float("nan"))
+    circ = generate_hwe_ansatz(8, 1, 3, "real")
+    with pytest.raises(ValueError, match="dropout threshold"):
+        expand(circ, parse_observable(CHAIN8.read_text()), "01010101", threshold=float("nan"))
+
+
 def test_dropout_matches_independent_zero_gradient_count(rng):
     circ = generate_hwe_ansatz(6, 1, 17, "real")
     obs = Observable.from_strings(

@@ -75,6 +75,13 @@ def test_serializer_round_trip_stable():
         ("qubits 1\n1_0 Z0\n", "line 2: bad coefficient"),
         ("qubits 1\n\u0663 Z0\n", "line 2: bad coefficient"),
         ("qubits 1\n\uff11.5 Z0\n", "line 2: bad coefficient"),
+        # only ASCII whitespace separates tokens and only '\n' ends a line:
+        # str.split() and splitlines() would also break at these
+        ("qubits 2\n1.0\u00a0Z0 X1\n", "line 2: bad coefficient"),
+        ("qubits 2\n1.0 Z0\u2003X1\n", "line 2: bad Pauli token"),
+        ("qubits\u00a02\n1.0 Z0\n", "line 1: expected 'qubits N' header"),
+        ("qubits 2\n\u3000\n1.0 Z0\n", "line 2"),
+        ("qubits 2\n1.0 Z0\u2028X1\n", "line 2: bad Pauli token"),
     ],
 )
 def test_parse_errors_carry_line_numbers(doc, fragment):

@@ -58,7 +58,12 @@ def test_parse_basics():
     assert parse_pauli("X0 Z3 Y7", 8).to_text() == "X0 Z3 Y7"
 
 
-@pytest.mark.parametrize("bad", ["X0 X0", "Q1", "x0", "X9", "X"])
+@pytest.mark.parametrize(
+    "bad",
+    # only ASCII whitespace separates tokens: str.split() would read
+    # 'X0\u00a0Z1' (no-break space) as X0 Z1
+    ["X0 X0", "Q1", "x0", "X9", "X", "X0\u00a0Z1", "X0\u2003Z1", "X0\u3000Z1", "X0\u2028Z1"],
+)
 def test_parse_errors(bad):
     with pytest.raises(PauliFormatError):
         parse_pauli(bad, 4)

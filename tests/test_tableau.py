@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -117,6 +119,25 @@ def test_conjugate_rows_matches_conjugate_pauli(rng, n):
 SINGLE_QUBIT_KINDS = [(k, None) for k in ("H", "S", "SDG", "X", "Y", "Z")] + [
     ("C1", i) for i in range(24)
 ]
+
+EVERY_GATE_ON_TWO_WIRES = [
+    CliffordGate(kind, (wire,), index) for kind, index in SINGLE_QUBIT_KINDS for wire in (0, 1)
+] + [CliffordGate(kind, wires) for kind in ("CNOT", "CZ", "SWAP") for wires in ((0, 1), (1, 0))]
+
+
+def _gate_id(gate: CliffordGate) -> str:
+    return gate.kind + (f"[{gate.index}]" if gate.kind == "C1" else "") + f"@{gate.wires}"
+
+
+@pytest.mark.parametrize("gate", EVERY_GATE_ON_TWO_WIRES, ids=_gate_id)
+def test_conjugation_rule_matches_dense_gate_matrix(gate):
+    # every letter on both wires of a 2-qubit register, with both signs: the
+    # single walk that both update tables are read off, against U P U†
+    U = dense_unitary([gate], 2)
+    for x, z, phase in itertools.product(range(4), range(4), (0, 2)):
+        p = PauliString.from_bits([x >> 1, x & 1], [z >> 1, z & 1], phase)
+        want = U @ p.to_matrix() @ U.conj().T
+        assert np.abs(conjugate_pauli([gate], p).to_matrix() - want).max() < 1e-12, p
 
 
 def _every_letter_rows(rng, n: int, wires, count: int) -> list:
