@@ -3,7 +3,9 @@ theta = 0, quadratic-model minimization, and warm-started verification."""
 
 from .circuit import (
     AnsatzCircuit,
+    ConjugatedGenerators,
     RotationGate,
+    conjugate_generators,
     generate_hwe_ansatz,
     select_ansatz,
 )
@@ -16,12 +18,10 @@ from .dense import (
     simulate,
 )
 from .expansion import (
-    ConjugatedGenerators,
     ExpansionResult,
     apply_dropout,
     compute_gradient,
     compute_hessian,
-    conjugate_generators,
     expand,
     solve_quadratic,
 )

@@ -8,23 +8,25 @@ state (e.g. a Hartree-Fock occupation bitstring) is injected at the input.
 The theta = 0 stabilizer state is the reference's tableau taken through
 the Clifford gates (clifford_point_state); one sweep over the same gates
 gives the conjugated rotation generators P'_k as packed rows
-(ConjugatedGenerators).
+(conjugate_generators, ConjugatedGenerators).
 
-The sweep (_clifford_sweep) takes a list of ansätze that share a skeleton:
-the same width and, at every position, the same rotation (axis, wire,
-param), the same two-qubit gate, or single-qubit Clifford gates on the same
-wire. Candidates generated for one width, depth and variant always do.
-Their generator rows are stacked into one block and swept gate position by
-gate position; at a single-qubit position each ansatz's rows take its own
-entry of the single-qubit table (tableau.conjugate_rows). One ansatz is a
-stack of one. select_ansatz sweeps its candidates in chunks of at most
-SWEEP_ROWS rows and reads every candidate's gradient against one state:
-each candidate composes to the identity at theta = 0, so its state is the
-reference itself.
+A generated ansatz is a skeleton plus a dressing. The skeleton (_skeleton)
+is fixed by the width, depth and variant: the gate positions, the CZ gates
+and the rotations, with every single-qubit Clifford the identity C1 entry.
+The dressing (_dressing_of) is drawn from the seed: the C1 entry of each
+single-qubit Clifford, in element order. conjugate_generators sweeps one
+ansatz, or many dressings of one ansatz as one stacked block of rows, each
+dressing's rows taking its own entry of the single-qubit table at every
+single-qubit gate (tableau.conjugate_rows). select_ansatz sweeps its
+candidates' dressings over the skeleton in chunks of at most SWEEP_ROWS
+rows, reads every candidate's gradient against one state (each candidate
+composes to the identity at theta = 0, so its state is the reference
+itself), and builds only the winner as a circuit.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import time
 from dataclasses import dataclass, field
@@ -38,11 +40,11 @@ from .pauli import PauliString, _WORD_BITS, _n_words
 from .tableau import (
     CLIFFORD_1Q_HADAMARD,
     CLIFFORD_1Q_IDENTITY,
+    CLIFFORD_1Q_INVERSE,
     CliffordGate,
     StabilizerTableau,
     _check_wires,
     conjugate_rows,
-    table_index,
 )
 
 ANSATZ_SCHEMA_VERSION = 1
@@ -225,52 +227,38 @@ class ConjugatedGenerators:
 SWEEP_ROWS = 1 << 14
 
 
-def _skeleton_mismatch(column) -> Optional[str]:
-    """Why the elements at one position of stacked ansätze cannot share a sweep.
+def conjugate_generators(ansatz: AnsatzCircuit, dressings=None):
+    """P'_k for every rotation, from one left-to-right sweep of the Clifford gates.
 
-    They must all be the same rotation (axis, wire, param), the same
-    two-qubit gate, or single-qubit Clifford gates on the same wire.
+    The K generator rows form one packed block. Row k is seeded with
+    rotation k's generator when the sweep reaches it, and every later
+    Clifford gate conjugates the block (tableau.conjugate_rows), so it ends
+    as P'_k, the image of the generator under the Clifford content after
+    its rotation (rotations at zero are identity). Unseeded rows are the
+    identity, which no gate changes, and every P'_k comes out Hermitian.
+
+    `dressings`, an (A, G) array of C1 table entries with one column per
+    single-qubit Clifford gate of the ansatz in element order, sweeps A
+    dressings of the ansatz at once: in dressing a, the g-th single-qubit
+    gate is C1 entry dressings[a, g]. The A * K rows form one block, and at
+    a single-qubit gate each dressing's K rows take its own table entry.
+    Rows never mix, so the list of A ConjugatedGenerators it returns equals
+    one sweep per dressed ansatz. ValueError for a matrix of another width
+    or with an entry outside 0..23.
     """
-    e = column[0]
-    if isinstance(e, CliffordGate) and len(e.wires) == 1:
-        bad = [c for c in column if not (isinstance(c, CliffordGate) and c.wires == e.wires)]
-    else:
-        bad = [c for c in column if c != e]
-    return f"{bad[0]} against {e}" if bad else None
-
-
-def _clifford_sweep(ansatze: List[AnsatzCircuit]) -> List[ConjugatedGenerators]:
-    """One left-to-right sweep of the Clifford gates over one stacked row block.
-
-    The ansätze share a skeleton: one width and, at every position, the same
-    rotation, the same two-qubit gate, or single-qubit Clifford gates on the
-    same wire (a generated candidate set of one width, depth and variant);
-    ValueError otherwise. Each ansatz owns K consecutive generator rows.
-    Row k is seeded with rotation k's generator when the sweep reaches it,
-    and every later Clifford gate conjugates the whole block, each ansatz's
-    rows through its own single-qubit gate (one table entry per row,
-    tableau.conjugate_rows), so it ends as P'_k, the image of the generator
-    under the Clifford content after its rotation (rotations at zero are
-    identity). Unseeded rows are the identity, which no gate changes, and
-    every P'_k comes out Hermitian. Rows never mix, so each ansatz's rows
-    equal what a sweep of that ansatz alone gives.
-
-    Returns one ConjugatedGenerators per ansatz, in order.
-    """
-    first = ansatze[0]
-    n, A, K, W = first.n_qubits, len(ansatze), first.n_params, _n_words(first.n_qubits)
-    if any(a.n_qubits != n or len(a.elements) != len(first.elements) for a in ansatze):
-        raise ValueError("stacked ansätze differ in width or length")
+    n, K, W = ansatz.n_qubits, ansatz.n_params, _n_words(ansatz.n_qubits)
+    if dressings is not None:
+        dressings = np.asarray(dressings)
+        G = sum(isinstance(e, CliffordGate) and len(e.wires) == 1 for e in ansatz.elements)
+        if dressings.ndim != 2 or dressings.shape[1] != G or not np.isin(dressings, range(24)).all():
+            raise ValueError(f"dressings must be an (A, {G}) array of C1 entries 0..23")
+    A = 1 if dressings is None else len(dressings)
     x, z = np.zeros((2, A, K, W), dtype=np.uint64)
     r = np.zeros((A, K), dtype=np.uint8)
     # the same memory as one (A * K)-row block, which conjugate_rows updates
     rows = x.reshape(A * K, W), z.reshape(A * K, W), r.reshape(A * K)
-    positions = [0] * K
-    for pos, column in enumerate(zip(*(a.elements for a in ansatze))):
-        why = _skeleton_mismatch(column)
-        if why:
-            raise ValueError(f"stacked ansätze differ at element {pos}: {why}")
-        e = column[0]
+    positions, column = [0] * K, 0
+    for pos, e in enumerate(ansatz.elements):
         if isinstance(e, RotationGate):  # the row is still the identity: set the axis's letter
             w, bit = divmod(e.wire, _WORD_BITS)
             x[:, e.param, w] = (e.axis != "Z") << bit
@@ -278,20 +266,18 @@ def _clifford_sweep(ansatze: List[AnsatzCircuit]) -> List[ConjugatedGenerators]:
             positions[e.param] = pos
             continue
         _check_wires(e, n)
-        index = [table_index(c) for c in column]
-        conjugate_rows(*rows, e, index[0] if len(set(index)) == 1 else np.repeat(index, K))
+        index = None
+        if dressings is not None and len(e.wires) == 1:
+            index, column = np.repeat(dressings[:, column], K), column + 1
+        conjugate_rows(*rows, e, index)
     phase = 2 * r.astype(np.int64)
-    return [ConjugatedGenerators(n, x[a], z[a], phase[a], list(positions)) for a in range(A)]
+    swept = [ConjugatedGenerators(n, x[a], z[a], phase[a], list(positions)) for a in range(A)]
+    return swept[0] if dressings is None else swept
 
 
 # ---------------------------------------------------------------------------
 # Hardware-efficient brickwork generator
 # ---------------------------------------------------------------------------
-
-# Depth convention: region 1 holds `depth` entangler layers each followed by
-# a rotation layer; one extra rotation layer sits at the region boundary;
-# region 2 holds the mirrored inverse entangler layers, each followed by a
-# fresh rotation layer. Total rotation layers: 2*depth + 1.
 
 
 def _brickwork_pairs(n_qubits: int, layer: int) -> List[Tuple[int, int]]:
@@ -299,33 +285,17 @@ def _brickwork_pairs(n_qubits: int, layer: int) -> List[Tuple[int, int]]:
     return [(q, q + 1) for q in range(start, n_qubits - 1, 2)]
 
 
-def _entangler_layer(rng: np.random.Generator, pairs, dressing_indices) -> List[CliffordGate]:
-    gates: List[CliffordGate] = []
-    for a, b in pairs:
-        i1, i2, i3, i4 = rng.choice(dressing_indices, size=4)
-        gates.append(CliffordGate("C1", (a,), int(i1)))
-        gates.append(CliffordGate("C1", (b,), int(i2)))
-        gates.append(CliffordGate("CZ", (a, b)))
-        gates.append(CliffordGate("C1", (a,), int(i3)))
-        gates.append(CliffordGate("C1", (b,), int(i4)))
-    return gates
+def _skeleton(n_qubits: int, depth: int, variant: str) -> List[Element]:
+    """generate_hwe_ansatz's elements with every single-qubit C1 entry 0.
 
-
-def _invert_layer(gates: List[CliffordGate]) -> List[CliffordGate]:
-    return [g.inverse() for g in reversed(gates)]
-
-
-def generate_hwe_ansatz(
-    n_qubits: int, depth: int, seed: int, variant: str = "complex"
-) -> AnsatzCircuit:
-    """Brickwork ansatz of two mirrored regions, identity at theta = 0.
-
-    variant "complex": entangler dressings drawn from all 24 single-qubit
-    Cliffords; each rotation layer is (Rx, Ry, Rz) per qubit. variant
-    "real": dressings drawn from {identity, Hadamard}; rotation layers are
-    Ry only (one third the parameters). Deterministic in `seed`: a single
-    PCG64 stream seeded with `seed` is consumed in layer order, blocks left
-    to right, four dressing draws per block.
+    Region 1 holds `depth` entangler layers, each followed by a rotation
+    layer; one extra rotation layer sits at the region boundary; region 2
+    holds the entangler layers in reverse, gate by gate, each followed by a
+    fresh rotation layer (2 * depth + 1 rotation layers in all). An
+    entangler block is C1 C1 CZ C1 C1 on a brickwork pair. Every skeleton
+    gate is its own inverse, so region 2 mirrors region 1; the dressing
+    (_dressing_of) keeps that true. Rotation layers are (Rx, Ry, Rz) per
+    qubit for "complex" and Ry per qubit for "real".
     """
     if n_qubits < 2:
         raise CircuitFormatError(f"need at least 2 qubits, got {n_qubits}")
@@ -333,39 +303,62 @@ def generate_hwe_ansatz(
         raise CircuitFormatError(f"depth must be >= 1, got {depth}")
     if variant not in ("complex", "real"):
         raise CircuitFormatError(f"variant must be 'complex' or 'real', got {variant!r}")
-    _check_seed(seed)
-
-    rng = np.random.default_rng(seed)
-    if variant == "complex":
-        dressing = np.arange(24)
-        axes = ("X", "Y", "Z")
-    else:
-        dressing = np.array([CLIFFORD_1Q_IDENTITY, CLIFFORD_1Q_HADAMARD])
-        axes = ("Y",)
-
-    next_param = 0
+    axes, params = ROTATION_AXES if variant == "complex" else ("Y",), itertools.count()
 
     def rotation_layer() -> List[RotationGate]:
-        nonlocal next_param
-        layer = []
-        for q in range(n_qubits):
-            for ax in axes:
-                layer.append(RotationGate(ax, q, next_param))
-                next_param += 1
-        return layer
+        return [RotationGate(ax, q, next(params)) for q in range(n_qubits) for ax in axes]
 
-    elements: List[Element] = []
-    entangler_layers: List[List[CliffordGate]] = []
+    layers = []
     for layer in range(depth):
-        ent = _entangler_layer(rng, _brickwork_pairs(n_qubits, layer), dressing)
-        entangler_layers.append(ent)
-        elements.extend(ent)
-        elements.extend(rotation_layer())
-    elements.extend(rotation_layer())  # boundary layer
-    for ent in reversed(entangler_layers):
-        elements.extend(_invert_layer(ent))
-        elements.extend(rotation_layer())
+        layers.append([])
+        for a, b in _brickwork_pairs(n_qubits, layer):
+            c1a, c1b = CliffordGate("C1", (a,), 0), CliffordGate("C1", (b,), 0)
+            layers[-1] += [c1a, c1b, CliffordGate("CZ", (a, b)), c1a, c1b]
+    elements: List[Element] = []
+    for ent in layers:
+        elements += ent + rotation_layer()
+    elements += rotation_layer()  # boundary layer
+    for ent in reversed(layers):
+        elements += ent[::-1] + rotation_layer()
+    return elements
 
+
+def _dressing_of(n_qubits: int, depth: int, seed: int, variant: str) -> np.ndarray:
+    """The C1 entries of generate_hwe_ansatz's single-qubit gates, in element order.
+
+    A single PCG64 stream seeded with `seed` draws four entries per
+    entangler block, in layer order and blocks left to right: from all 24
+    single-qubit Cliffords ("complex") or from {identity, Hadamard}
+    ("real"). The mirrored region's entries follow, the inverses
+    (CLIFFORD_1Q_INVERSE) of those in reverse order.
+    """
+    rng = np.random.default_rng(seed)
+    choices = 24 if variant == "complex" else [CLIFFORD_1Q_IDENTITY, CLIFFORD_1Q_HADAMARD]
+    blocks = sum(len(_brickwork_pairs(n_qubits, layer)) for layer in range(depth))
+    drawn = np.concatenate([rng.choice(choices, size=4) for _ in range(blocks)])
+    return np.concatenate([drawn, np.take(CLIFFORD_1Q_INVERSE, drawn[::-1])])
+
+
+def generate_hwe_ansatz(
+    n_qubits: int, depth: int, seed: int, variant: str = "complex"
+) -> AnsatzCircuit:
+    """Brickwork ansatz of two mirrored regions, identity at theta = 0.
+
+    The skeleton (_skeleton) dressed with _dressing_of(n_qubits, depth,
+    seed, variant): its g-th single-qubit gate takes the g-th entry.
+    variant "complex": entangler dressings drawn from all 24 single-qubit
+    Cliffords; each rotation layer is (Rx, Ry, Rz) per qubit. variant
+    "real": dressings drawn from {identity, Hadamard}; rotation layers are
+    Ry only (one third the parameters). Deterministic in `seed`.
+    """
+    skeleton = _skeleton(n_qubits, depth, variant)
+    _check_seed(seed)
+    dressing = iter(_dressing_of(n_qubits, depth, seed, variant).tolist())
+    elements = [
+        CliffordGate("C1", e.wires, next(dressing)) if isinstance(e, CliffordGate) and e.kind == "C1"
+        else e
+        for e in skeleton
+    ]
     return AnsatzCircuit(
         n_qubits,
         elements,
@@ -394,19 +387,23 @@ def select_ansatz(
     variant: str = "complex",
     timings: Optional[dict] = None,
 ):
-    """Generate `count` seeded candidates and keep the largest sum |g_l|.
+    """Screen `count` seeded candidates and keep the largest sum |g_l|.
 
     Ties break toward the lowest candidate index. Returns
     (best AnsatzCircuit, list of per-candidate gradient-norm sums). The
     count, seed, observable width and reference are checked before any
-    candidate is generated. The candidates share a skeleton, so consecutive
-    chunks of at most SWEEP_ROWS generator rows (at least one candidate
-    each) are swept as one stacked block, and only one chunk is held at a
-    time. Every gradient is read against one tableau of |reference>, the
-    state of every generated candidate at theta = 0. A `timings` dict
-    receives the seconds spent generating (generate_s), sweeping (sweep_s)
-    and in the gradients (gradient_s). A gradient entry or a sum |g_l| past
-    the float range is a SolveError.
+    candidate is drawn. Candidate i is generate_hwe_ansatz with seed
+    candidate_seed(seed, i): one skeleton, dressed by its own draw. Each
+    chunk of candidates (at most SWEEP_ROWS generator rows, at least one
+    candidate) is one row of dressings per candidate, swept over the
+    skeleton as one block (conjugate_generators), and only one chunk is
+    held at a time. Every gradient is read from the candidate's K rows
+    against one tableau of |reference>, the state of every generated
+    candidate at theta = 0. Only the winner is built as a circuit. A
+    `timings` dict receives the seconds spent generating (generate_s:
+    the skeleton, the dressings and the winner), sweeping (sweep_s) and in
+    the gradients (gradient_s). A gradient entry or a sum |g_l| past the
+    float range is a SolveError.
     """
     from .expansion import compute_gradient
 
@@ -414,41 +411,35 @@ def select_ansatz(
         raise CircuitFormatError(f"candidate count must be >= 1, got {count}")
     _check_seed(seed)
     observable.check_width(n_qubits)
-    spent = {"generate_s": 0.0, "sweep_s": 0.0, "gradient_s": 0.0}
-
-    def candidate(i: int) -> AnsatzCircuit:
-        cand = generate_hwe_ansatz(n_qubits, depth, candidate_seed(seed, i), variant)
-        cand.metadata["candidate_index"] = i
-        cand.metadata["master_seed"] = int(seed)
-        return cand
-
     # every candidate composes to the identity at theta = 0
     state0 = StabilizerTableau(n_qubits, reference)
-    best = None
-    best_sum = -1.0
+    t0 = time.perf_counter()
+    skeleton = AnsatzCircuit(n_qubits, _skeleton(n_qubits, depth, variant))
+    spent = {"generate_s": time.perf_counter() - t0, "sweep_s": 0.0, "gradient_s": 0.0}
+    chunk = max(1, SWEEP_ROWS // skeleton.n_params)
     sums = []
-    while len(sums) < count:
+    for lo in range(0, count, chunk):
         t0 = time.perf_counter()
-        cands = [candidate(len(sums))]
-        # every candidate has the first one's K rows
-        chunk = max(1, SWEEP_ROWS // cands[0].n_params)
-        while len(cands) < chunk and len(sums) + len(cands) < count:
-            cands.append(candidate(len(sums) + len(cands)))
+        seeds = [candidate_seed(seed, i) for i in range(lo, min(lo + chunk, count))]
+        dressings = [_dressing_of(n_qubits, depth, s, variant) for s in seeds]
         t1 = time.perf_counter()
-        swept = _clifford_sweep(cands)
+        swept = conjugate_generators(skeleton, dressings)
         t2 = time.perf_counter()
-        for cand, gens in zip(cands, swept):
+        for gens in swept:
             with np.errstate(over="ignore"):
                 s = float(np.abs(compute_gradient(observable, state0, gens)).sum())
             if not np.isfinite(s):
                 raise SolveError(f"sum |g| of candidate {len(sums)} overflows the float range")
             sums.append(s)
-            if s > best_sum:
-                best, best_sum = cand, s
         t3 = time.perf_counter()
         spent["generate_s"] += t1 - t0
         spent["sweep_s"] += t2 - t1
         spent["gradient_s"] += t3 - t2
+    t0 = time.perf_counter()
+    winner = sums.index(max(sums))  # the first of equal sums
+    best = generate_hwe_ansatz(n_qubits, depth, candidate_seed(seed, winner), variant)
+    best.metadata.update(candidate_index=winner, master_seed=int(seed))
+    spent["generate_s"] += time.perf_counter() - t0
     if timings is not None:
         timings.update(spent)
     return best, sums

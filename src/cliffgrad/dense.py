@@ -21,7 +21,7 @@ BFGS sweeps the ansatz in Pauli-rotation normal form instead, over the
 generators' gather tables. Moving each rotation left through the Clifford
 gates after it rewrites the circuit as
 U(theta) = R(theta_K, P'_K)...R(theta_1, P'_1) C_total, with the conjugated
-generators P'_k (signs included) that expansion.conjugate_generators
+generators P'_k (signs included) that circuit.conjugate_generators
 returns. C_total|reference> is computed
 once, and each exact gradient is one forward and one backward (adjoint)
 sweep over the K rotations alone, with no gate matrices. The observable's
@@ -49,9 +49,9 @@ from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .circuit import AnsatzCircuit, RotationGate
+from .circuit import AnsatzCircuit, RotationGate, conjugate_generators
 from .errors import ResourceCapError, SolveError
-from .expansion import ExpansionResult, conjugate_generators
+from .expansion import ExpansionResult
 from .observable import Observable
 from .pauli import PHASES, _bits, _row_popcount, pack_masks
 from .tableau import CLIFFORD_1Q_WORDS, CliffordGate, check_reference
@@ -166,14 +166,19 @@ def _gate(gate: CliffordGate) -> _Gate:
 
 
 def _op_list(ansatz: AnsatzCircuit, cap: int) -> list:
-    """The ansatz in time order as _Rotation / _Gate ops, each built once."""
+    """The ansatz in time order as _Rotation / _Gate ops, each built once.
+
+    Rotations about one Pauli (axis, wire) share one gather table: at most
+    3n tables of 2^n entries, however many rotations there are.
+    """
     n = ansatz.n_qubits
     _check_cap(n, cap)
-    rotations = [e for e in ansatz.elements if isinstance(e, RotationGate)]
-    masks = [((e.axis != "Z") << e.wire, (e.axis != "X") << e.wire) for e in rotations]
-    tables = zip(*_actions(*pack_masks(masks, n), np.zeros(len(masks), dtype=np.int64), n))
+    paulis = sorted({(e.axis, e.wire) for e in ansatz.elements if isinstance(e, RotationGate)})
+    masks = [((axis != "Z") << wire, (axis != "X") << wire) for axis, wire in paulis]
+    actions = _actions(*pack_masks(masks, n), np.zeros(len(masks), dtype=np.int64), n)
+    tables = dict(zip(paulis, zip(*actions)))
     return [
-        _Rotation(e.param, *next(tables)) if isinstance(e, RotationGate) else _gate(e)
+        _Rotation(e.param, *tables[e.axis, e.wire]) if isinstance(e, RotationGate) else _gate(e)
         for e in ansatz.elements
     ]
 

@@ -49,17 +49,11 @@ from typing import List, Optional
 
 import numpy as np
 
-from .circuit import AnsatzCircuit, ConjugatedGenerators, _clifford_sweep
+from .circuit import AnsatzCircuit, ConjugatedGenerators, conjugate_generators
 from .errors import SolveError
 from .observable import Observable, exact_sum
 from .pauli import PHASES, PauliString, _row_popcount, mul_rows, pauli_mul
 from .tableau import StabilizerTableau, frame_values
-
-
-def conjugate_generators(ansatz: AnsatzCircuit) -> ConjugatedGenerators:
-    """P'_k for every rotation, from one left-to-right sweep over a packed
-    block of K rows (circuit._clifford_sweep)."""
-    return _clifford_sweep([ansatz])[0]
 
 
 class _ExpectationCache:
@@ -236,9 +230,18 @@ def solve_quadratic(
     |lambda| <= rtol * max|lambda| treated as zero. With stable_subspace,
     only strictly positive-curvature directions are inverted (bounded
     descent for minimization). Returns (theta_star over all K parameters,
-    model optimum, retained rank).
+    model optimum, retained rank). ValueError for a bad rtol (_check_rtol).
     """
+    _check_rtol(rtol)
     return _solve(e0, gradient, hessian_kept, mask, rtol, stable_subspace)[:3]
+
+
+def _check_rtol(rtol: float) -> None:
+    """ValueError unless rtol is finite and >= 0: a NaN cutoff would invert
+    nothing yet count nothing discarded, and a negative one would invert the
+    null space."""
+    if not 0 <= rtol < math.inf:
+        raise ValueError(f"rtol must be finite and >= 0, got {rtol!r}")
 
 
 def _solve(e0, gradient, hessian_kept, mask, rtol, stable_subspace):
@@ -249,12 +252,8 @@ def _solve(e0, gradient, hessian_kept, mask, rtol, stable_subspace):
     discarded_by_rtol (|lambda| <= cutoff) and condition_number, the ratio
     of the largest to the smallest |lambda| that is inverted. That is None
     when nothing is inverted (or the ratio overflows), as strict JSON holds
-    no inf. ValueError unless rtol is finite and >= 0: a NaN cutoff would
-    invert nothing yet count nothing discarded, and a negative one would
-    invert the null space.
+    no inf. The callers check rtol (_check_rtol).
     """
-    if not 0 <= rtol < math.inf:
-        raise ValueError(f"rtol must be finite and >= 0, got {rtol!r}")
     K = mask.size
     kept = np.nonzero(mask)[0]
     theta = np.zeros(K)
@@ -427,8 +426,10 @@ def expand(
     cache counters are always 0; they stay in `counters`
     because the benchmark's traced replay compares the whole dict. Raises
     DimensionMismatchError when the observable and the ansatz differ in
-    width, and CircuitFormatError for a malformed reference.
+    width, CircuitFormatError for a malformed reference, and ValueError for
+    a bad rtol (_check_rtol), each before any stage runs.
     """
+    _check_rtol(rtol)
     observable.check_width(ansatz.n_qubits)
     t0 = time.perf_counter()
     state0 = ansatz.clifford_point_state(reference)

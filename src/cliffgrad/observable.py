@@ -141,7 +141,8 @@ def parse_observable(document: str, prune_threshold: float = 0.0) -> Observable:
 
     After merging, terms with |coefficient| < prune_threshold are dropped;
     the default threshold 0 keeps everything. A negative or NaN threshold
-    is an ObservableFormatError.
+    is an ObservableFormatError, and so is a qubit count too large to pack
+    the rows in (one that names the header's line).
     """
     if not prune_threshold >= 0:
         raise ObservableFormatError(f"prune threshold must be >= 0, got {prune_threshold!r}")
@@ -157,7 +158,7 @@ def parse_observable(document: str, prune_threshold: float = 0.0) -> Observable:
                 raise ObservableFormatError(
                     f"line {lineno}: expected 'qubits N' header, got {line!r}"
                 )
-            n_qubits = ascii_int(parts[1])
+            n_qubits, header = ascii_int(parts[1]), lineno
             if not n_qubits:  # None (not ASCII digits) or 0
                 raise ObservableFormatError(f"line {lineno}: qubit count must be a positive int")
             continue
@@ -187,4 +188,8 @@ def parse_observable(document: str, prune_threshold: float = 0.0) -> Observable:
     if n_qubits is None:
         raise ObservableFormatError("empty document: missing 'qubits N' header")
     kept = {key: c for key, c in merged.items() if abs(c) >= prune_threshold}
-    return Observable(n_qubits, *pack_masks(kept, n_qubits), np.array([*kept.values()], float))
+    try:  # a row holds ceil(n / 64) words, which a huge count cannot size or allocate
+        x, z = pack_masks(kept, n_qubits)
+    except (OverflowError, MemoryError, ValueError):
+        raise ObservableFormatError(f"line {header}: {n_qubits} qubits do not fit in memory") from None
+    return Observable(n_qubits, x, z, np.array([*kept.values()], float))

@@ -18,7 +18,8 @@ packed words) on a tableau evolved by a random Clifford circuit:
 
 select_ansatz screens 32 candidates of depth 2, real and complex, at n = 8
 and 65 against a Heisenberg chain (XX + YY + ZZ on every bond), three
-rounds each: generation, the stacked Clifford sweep and the gradients.
+rounds each: the skeleton and the dressings, one sweep of the skeleton per
+chunk of dressings, the gradients, and the winner's circuit.
 
 The dense simulator's gates are timed as one energy-and-gradient sweep (one
 forward and one backward pass) at n = 8 and 12 on a real depth-2 ansatz and
@@ -45,7 +46,7 @@ packed words) with a real depth-1 ansatz at dropout 1e-6 (64 of 198 kept).
 expansion_frame times the stage that e0, the gradient and the Hessian
 share on the same two instances: one input_frame call over the terms and
 all K generators, and the (K, N_o) mul_rows product, without the pair loop.
-clifford_sweep times what expand does before the frame, the state
+state_and_generators times what expand does before the frame, the state
 (clifford_point_state) and the generators (conjugate_generators), on the
 same two instances and on a complex depth-2 ansatz at n = 8.
 """
@@ -58,14 +59,8 @@ import numpy as np
 import pytest
 
 from cliffgrad import dense
-from cliffgrad.circuit import generate_hwe_ansatz, select_ansatz
-from cliffgrad.expansion import (
-    _Frame,
-    apply_dropout,
-    compute_gradient,
-    compute_hessian,
-    conjugate_generators,
-)
+from cliffgrad.circuit import conjugate_generators, generate_hwe_ansatz, select_ansatz
+from cliffgrad.expansion import _Frame, apply_dropout, compute_gradient, compute_hessian
 from cliffgrad.observable import Observable, parse_observable
 from cliffgrad.pauli import PauliString, mul_rows, pauli_mul, stack_rows
 from cliffgrad.tableau import StabilizerTableau, conjugate_pauli, conjugate_rows
@@ -239,7 +234,7 @@ def test_expansion_frame(benchmark, name):
 
 
 @pytest.mark.parametrize("name", ("chain8", "wide66", "complex8"))
-def test_clifford_sweep(benchmark, name):
+def test_state_and_generators(benchmark, name):
     if name == "complex8":
         circ, reference = generate_hwe_ansatz(8, 2, 1, "complex"), "01010101"
     else:

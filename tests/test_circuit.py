@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,19 +8,23 @@ from cliffgrad import circuit
 from cliffgrad.circuit import (
     AnsatzCircuit,
     RotationGate,
-    _clifford_sweep,
+    _dressing_of,
+    _skeleton,
     candidate_seed,
+    conjugate_generators,
     generate_hwe_ansatz,
     select_ansatz,
 )
 from cliffgrad.dense import finite_diff_gradient, simulate
 from cliffgrad.errors import CircuitFormatError
 from cliffgrad.expansion import compute_gradient
-from cliffgrad.observable import Observable
+from cliffgrad.observable import Observable, parse_observable
 from cliffgrad.pauli import PauliString
-from cliffgrad.tableau import CliffordGate, StabilizerTableau, conjugate_pauli
+from cliffgrad.tableau import CLIFFORD_1Q_INVERSE, CliffordGate, StabilizerTableau, conjugate_pauli
 
 from conftest import general_clifford_circuit, random_bitstring
+
+CHAIN8 = Path(__file__).resolve().parents[1] / "data" / "chain8.txt"
 
 
 def tableaus_equal(a: StabilizerTableau, b: StabilizerTableau) -> bool:
@@ -167,17 +172,39 @@ def test_select_winner_matches_finite_difference_recomputation():
     assert int(np.argmax(fd_sums)) == best.metadata["candidate_index"]
 
 
-def _redress(circ: AnsatzCircuit, rng) -> AnsatzCircuit:
-    """circ with every single-qubit Clifford replaced by a random C1 on its wire.
+def _single_qubit(e) -> bool:
+    return isinstance(e, CliffordGate) and len(e.wires) == 1
 
-    The result shares circ's skeleton, so the two can be swept stacked.
-    """
+
+def _redress(circ: AnsatzCircuit, dressing) -> AnsatzCircuit:
+    """circ with its g-th single-qubit Clifford replaced by C1 entry dressing[g]."""
+    entries = iter(dressing)
     elements = [
-        CliffordGate("C1", e.wires, int(rng.integers(0, 24)))
-        if isinstance(e, CliffordGate) and len(e.wires) == 1 else e
+        CliffordGate("C1", e.wires, int(next(entries))) if _single_qubit(e) else e
         for e in circ.elements
     ]
     return AnsatzCircuit(circ.n_qubits, elements)
+
+
+@pytest.mark.parametrize("variant", ("real", "complex"))
+def test_dressing_is_the_generated_single_qubit_entries(variant):
+    choices = 24 if variant == "complex" else [0, 1]
+    for n in (*range(2, 9), 65):
+        for depth in range(1, 5):
+            skeleton = AnsatzCircuit(n, _skeleton(n, depth, variant))
+            assert {e.index for e in skeleton.elements if _single_qubit(e)} == {0}
+            for seed in range(5):
+                circ = generate_hwe_ansatz(n, depth, seed, variant)
+                dressing = _dressing_of(n, depth, seed, variant).tolist()
+                assert [e.index for e in circ.elements if _single_qubit(e)] == dressing
+                assert circ.elements == _redress(skeleton, dressing).elements
+                # four draws per entangler block from one stream, then the
+                # inverses of those entries in reverse order
+                rng = np.random.default_rng(seed)
+                half = len(dressing) // 2
+                drawn = [rng.choice(choices, size=4).tolist() for _ in range(half // 4)]
+                assert dressing[:half] == sum(drawn, [])
+                assert dressing[half:] == [CLIFFORD_1Q_INVERSE[i] for i in reversed(dressing[:half])]
 
 
 def _suffix_images(circ: AnsatzCircuit) -> list:
@@ -195,14 +222,17 @@ def _suffix_images(circ: AnsatzCircuit) -> list:
 @pytest.mark.parametrize("n", (3, 65, 130))
 def test_stacked_sweep_equals_one_sweep_per_ansatz(rng, n, kind):
     if kind == "general":  # a Clifford part that is not the identity
-        base = general_clifford_circuit(rng, n, 8)
-        cands = [base] + [_redress(base, rng) for _ in range(3)]
+        skeleton = general_clifford_circuit(rng, n, 8)
+        width = sum(map(_single_qubit, skeleton.elements))
+        dressings = rng.integers(0, 24, (4, width))
     else:
-        cands = [generate_hwe_ansatz(n, 1, s, kind) for s in (3, 4, 5)]
-    stacked = _clifford_sweep(cands)
-    assert len(stacked) == len(cands)
-    for cand, gens in zip(cands, stacked):
-        [gens_alone] = _clifford_sweep([cand])
+        skeleton = AnsatzCircuit(n, _skeleton(n, 1, kind))
+        dressings = np.array([_dressing_of(n, 1, s, kind) for s in (3, 4, 5)])
+    stacked = conjugate_generators(skeleton, dressings)
+    assert len(stacked) == len(dressings)
+    for dressing, gens in zip(dressings, stacked):
+        cand = _redress(skeleton, dressing)
+        gens_alone = conjugate_generators(cand)
         for a in ("x", "z", "phase"):
             assert np.array_equal(getattr(gens, a), getattr(gens_alone, a))
         assert gens.positions == gens_alone.positions
@@ -211,7 +241,7 @@ def test_stacked_sweep_equals_one_sweep_per_ansatz(rng, n, kind):
 
 def test_conjugated_generators_paulis_are_the_packed_rows(rng):
     circ = general_clifford_circuit(rng, 65, 10)
-    [gens] = _clifford_sweep([circ])
+    gens = conjugate_generators(circ)
     assert gens.n_params == 10 and gens.x.shape == (10, 2)
     assert gens.paulis == [
         PauliString(65, x, z, int(k)) for x, z, k in zip(gens.x, gens.z, gens.phase)
@@ -220,30 +250,30 @@ def test_conjugated_generators_paulis_are_the_packed_rows(rng):
     assert gens.paulis is gens.paulis  # built once
 
 
-def test_stacked_sweep_rejects_ansatze_of_different_skeletons():
-    base = generate_hwe_ansatz(4, 1, 1, "complex")
-    # base starts C1(0) C1(1) CZ(0, 1) ... and its first rotation comes later
-    first_rotation = next(i for i, e in enumerate(base.elements) if isinstance(e, RotationGate))
-    rot = base.elements[first_rotation]
+def test_dressing_matrix_of_wrong_width_or_entries_is_rejected():
+    # two entangler blocks: 16 single-qubit gates
+    skeleton = AnsatzCircuit(4, _skeleton(4, 1, "complex"))
+    assert len(conjugate_generators(skeleton, np.zeros((2, 16), dtype=int))) == 2
+    for bad in (np.zeros((2, 15), dtype=int), np.zeros((2, 17), dtype=int), np.zeros(16, dtype=int),
+                np.full((1, 16), 24), np.full((1, 16), -1), np.full((1, 16), 0.5)):
+        with pytest.raises(ValueError, match="dressings must be an"):
+            conjugate_generators(skeleton, bad)
 
-    def changed(pos, element):
-        elements = list(base.elements)
-        elements[pos] = element
-        return AnsatzCircuit(4, elements)
 
-    others = [
-        generate_hwe_ansatz(5, 1, 1, "complex"),            # width
-        generate_hwe_ansatz(4, 2, 1, "complex"),            # length
-        changed(0, CliffordGate("H", (2,))),               # single-qubit wire
-        changed(2, CliffordGate("CNOT", (0, 1))),           # two-qubit kind
-        changed(2, CliffordGate("C1", (0,), 1)),            # arity
-        changed(first_rotation, RotationGate("Z" if rot.axis != "Z" else "X", rot.wire, rot.param)),
-    ]
-    for other in others:
-        with pytest.raises(ValueError, match="stacked ansätze differ"):
-            _clifford_sweep([base, other])
-    with pytest.raises(ValueError, match="stacked ansätze differ at element 2"):
-        _clifford_sweep([changed(2, CliffordGate("C1", (0,), 1)), base])
+@pytest.mark.parametrize("variant", ("real", "complex"))
+def test_select_builds_only_the_winner(monkeypatch, variant):
+    built = {AnsatzCircuit: 0, CliffordGate: 0}
+    for cls in built:
+        def counted(self, cls=cls, init=cls.__post_init__):
+            built[cls] += 1
+            init(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    obs = parse_observable(CHAIN8.read_text())
+    best, sums = select_ansatz(32, 8, 2, obs, "01010101", 5, variant)
+    assert best.metadata["candidate_index"] == sums.index(max(sums))
+    # the skeleton and the winner: each candidate used to be built whole
+    assert built[AnsatzCircuit] <= 2 and built[CliffordGate] <= 200
 
 
 # a candidate has K = 90 generator rows: chunks of one candidate, and of three
@@ -260,7 +290,7 @@ def test_select_sums_equal_one_sweep_per_candidate(monkeypatch, count, rows):
         cands.append(generate_hwe_ansatz(6, 2, candidate_seed(11, i), "complex"))
         # each candidate's own state, against select's one shared |ref>
         state0 = cands[-1].clifford_point_state("010101")
-        [gens] = _clifford_sweep([cands[-1]])
+        gens = conjugate_generators(cands[-1])
         loop.append(float(np.abs(compute_gradient(obs, state0, gens)).sum()))
     assert sums == loop
     assert count == 1 or len(set(loop)) > 1

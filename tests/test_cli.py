@@ -70,6 +70,19 @@ def test_malformed_hamiltonian_is_exit_2(tmp_path, toy, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+def test_huge_qubit_count_is_exit_2(tmp_path, toy, capsys):
+    # it used to end in an OverflowError traceback from packing the rows
+    ham = tmp_path / "wide.txt"
+    ham.write_text("qubits 99999999999999999999\n1 Z0\n")
+    out = tmp_path / "r.json"
+    rc = main(["expand", "--hamiltonian", str(ham), "--ansatz", str(toy[1]),
+               "--reference", "0", "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "line 1" in err
+    assert not out.exists()
+
+
 # Arabic-Indic digits one, zero and three: int() and float() read them,
 # the wire format does not
 @pytest.mark.parametrize("doc,line", [("qubits \u0661\n1.0 Z0\n", "line 1"),

@@ -20,7 +20,7 @@ from cliffgrad.dense import (
 from cliffgrad.errors import ResourceCapError, SolveError
 from cliffgrad.expansion import conjugate_generators, expand
 from cliffgrad.observable import Observable, parse_observable
-from cliffgrad.pauli import PHASES, PauliString
+from cliffgrad.pauli import PHASES, PauliString, stack_rows
 from cliffgrad.tableau import StabilizerTableau
 
 from conftest import (
@@ -410,6 +410,19 @@ def test_gather_sweep_is_bit_identical_to_scatter_sweep(rng, monkeypatch, kind, 
             got = dense.energies_batch(circ, thetas, ref, obs)
             starts = np.repeat(want_start, 5, axis=0)
             assert got.tobytes() == scatter_energies(want_ops, obs, starts, thetas, n).tobytes()
+
+
+def test_op_list_holds_one_gather_table_per_distinct_pauli():
+    # K = 90 rotations about 18 distinct single-qubit Paulis, 5 each
+    circ = generate_hwe_ansatz(6, 2, 1, "complex")
+    ops = dense._op_list(circ, DEFAULT_QUBIT_CAP)
+    rotations = [op for op in ops if isinstance(op, dense._Rotation)]
+    distinct = {(e.axis, e.wire) for e in circ.rotation_gates()}
+    assert len(rotations) == circ.n_params == 90 and len(distinct) == 18
+    assert len({id(op.idx) for op in rotations}) == len({id(op.phase) for op in rotations}) == 18
+    for e, op in zip(circ.rotation_gates(), rotations):
+        want = dense._actions(*stack_rows([PauliString.single(6, e.axis, e.wire)], 6), 6)
+        assert np.array_equal(op.idx, want[0][0]) and np.array_equal(op.phase, want[1][0])
 
 
 @pytest.mark.parametrize("form", ("gates", "normal"))

@@ -439,6 +439,19 @@ def test_bad_rtol_is_rejected_by_expand_and_solve_quadratic(rtol):
         solve_quadratic(0.0, np.array([1.0, 0.0]), np.diag([2.0, 0.0]), np.ones(2, bool), rtol)
 
 
+@pytest.mark.parametrize("rtol", [float("nan"), -1.0, float("inf")])
+def test_bad_rtol_is_rejected_before_any_stage(monkeypatch, rtol):
+    # the check used to run in the solve only, after the whole expansion
+    def reached(self, reference):
+        raise AssertionError("expand built the state before checking rtol")
+
+    monkeypatch.setattr(AnsatzCircuit, "clifford_point_state", reached)
+    circ = generate_hwe_ansatz(8, 4, 1, "real")
+    obs = parse_observable(CHAIN8.read_text())
+    with pytest.raises(ValueError, match=f"rtol must be finite and >= 0, got {rtol!r}"):
+        expand(circ, obs, "01010101", 0.0, rtol=rtol)
+
+
 def test_nan_dropout_threshold_is_rejected():
     # NaN would drop every parameter: no |g_k| >= NaN
     with pytest.raises(ValueError, match="dropout threshold"):

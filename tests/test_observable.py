@@ -70,6 +70,9 @@ def test_serializer_round_trip_stable():
         ("# c\nqubits \u0664\n1.0 Z0\n", "line 2: qubit count"),
         ("qubits 1_0\n1.0 Z0\n", "line 1: qubit count"),
         ("qubits +2\n1.0 Z0\n", "line 1: qubit count"),
+        # a row of ceil(n / 64) words that no C size or allocation holds
+        ("qubits 99999999999999999999\n1 Z0\n", "line 1: 99999999999999999999 qubits"),
+        ("# c\nqubits 99999999999999999999\n", "line 2: 99999999999999999999 qubits"),
         # and coefficients are ASCII without underscores: float() would read
         # '1_0' as 10.0, '\u0663' as 3.0 and fullwidth '\uff11.5' as 1.5
         ("qubits 1\n1_0 Z0\n", "line 2: bad coefficient"),
