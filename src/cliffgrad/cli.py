@@ -30,7 +30,8 @@ and writes no output file.
     4  solve error: the quadratic model's eigensolve failed, its entries
        are not finite, or a sum of observable terms (e0, a gradient or a
        Hessian entry, or a select-ansatz candidate's sum |g|) overflows
-       the float range; or ARPACK failed to converge on the exact ground
+       the float range; or an optimize sweep's energy or gradient entry is
+       not finite; or ARPACK failed to converge on the exact ground
        energy of verify --exact-ground (SolveError)
     5  resource cap: a dense simulation above --cap qubits, or exact
        diagonalization above 14 qubits (ResourceCapError)
@@ -258,12 +259,14 @@ def cmd_verify(args) -> int:
     circ = _load_ansatz(args.ansatz)
     result = _load_result(args.result, circ)
     e_circuit = energy(circ, result.theta_star, args.reference, obs, cap=args.cap)
+    with np.errstate(over="ignore"):  # an infinite norm is refused by _emit instead
+        norm = float(np.linalg.norm(result.theta_star))
     payload = {
         "e0": result.e0,
         "circuit_value": e_circuit,
         "perturbative_optimum": result.perturbative_optimum,
         "gap": abs(e_circuit - result.perturbative_optimum),
-        "theta_star_norm": float(np.linalg.norm(result.theta_star)),
+        "theta_star_norm": norm,
     }
     if args.exact_ground:
         payload["exact_ground_energy"] = exact_ground_energy(obs)

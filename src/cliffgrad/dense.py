@@ -44,7 +44,8 @@ which never call them (expand, select-ansatz) do not load it.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from functools import reduce
 from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -78,16 +79,14 @@ _MAT_2Q = {
 }
 
 
-def clifford_1q_matrix(index: int) -> np.ndarray:
-    u = np.eye(2, dtype=complex)
-    for ch in CLIFFORD_1Q_WORDS[index]:
-        u = _MAT_1Q[ch] @ u
-    return u
+# The 24 single-qubit Cliffords, each word multiplied out once, letters in time order
+_MAT_C1 = [reduce(lambda u, ch: _MAT_1Q[ch] @ u, word, np.eye(2, dtype=complex))
+           for word in CLIFFORD_1Q_WORDS]
 
 
 def gate_matrix(gate: CliffordGate) -> np.ndarray:
     if gate.kind == "C1":
-        return clifford_1q_matrix(gate.index)
+        return _MAT_C1[gate.index]
     if gate.kind in _MAT_1Q:
         return _MAT_1Q[gate.kind]
     return _MAT_2Q[gate.kind]
@@ -364,28 +363,16 @@ def finite_diff_hessian(
     if K == 0:
         return np.zeros((0, 0))
     base = np.zeros(K) if theta0 is None else np.asarray(theta0, dtype=float)
-    eye = np.eye(K)
-    points = [base]
-    for k in range(K):
-        points.append(base + h * eye[k])
-        points.append(base - h * eye[k])
-    off = []
-    for k in range(K):
-        for m in range(k + 1, K):
-            off.append((k, m))
-            points.append(base + h * eye[k] + h * eye[m])
-            points.append(base + h * eye[k] - h * eye[m])
-            points.append(base - h * eye[k] + h * eye[m])
-            points.append(base - h * eye[k] - h * eye[m])
-    vals = energies_batch(ansatz, np.vstack(points), reference, observable, cap)
-    e0 = vals[0]
-    A = np.zeros((K, K))
-    for k in range(K):
-        A[k, k] = (vals[1 + 2 * k] - 2 * e0 + vals[2 + 2 * k]) / h**2
-    base_off = 1 + 2 * K
-    for i, (k, m) in enumerate(off):
-        vpp, vpm, vmp, vmm = vals[base_off + 4 * i : base_off + 4 * i + 4]
-        A[k, m] = A[m, k] = (vpp - vpm - vmp + vmm) / (4 * h**2)
+    step = h * np.eye(K)
+    axis = np.stack([base + step, base - step], axis=1)  # (K, 2, K): +e_k, -e_k
+    k, m = np.triu_indices(K, 1)
+    # (P, 2, 2, K): each axis point of k, then plus and minus the step of m
+    pairs = np.stack([axis[k] + step[m, None], axis[k] - step[m, None]], axis=2)
+    points = np.vstack([base, axis.reshape(-1, K), pairs.reshape(-1, K)])
+    vals = energies_batch(ansatz, points, reference, observable, cap)
+    e0, ax, pp = vals[0], vals[1 : 1 + 2 * K], vals[1 + 2 * K :]
+    A = np.diag((ax[0::2] - 2 * e0 + ax[1::2]) / h**2)
+    A[k, m] = A[m, k] = (pp[0::4] - pp[1::4] - pp[2::4] + pp[3::4]) / (4 * h**2)
     return A
 
 
@@ -454,17 +441,7 @@ class OptimizationTrace:
     timings: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "init": self.init,
-            "gtol": self.gtol,
-            "iterations": list(self.iterations),
-            "final_cost": self.final_cost,
-            "n_iterations": self.n_iterations,
-            "n_evaluations": self.n_evaluations,
-            "converged": self.converged,
-            "message": self.message,
-            "timings": dict(self.timings),
-        }
+        return asdict(self)
 
 
 def warm_start_hess_inv(hessian: np.ndarray, eps: float = 1e-8) -> np.ndarray:
@@ -503,7 +480,8 @@ def optimize_bfgs(
     its timings split compiling the normal form (compile_s) from the BFGS
     run (bfgs_s). Raises DimensionMismatchError when the observable and the
     ansatz differ in width, CircuitFormatError for a malformed reference,
-    and ValueError when theta* or the Hessian does not match the ansatz.
+    ValueError when theta* or the Hessian does not match the ansatz, and
+    SolveError when a sweep's energy or a gradient entry is not finite.
     """
     observable.check_width(ansatz.n_qubits)
     K = ansatz.n_params
@@ -535,8 +513,12 @@ def optimize_bfgs(
     def cost_and_grad(theta: np.ndarray) -> Tuple[float, np.ndarray]:
         if "theta" not in last or not np.array_equal(theta, last["theta"]):
             last["theta"] = np.array(theta, dtype=float)
-            last["value"] = _energy_and_gradient(ops, terms, start, last["theta"], ansatz.n_qubits)
+            with np.errstate(over="ignore", invalid="ignore"):  # refused below instead
+                value = _energy_and_gradient(ops, terms, start, last["theta"], ansatz.n_qubits)
             trace.n_evaluations += 1
+            if not np.isfinite(np.hstack(value)).all():
+                raise SolveError(f"BFGS sweep {trace.n_evaluations}: non-finite energy or gradient")
+            last["value"] = value
         return last["value"]
 
     def record(theta: np.ndarray) -> None:

@@ -131,21 +131,15 @@ def exact_sum(values) -> float:
         raise SolveError(f"a sum of observable coefficients overflows ({exc})") from None
 
 
-def parse_observable(document: str, prune_threshold: float = 0.0) -> Observable:
+def parse_observable(document: str) -> Observable:
     """Parse the wire format; duplicate Pauli terms are summed on load.
 
     Terms keep the order in which each Pauli first appears, and a duplicate
     adds its coefficient to the running sum left to right. A duplicate whose
     sum leaves the finite range is an ObservableFormatError that names its
-    line.
-
-    After merging, terms with |coefficient| < prune_threshold are dropped;
-    the default threshold 0 keeps everything. A negative or NaN threshold
-    is an ObservableFormatError, and so is a qubit count too large to pack
-    the rows in (one that names the header's line).
+    line, and so is a qubit count too large to pack the rows in (one that
+    names the header's line). Every merged term is kept, zero sums included.
     """
-    if not prune_threshold >= 0:
-        raise ObservableFormatError(f"prune threshold must be >= 0, got {prune_threshold!r}")
     n_qubits = None
     merged: Dict[Tuple[int, int], float] = {}
     for lineno, raw in enumerate(document.split("\n"), start=1):
@@ -187,9 +181,8 @@ def parse_observable(document: str, prune_threshold: float = 0.0) -> Observable:
         merged[key] = coef
     if n_qubits is None:
         raise ObservableFormatError("empty document: missing 'qubits N' header")
-    kept = {key: c for key, c in merged.items() if abs(c) >= prune_threshold}
     try:  # a row holds ceil(n / 64) words, which a huge count cannot size or allocate
-        x, z = pack_masks(kept, n_qubits)
+        x, z = pack_masks(merged, n_qubits)
     except (OverflowError, MemoryError, ValueError):
         raise ObservableFormatError(f"line {header}: {n_qubits} qubits do not fit in memory") from None
-    return Observable(n_qubits, x, z, np.array([*kept.values()], float))
+    return Observable(n_qubits, x, z, np.array([*merged.values()], float))

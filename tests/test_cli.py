@@ -165,6 +165,45 @@ def test_overflowing_select_gradient_is_exit_4(tmp_path, capsys, coeff):
     assert not ansatz.exists() and not report.exists()
 
 
+# BFGS used to overflow a gradient entry with numpy and scipy warnings, then
+# end in exit 1 when the trace's NaN could not be written
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("init", ("zero", "pert-hessian"))
+def test_overflowing_optimize_gradient_is_exit_4(tmp_path, capsys, init):
+    ham, ansatz = tmp_path / "huge.txt", tmp_path / "a.json"
+    ham.write_text(CHAIN8.read_text().replace("0.094217 X0 X1\n", "0.091e309 X0 X1\n", 1))
+    files = ["--ansatz", str(ansatz), "--reference", "01010101"]
+    assert main(["gen-ansatz", "--qubits", "8", "--depth", "1", "--variant", "real",
+                 "--out", str(ansatz)]) == 0
+    res, trace = tmp_path / "r.json", tmp_path / "trace.json"
+    assert main(["expand", "--hamiltonian", str(CHAIN8), *files, "--out", str(res)]) == 0
+    capsys.readouterr()
+    rc = main(["optimize", "--hamiltonian", str(ham), *files, "--init", init,
+               "--result", str(res), "--trace-out", str(trace)])
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "non-finite" in err
+    assert not trace.exists()
+
+
+# the norm of theta* used to print numpy's overflow warning first
+@pytest.mark.filterwarnings("error")
+def test_verify_of_an_overflowing_theta_norm_is_exit_1(tmp_path, toy, capsys):
+    ham, ans = toy
+    res, out = tmp_path / "result.json", tmp_path / "verify.json"
+    assert main(["expand", "--hamiltonian", str(ham), "--ansatz", str(ans),
+                 "--reference", "0", "--out", str(res)]) == 0
+    doc = json.loads(res.read_text())
+    res.write_text(json.dumps(doc | {"theta_star": [1e308]}))
+    capsys.readouterr()
+    rc = main(["verify", "--hamiltonian", str(ham), "--ansatz", str(ans),
+               "--reference", "0", "--result", str(res), "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 ROTATION = {"type": "rotation", "axis": "Y", "wire": 0, "param": 0}
 C1 = {"type": "clifford", "kind": "C1", "wires": [0], "index": 3}
 

@@ -104,6 +104,38 @@ def test_finite_diff_hessian_symmetric(rng):
     assert np.abs(A - A.T).max() < 1e-6
 
 
+def _loop_fd_hessian(circ, obs, ref, theta0, h=1e-3):
+    """The difference stencil point by point, in the batch order finite_diff_hessian uses."""
+    K = circ.n_params
+    base, eye = np.zeros(K) if theta0 is None else theta0, np.eye(K)
+    points = [base]
+    for k in range(K):
+        points += [base + h * eye[k], base - h * eye[k]]
+    pairs = [(k, m) for k in range(K) for m in range(k + 1, K)]
+    for k, m in pairs:
+        for a in (base + h * eye[k], base - h * eye[k]):
+            points += [a + h * eye[m], a - h * eye[m]]
+    vals = dense.energies_batch(circ, np.vstack(points), ref, obs)
+    A = np.zeros((K, K))
+    for k in range(K):
+        A[k, k] = (vals[1 + 2 * k] - 2 * vals[0] + vals[2 + 2 * k]) / h**2
+    for i, (k, m) in enumerate(pairs):
+        vpp, vpm, vmp, vmm = vals[1 + 2 * K + 4 * i : 5 + 2 * K + 4 * i]
+        A[k, m] = A[m, k] = (vpp - vpm - vmp + vmm) / (4 * h**2)
+    return A
+
+
+def test_finite_diff_hessian_equals_the_point_by_point_stencil(rng):
+    for n in (2, 3, 4):
+        obs, ref = random_observable(rng, n), random_bitstring(rng, n)
+        for circ in (generate_hwe_ansatz(n, 1, n, "real"), generate_hwe_ansatz(n, 1, n, "complex"),
+                     general_clifford_circuit(rng, n, 7)):
+            for theta0 in (None, rng.normal(0, 0.5, circ.n_params)):
+                want = _loop_fd_hessian(circ, obs, ref, theta0)
+                got = finite_diff_hessian(circ, obs, ref, theta0=theta0)
+                assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+
 def test_exact_ground_energy_examples():
     assert exact_ground_energy(parse_observable("qubits 1\n1.0 Z0\n")) == pytest.approx(-1.0)
     assert exact_ground_energy(parse_observable("qubits 1\n1.0 X0\n")) == pytest.approx(-1.0)

@@ -98,19 +98,7 @@ def test_ascii_coefficient_forms_read_as_float(text):
     assert repr(c) == repr(float(text))  # repr keeps the sign of -0.0
 
 
-def test_prune_threshold():
-    doc = "qubits 1\n1e-9 X0\n1.0 Z0\n"
-    assert parse_observable(doc).n_terms == 2
-    assert parse_observable(doc, prune_threshold=1e-6).n_terms == 1
-
-
-@pytest.mark.parametrize("threshold", [-1.0, float("nan")])
-def test_bad_prune_threshold_is_rejected(threshold):
-    with pytest.raises(ObservableFormatError, match="prune threshold"):
-        parse_observable("qubits 1\n1.0 Z0\n", prune_threshold=threshold)
-
-
-def _reference_parse(document: str, prune_threshold: float = 0.0) -> Observable:
+def _reference_parse(document: str) -> Observable:
     """The PauliString route: parse_pauli per line, merged on the terms' bits."""
     lines = [raw.split("#", 1)[0].strip() for raw in document.splitlines()]
     lines = [line for line in lines if line]
@@ -121,8 +109,7 @@ def _reference_parse(document: str, prune_threshold: float = 0.0) -> Observable:
         p = parse_pauli("".join(text), n)
         c, _ = merged.get(p.key(), (None, p))
         merged[p.key()] = (float(coef) if c is None else c + float(coef), p)
-    terms = [(c, p) for c, p in merged.values() if abs(c) >= prune_threshold]
-    return Observable.from_terms(n, terms)
+    return Observable.from_terms(n, list(merged.values()))
 
 
 def _document(rng, n: int, lines: int) -> str:
@@ -143,10 +130,9 @@ def _document(rng, n: int, lines: int) -> str:
 
 
 @pytest.mark.parametrize("n", [3, 64, 65, 130])
-@pytest.mark.parametrize("threshold", [0.0, 1e-6, 0.3])
-def test_packed_parse_matches_pauli_string_route(n, threshold):
+def test_packed_parse_matches_pauli_string_route(n):
     doc = _document(np.random.default_rng(n), n, 300)
-    got, want = parse_observable(doc, threshold), _reference_parse(doc, threshold)
+    got, want = parse_observable(doc), _reference_parse(doc)
     assert got.n_qubits == want.n_qubits == n
     assert got.x.shape == (want.n_terms, (n + 63) // 64)
     np.testing.assert_array_equal(got.x, want.x)
