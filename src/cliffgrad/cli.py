@@ -28,10 +28,11 @@ and writes no output file.
        the ansatz or --qubits (DimensionMismatchError)
     3  reserved; nothing raises it
     4  solve error: the quadratic model's eigensolve failed, its entries
-       are not finite, or a sum of observable terms (e0, a gradient or a
-       Hessian entry, or a select-ansatz candidate's sum |g|) overflows
-       the float range; or an optimize sweep's energy or gradient entry is
-       not finite; or ARPACK failed to converge on the exact ground
+       are not finite, its optimum overflows the float range, or a sum of
+       observable terms (e0, a gradient or a Hessian entry, or a
+       select-ansatz candidate's sum |g|) overflows it; or an optimize
+       sweep's energy or gradient entry is not finite, or the warm start's
+       eigensolve failed; or ARPACK failed to converge on the exact ground
        energy of verify --exact-ground (SolveError)
     5  resource cap: a dense simulation above --cap qubits, or exact
        diagonalization above 14 qubits (ResourceCapError)

@@ -52,7 +52,7 @@ import numpy as np
 
 from .circuit import AnsatzCircuit, RotationGate, conjugate_generators
 from .errors import ResourceCapError, SolveError
-from .expansion import ExpansionResult
+from .expansion import ExpansionResult, eigh
 from .observable import Observable
 from .pauli import PHASES, _bits, _row_popcount, pack_masks
 from .tableau import CLIFFORD_1Q_WORDS, CliffordGate, check_reference
@@ -449,11 +449,15 @@ def warm_start_hess_inv(hessian: np.ndarray, eps: float = 1e-8) -> np.ndarray:
 
     The quadratic model's curvature can be indefinite; eigenvalues <= eps
     are replaced by identity-scale curvature (1.0) before inversion so the
-    estimate stays positive definite, as BFGS requires.
+    estimate stays positive definite, as BFGS requires. The curvature is
+    capped at 1e12 times its least value, so that it stays positive
+    definite in floating point too: scipy refuses an estimate whose
+    Cholesky factorization fails, as one of condition 1e21 does.
+    SolveError when the eigensolve fails (expansion.eigh).
     """
-    evals, evecs = np.linalg.eigh(hessian)
+    evals, evecs = eigh(hessian)
     safe = np.where(evals > eps, evals, 1.0)
-    inv = (evecs / safe) @ evecs.T
+    inv = (evecs / np.minimum(safe, 1e12 * safe.min(initial=np.inf))) @ evecs.T
     # exact symmetry so downstream Cholesky-based checks accept it
     return (inv + inv.T) / 2.0
 
@@ -513,8 +517,7 @@ def optimize_bfgs(
     def cost_and_grad(theta: np.ndarray) -> Tuple[float, np.ndarray]:
         if "theta" not in last or not np.array_equal(theta, last["theta"]):
             last["theta"] = np.array(theta, dtype=float)
-            with np.errstate(over="ignore", invalid="ignore"):  # refused below instead
-                value = _energy_and_gradient(ops, terms, start, last["theta"], ansatz.n_qubits)
+            value = _energy_and_gradient(ops, terms, start, last["theta"], ansatz.n_qubits)
             trace.n_evaluations += 1
             if not np.isfinite(np.hstack(value)).all():
                 raise SolveError(f"BFGS sweep {trace.n_evaluations}: non-finite energy or gradient")
@@ -531,20 +534,24 @@ def optimize_bfgs(
             }
         )
 
-    record(x0)
-    if K == 0:  # theta = [] is the optimum, and scipy's BFGS rejects an empty x0
-        trace.final_cost = trace.iterations[0]["cost"]
-        trace.converged = True
-        trace.message = "no parameters to optimize"
-    else:
-        import scipy.optimize
+    # A sweep that overflows is refused in cost_and_grad. A finite but huge
+    # cost overflows the line search's dot products, which scipy reports as
+    # precision loss. Neither prints a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        record(x0)
+        if K == 0:  # theta = [] is the optimum, and scipy's BFGS rejects an empty x0
+            trace.final_cost = trace.iterations[0]["cost"]
+            trace.converged = True
+            trace.message = "no parameters to optimize"
+        else:
+            import scipy.optimize
 
-        res = scipy.optimize.minimize(
-            cost_and_grad, x0, jac=True, method="BFGS", options=options, callback=record
-        )
-        trace.final_cost = float(res.fun)
-        trace.n_iterations = int(res.nit)
-        trace.converged = bool(res.success)
-        trace.message = str(res.message)
+            res = scipy.optimize.minimize(
+                cost_and_grad, x0, jac=True, method="BFGS", options=options, callback=record
+            )
+            trace.final_cost = float(res.fun)
+            trace.n_iterations = int(res.nit)
+            trace.converged = bool(res.success)
+            trace.message = str(res.message)
     trace.timings = {"compile_s": t1 - t0, "bfgs_s": time.perf_counter() - t1}
     return trace

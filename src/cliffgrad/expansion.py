@@ -11,7 +11,11 @@ StabilizerTableau.input_frame call, where every expectation reads
 [x~ = 0] * i^k~ with no tableau lookup, and forms every O~_i P~_k with
 one batched row product. e0 reads the term images, the gradient reads
 the products, and the Hessian wraps the kept products and forms each
-off-diagonal product P~_e O~_i P~_l once. compute_gradient and
+off-diagonal product P~_e O~_i P~_l once. Each rule is stated once:
+every expectation of an image is tableau.frame_values, every sum of
+coefficient-weighted values is observable.row_sums (one math.fsum per
+row: e0, g and the Hessian diagonal), and every anticommutation parity
+is pauli.anticommute. compute_gradient and
 compute_hessian build the same frame, so they give expand's values bit
 for bit. The quadratic model is then minimized at its stationary point
 theta* = -pinv(A) g, giving the second-order estimate <O>* of the
@@ -51,8 +55,8 @@ import numpy as np
 
 from .circuit import AnsatzCircuit, ConjugatedGenerators, conjugate_generators
 from .errors import SolveError
-from .observable import Observable, exact_sum
-from .pauli import PHASES, PauliString, _row_popcount, mul_rows, pauli_mul
+from .observable import Observable, exact_sum, row_sums
+from .pauli import PauliString, anticommute, mul_rows, pauli_mul
 from .tableau import StabilizerTableau, frame_values
 
 
@@ -99,10 +103,9 @@ class _Frame:
 
     def gradient(self) -> np.ndarray:
         """g_k = -2 fsum_i c_i Im <O~_i P~_k>; SolveError for an entry past the float range."""
-        px, _, pp = self.products
         # zero terms leave each fsum unchanged: it returns +0.0 for an exact zero
-        terms = (frame_values(px, pp).imag * self.obs.coeffs).tolist()
-        g = np.array([-2.0 * exact_sum(row) for row in terms], dtype=float)
+        with np.errstate(over="ignore"):  # refused below instead
+            g = -2.0 * row_sums(frame_values(self.products).imag * self.obs.coeffs)
         if not np.isfinite(g).all():
             raise SolveError("a gradient entry overflows the float range")
         return g
@@ -111,24 +114,19 @@ class _Frame:
         """A over the kept parameters (all when mask is None); compute_hessian."""
         kept = np.nonzero(mask)[0] if mask is not None else np.arange(self.gens.n_params)
         nk, n = kept.size, self.gens.n_qubits
-        A = np.zeros((nk, nk))
         coeffs = self.obs.coeffs.tolist()
         gx, gz, gphase = (r[kept] for r in self.generators)
         px, pz, pp = (r[kept] for r in self.products)
         paulis = [PauliString(n, *row) for row in zip(gx, gz, gphase.tolist())]
-        # a[s, i]: kept generator s anticommutes with O_i, exactly when their
-        # product is anti-Hermitian, i.e. has an odd phase
-        a = (pp & 1).tolist()
-        # b[s, t]: kept generator s anticommutes with kept generator t
-        b = (_row_popcount((gx[:, None] & gz) ^ (gz[:, None] & gx)) & 1).tolist()
+        # a[s][i]: kept generator s anticommutes with O_i; b[s][t]: with kept generator t
+        a = anticommute(gx[:, None], gz[:, None], *self.terms[:2])
+        b = anticommute(gx[:, None], gz[:, None], gx, gz).tolist()
         # <O_i>: the terms carry phase 0, so these are the unphased values
-        values = frame_values(self.terms[0], self.terms[2]).tolist()
+        values = frame_values(self.terms).real
         e0 = self.e0 if e0 is None else e0
-        for s in range(nk):
-            diag = exact_sum(
-                c * (PHASES[2 * f] * v).real for c, f, v in zip(coeffs, a[s], values)
-            )
-            A[s, s] = 2.0 * diag - 2.0 * e0
+        with np.errstate(over="ignore", invalid="ignore"):  # _solve refuses non-finite entries
+            A = np.diag(2.0 * row_sums(np.where(a, -values, values) * self.obs.coeffs) - 2.0 * e0)
+        a = a.tolist()
 
         # Right products O~_i * P~_l, one list per kept generator, wrapped from the product rows.
         right = [[PauliString(n, *row) for row in zip(*rows)] for rows in zip(px, pz, pp.tolist())]
@@ -160,8 +158,9 @@ def compute_gradient(
     """g_k = -2 Im <psi(0)| O P'_k |psi(0)>, in the state's input frame (_Frame).
 
     Every <O_i P'_k> is read from the frame's (K, N_o) products as
-    [x = 0] * i^k. Each term is exactly 0 or ±c_i and math.fsum rounds
-    correctly, so g is the same as summing c_i Im <O_i P'_k> term by term.
+    [x = 0] * i^k. Each term is exactly 0 or ±c_i, and row_sums rounds each
+    row's sum correctly (math.fsum), so g is the same as summing
+    c_i Im <O_i P'_k> term by term.
     A sum that overflows, or an entry that -2 * sum takes past the float
     range, is a SolveError. `cache` is accepted and not read, as in
     compute_hessian; it stays in the signature because the benchmark's
@@ -197,12 +196,13 @@ def compute_hessian(
     the circuit than l, R_li = O~_i P~_l is the frame's product row, and
     q = P~_e R_li is formed once (pauli_mul). The first sum reads it at
     phase k~; the second reads R_li P~_e, which is q with phase
-    k~ + 2 (a_ei ⊕ b_el) (module docstring). The diagonal forms no
-    product: its terms are c_i Re(i^(2 a_ki) <O_i>). a_ki is the parity of
-    the phase of O~_i P~_k, which is anti-Hermitian exactly when the two
-    anticommute; b (kept × kept) is one broadcast popcount of the images,
-    since conjugation keeps commutation. Every term is c * Re(i^k~ [x~ = 0]),
-    summed by math.fsum in term order. A term that is 0 is skipped: fsum
+    k~ + 2 (a_ei ⊕ b_el) (module docstring). a (kept × N_o) and b
+    (kept × kept) are the anticommutation parities of the images
+    (pauli.anticommute), since conjugation keeps commutation. The diagonal
+    forms no product: its terms are (-1)^a_ki c_i <O_i>, and the whole
+    diagonal is one row_sums of that table. Every off-diagonal term is
+    c * Re(i^k~ [x~ = 0]), summed by math.fsum in term order, like each
+    row of the diagonal. An off-diagonal term that is 0 is skipped: fsum
     rounds the exact sum and returns +0.0 for a sum of no terms or of ±0,
     so A is bit-identical to the two-product formula, sign bits included.
     e0 defaults to <O> read from the same frame.
@@ -230,7 +230,9 @@ def solve_quadratic(
     |lambda| <= rtol * max|lambda| treated as zero. With stable_subspace,
     only strictly positive-curvature directions are inverted (bounded
     descent for minimization). Returns (theta_star over all K parameters,
-    model optimum, retained rank). ValueError for a bad rtol (_check_rtol).
+    model optimum, retained rank). ValueError for a bad rtol (_check_rtol);
+    SolveError for non-finite entries, a failed eigensolve, or a model
+    optimum past the float range.
     """
     _check_rtol(rtol)
     return _solve(e0, gradient, hessian_kept, mask, rtol, stable_subspace)[:3]
@@ -242,6 +244,14 @@ def _check_rtol(rtol: float) -> None:
     null space."""
     if not 0 <= rtol < math.inf:
         raise ValueError(f"rtol must be finite and >= 0, got {rtol!r}")
+
+
+def eigh(A: np.ndarray):
+    """np.linalg.eigh(A); SolveError when it fails to converge."""
+    try:
+        return np.linalg.eigh(A)
+    except np.linalg.LinAlgError as exc:
+        raise SolveError(f"eigendecomposition failed: {exc}") from exc
 
 
 def _solve(e0, gradient, hessian_kept, mask, rtol, stable_subspace):
@@ -271,10 +281,7 @@ def _solve(e0, gradient, hessian_kept, mask, rtol, stable_subspace):
     A = np.asarray(hessian_kept, dtype=float)
     if not (np.isfinite(A).all() and np.isfinite(g).all()):
         raise SolveError("non-finite gradient/Hessian entries")
-    try:
-        evals, evecs = np.linalg.eigh(A)
-    except np.linalg.LinAlgError as exc:
-        raise SolveError(f"eigendecomposition failed: {exc}") from exc
+    evals, evecs = eigh(A)
     cutoff = rtol * np.abs(evals).max() if evals.size else 0.0
     keep = np.abs(evals) > cutoff
     if stable_subspace:
@@ -282,16 +289,18 @@ def _solve(e0, gradient, hessian_kept, mask, rtol, stable_subspace):
     rank = int(keep.sum())
     inv = np.zeros_like(evals)
     inv[keep] = 1.0 / evals[keep]
-    theta_kept = -evecs @ (inv * (evecs.T @ g))
-    optimum = float(e0 + g @ theta_kept + 0.5 * theta_kept @ A @ theta_kept)
+    # an optimum or a ratio past the float range is refused or reported below
+    with np.errstate(over="ignore", invalid="ignore"):
+        theta_kept = -evecs @ (inv * (evecs.T @ g))
+        optimum = float(e0 + g @ theta_kept + 0.5 * theta_kept @ A @ theta_kept)
+        retained = np.abs(evals[keep])
+        ratio = float(retained.max() / retained.min()) if rank else math.inf
+    if not math.isfinite(optimum):  # as it is whenever theta_kept is not
+        raise SolveError("the quadratic model's optimum overflows the float range")
     theta[kept] = theta_kept
     model["negative_curvature"] = int((evals < -cutoff).sum())
     model["discarded_by_rtol"] = int((np.abs(evals) <= cutoff).sum())
-    if rank:
-        retained = np.abs(evals[keep])
-        with np.errstate(over="ignore"):
-            ratio = float(retained.max() / retained.min())
-        model["condition_number"] = ratio if math.isfinite(ratio) else None
+    model["condition_number"] = ratio if math.isfinite(ratio) else None
     return theta, optimum, rank, model
 
 

@@ -112,10 +112,8 @@ class Observable:
     def frame_expectation(self, images) -> float:
         """sum_i c_i <O~_i> from the terms' input-frame images, the (x~, z~, k~)
         rows that StabilizerTableau.input_frame returns; exact, real."""
-        x, _, k = images
-        # Hermitian phase-free terms give real expectations; compensated sum.
-        values = frame_values(x, k).real.tolist()
-        return exact_sum(c * v for c, v in zip(self.coeffs.tolist(), values))
+        # Hermitian phase-free terms give real expectations
+        return float(row_sums(frame_values(images).real[None] * self.coeffs)[0])
 
 
 def exact_sum(values) -> float:
@@ -129,6 +127,12 @@ def exact_sum(values) -> float:
         return math.fsum(values)
     except OverflowError as exc:
         raise SolveError(f"a sum of observable coefficients overflows ({exc})") from None
+
+
+def row_sums(table: np.ndarray) -> np.ndarray:
+    """One exact_sum per row of a 2-d float table, each in column order: the
+    (rows,) float array of the sums. SolveError when a row's sum overflows."""
+    return np.array([exact_sum(row) for row in table.tolist()], dtype=float)
 
 
 def parse_observable(document: str) -> Observable:

@@ -19,7 +19,9 @@ non-ASCII space stays inside its token and makes it a bad one.
 Qubit 0 is the leftmost wire in all textual forms. All phase arithmetic is
 integer (mod 4), so products of Pauli strings are exact. pauli_mul
 multiplies two PauliStrings; mul_rows multiplies whole batches of packed
-rows with the same phase formula.
+rows with the same phase formula. anticommute is the one spelling of the
+symplectic parity: commutes, the Hessian's parities and the early out of
+StabilizerTableau.expectation all read it.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ class PauliString:
         phase: exponent k in i^k, k in {0,1,2,3}.
     """
 
-    __slots__ = ("n_qubits", "x", "z", "phase", "_n_y", "_hash")
+    __slots__ = ("n_qubits", "x", "z", "phase", "_n_y")
 
     def __init__(self, n_qubits: int, x: np.ndarray, z: np.ndarray, phase: int = 0):
         if n_qubits < 1:
@@ -80,7 +82,6 @@ class PauliString:
         self.z = z
         self.phase = phase
         self._n_y = n_y
-        self._hash = None
 
     @classmethod
     def _trusted(cls, n_qubits: int, x: np.ndarray, z: np.ndarray, phase: int, n_y: int):
@@ -160,9 +161,7 @@ class PauliString:
         )
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((self.n_qubits, self.phase, self.x.tobytes(), self.z.tobytes()))
-        return self._hash
+        return hash((self.n_qubits, self.phase, self.x.tobytes(), self.z.tobytes()))
 
     def key(self) -> tuple:
         """Hashable key of the unphased bit content (merges duplicate terms)."""
@@ -292,13 +291,23 @@ def _row_popcount(words: np.ndarray) -> np.ndarray:
     return np.bitwise_count(words).sum(axis=-1, dtype=np.int64)
 
 
+def anticommute(xa, za, xb, zb):
+    """1 where packed rows a and b anticommute, else 0, broadcast like numpy.
+
+    x and z are uint64 words on the last axis; the result is the int64 parity
+    of the symplectic product, popcount((xa & zb) ^ (za & xb)) mod 2, on the
+    axes before it. Conjugation keeps it, so images read the originals' value.
+    """
+    return _row_popcount((xa & zb) ^ (za & xb)) & 1
+
+
 def commutes(a: PauliString, b: PauliString) -> bool:
-    """True iff ab == ba, via the parity of the symplectic product."""
+    """True iff ab == ba (anticommute)."""
     if a.n_qubits != b.n_qubits:
         raise DimensionMismatchError(
             f"cannot compare Pauli strings on {a.n_qubits} and {b.n_qubits} qubits"
         )
-    return (_popcount(a.x & b.z) + _popcount(a.z & b.x)) % 2 == 0
+    return not anticommute(a.x, a.z, b.x, b.z)
 
 
 def ascii_int(text: str) -> int | None:

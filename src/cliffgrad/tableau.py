@@ -16,8 +16,8 @@ One sign-exact reconstruction serves every expectation: input_frame maps a
 batch of rows Q to U†QU, the frame in which the state is |0...0>, as a few
 GF(2) matrix products with no loop over the tableau rows, and frame_values
 reads <psi|Q|psi> off the images. expectation returns 0 when Q
-anticommutes with a stabilizer, one popcount parity over the packed words,
-and otherwise reads the frame of Q.
+anticommutes with a stabilizer (pauli.anticommute over the packed words),
+and otherwise reads frame_values of Q's image.
 
 _conjugate_masks is the one place that spells out how a gate acts: it
 walks a Pauli string, held as two Python-int bit masks and a phase,
@@ -40,7 +40,7 @@ import numpy as np
 
 from .errors import CircuitFormatError, DimensionMismatchError, WireError
 from .pauli import PHASES, PauliString, _WORD_BITS, _bits, _n_words, _pack, _row_popcount
-from .pauli import pack_masks, unpack_mask
+from .pauli import anticommute, pack_masks, unpack_mask
 
 # ---------------------------------------------------------------------------
 # Single-qubit Clifford table
@@ -321,23 +321,20 @@ class StabilizerTableau:
     # -- expectation --------------------------------------------------------
 
     def expectation(self, q: PauliString) -> complex:
-        """Exact <psi|Q|psi> in {0, ±1, ±i} times Q's phase.
+        """Exact <psi|Q|psi> in {0, ±1, ±i}: frame_values of Q's input-frame image.
 
-        Zero iff the unphased part of Q anticommutes with some stabilizer,
-        which one popcount parity over the packed words decides; otherwise
-        Q's input-frame image is i^k~ Z^z~ and the value is i^k~.
+        It is 0 when Q anticommutes with some stabilizer (pauli.anticommute),
+        which returns early: one parity per row is about six times cheaper
+        than the image. Otherwise the image is i^k~ Z^z~ and the value i^k~.
         """
         if q.n_qubits != self.n:
             raise DimensionMismatchError(
                 f"Pauli on {q.n_qubits} qubits vs state on {self.n}"
             )
-        n = self.n
-        # Stabilizer j anticommutes with Q iff popcount(x_j&qz) + popcount(z_j&qx) is odd.
-        if (np.bitwise_count((self.x[n:] & q.z) ^ (self.z[n:] & q.x)).sum(axis=1) & 1).any():
+        if anticommute(self.x[self.n:], self.z[self.n:], q.x, q.z).any():
             return 0j
-        _, _, k = self.input_frame(q.x[None], q.z[None], np.array([q.phase]))
-        # i^k~ is ±i^phase; a product with the sign keeps PHASES' signed zeros
-        return PHASES[q.phase] * (1.0 if k[0] == q.phase else -1.0)
+        images = self.input_frame(q.x[None], q.z[None], np.array([q.phase]))
+        return complex(frame_values(images)[0])
 
     def _frame_tables(self):
         """GF(2) tables of the rows for input_frame, built once per state."""
@@ -403,6 +400,9 @@ class StabilizerTableau:
         return _pack(xt, x.shape[-1]), _pack(zt, x.shape[-1]), k
 
 
-def frame_values(x: np.ndarray, phase: np.ndarray) -> np.ndarray:
-    """<psi|Q|psi> = [x~ = 0] * i^k~ of input-frame images, as complex."""
+def frame_values(images) -> np.ndarray:
+    """<psi|Q|psi> = [x~ = 0] * i^k~ of input-frame images (x~, z~, k~), as
+    input_frame returns them, as complex: the one read of an image, for
+    expectation, e0, g and A alike."""
+    x, _, phase = images
     return np.where(x.any(axis=-1), 0j, np.array(PHASES)[phase])

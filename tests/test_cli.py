@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -183,6 +184,85 @@ def test_overflowing_optimize_gradient_is_exit_4(tmp_path, capsys, init):
     assert rc == 4
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and "non-finite" in err
+    assert not trace.exists()
+
+
+# every sweep is finite, but scipy's line search used to overflow its dot
+# products with 13 numpy and scipy warnings before writing the trace
+@pytest.mark.filterwarnings("error")
+def test_huge_finite_coefficient_optimizes_silently(tmp_path, capsys):
+    ham, ansatz = tmp_path / "huge.txt", tmp_path / "a.json"
+    ham.write_text(CHAIN8.read_text().replace("0.094217 X0 X1\n", "1e200 X0 X1\n", 1))
+    assert main(["gen-ansatz", "--qubits", "8", "--depth", "2", "--seed", "3",
+                 "--variant", "real", "--out", str(ansatz)]) == 0
+    capsys.readouterr()
+    trace = tmp_path / "trace.json"
+    rc = main(["optimize", "--hamiltonian", str(ham), "--ansatz", str(ansatz),
+               "--reference", "01010101", "--init", "zero", "--trace-out", str(trace)])
+    assert rc == 0 and capsys.readouterr().err == ""
+    doc = json.loads(trace.read_text())
+    assert not doc["converged"] and math.isfinite(doc["final_cost"])
+
+
+# g and A are finite, but theta* = -pinv(A) g is not small where A's curvature
+# is, and the model optimum used to overflow with numpy warnings, then exit 1
+@pytest.mark.filterwarnings("error")
+def test_overflowing_model_optimum_is_exit_4(tmp_path, capsys):
+    ham, ansatz, out = tmp_path / "huge.txt", tmp_path / "a.json", tmp_path / "r.json"
+    ham.write_text(CHAIN8.read_text().replace("0.094217 X0 X1\n", "1e200 X0 X1\n", 1))
+    assert main(["gen-ansatz", "--qubits", "8", "--depth", "1", "--variant", "real",
+                 "--out", str(ansatz)]) == 0
+    capsys.readouterr()
+    rc = main(["expand", "--hamiltonian", str(ham), "--ansatz", str(ansatz),
+               "--reference", "01010101", "--out", str(out)])
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "optimum" in err
+    assert not out.exists()
+
+
+def _warm_start_files(tmp_path):
+    """A depth-1 real ansatz on chain8 and its expand result."""
+    ansatz, res = tmp_path / "a.json", tmp_path / "r.json"
+    files = ["--hamiltonian", str(CHAIN8), "--ansatz", str(ansatz), "--reference", "01010101"]
+    assert main(["gen-ansatz", "--qubits", "8", "--depth", "1", "--variant", "real",
+                 "--out", str(ansatz)]) == 0
+    assert main(["expand", *files, "--out", str(res)]) == 0
+    return files, res
+
+
+# a Hessian entry of 1e21 made the warm start's inverse too ill-conditioned
+# for scipy's Cholesky check, whose ValueError escaped as a traceback
+@pytest.mark.filterwarnings("error")
+def test_warm_start_of_a_stiff_hessian_optimizes(tmp_path, capsys):
+    files, res = _warm_start_files(tmp_path)
+    doc = json.loads(res.read_text())
+    doc["hessian"]["rows"][7][4] = doc["hessian"]["rows"][4][7] = 1e21
+    res.write_text(json.dumps(doc))
+    capsys.readouterr()
+    trace = tmp_path / "trace.json"
+    rc = main(["optimize", *files, "--init", "pert-hessian", "--result", str(res),
+               "--trace-out", str(trace)])
+    assert rc == 0 and capsys.readouterr().err == ""
+    assert json.loads(trace.read_text())["n_iterations"] > 0
+
+
+# LAPACK fails to converge on some Hessians with entries near 1e300; its
+# LinAlgError escaped the warm start as a traceback
+def test_warm_start_eigensolve_failure_is_exit_4(tmp_path, capsys, monkeypatch):
+    files, res = _warm_start_files(tmp_path)
+
+    def fail(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    capsys.readouterr()
+    trace = tmp_path / "trace.json"
+    rc = main(["optimize", *files, "--init", "pert-hessian", "--result", str(res),
+               "--trace-out", str(trace)])
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "did not converge" in err
     assert not trace.exists()
 
 
