@@ -17,7 +17,7 @@ and writes no output file.
 
     0  success
     1  any other package error, such as an output document that strict
-       JSON cannot hold (NaN or infinity)
+       JSON cannot hold (NaN or infinity); the message names its key
     2  input error: a missing or malformed Hamiltonian, ansatz or result
        file, or one that is not UTF-8 text; an output path in a missing
        directory, or one that is a directory; an out-of-range or
@@ -43,6 +43,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -155,11 +156,29 @@ def _check_output_paths(args: argparse.Namespace) -> None:
             raise _InputError(f"{flag}: output path is a directory: {path}")
 
 
+def _non_finite(value, key: str = ""):
+    """(key, value) of the first NaN or infinity in a document, the key
+    dotted from the top (``iterations.3.cost``); None if there is none."""
+    if isinstance(value, float):
+        return None if math.isfinite(value) else (key, value)
+    if isinstance(value, dict):
+        items = value.items()
+    else:
+        items = enumerate(value) if isinstance(value, (list, tuple)) else ()
+    for k, v in items:
+        found = _non_finite(v, f"{key}.{k}" if key else str(k))
+        if found:
+            return found
+    return None
+
+
 def _emit(doc: dict, out: str | None) -> None:
     try:
         text = json.dumps(doc, indent=1, sort_keys=True, allow_nan=False) + "\n"
-    except ValueError as exc:  # NaN or infinity, which strict JSON cannot hold
-        raise CliffgradError(f"output document not written: {exc}")
+    except ValueError:  # NaN or infinity, which strict JSON cannot hold
+        key, value = _non_finite(doc)
+        raise CliffgradError(f"output document not written: {key} is {value}, "
+                             "which strict JSON cannot hold")
     if out:
         Path(out).write_text(text)
     else:

@@ -37,8 +37,9 @@ tables, one CSR per block of terms under the same budget.
 Rotation convention matches the expansion: R(theta) = exp(i theta P)
 = cos(theta) I + i sin(theta) P.
 
-scipy is imported inside the functions that use it, so that commands
-which never call them (expand, select-ansatz) do not load it.
+BFGS runs in this module (_bfgs, with a strong Wolfe line search), so
+optimize needs only numpy. scipy is imported inside exact_ground_energy,
+its one user, so verify --exact-ground is the only command that loads it.
 """
 
 from __future__ import annotations
@@ -450,16 +451,121 @@ def warm_start_hess_inv(hessian: np.ndarray, eps: float = 1e-8) -> np.ndarray:
     The quadratic model's curvature can be indefinite; eigenvalues <= eps
     are replaced by identity-scale curvature (1.0) before inversion so the
     estimate stays positive definite, as BFGS requires. The curvature is
-    capped at 1e12 times its least value, so that it stays positive
-    definite in floating point too: scipy refuses an estimate whose
-    Cholesky factorization fails, as one of condition 1e21 does.
-    SolveError when the eigensolve fails (expansion.eigh).
+    capped at 1e12 times its least value, so that the estimate stays
+    positive definite in floating point too; an estimate of condition 1e21
+    need not be. SolveError when the eigensolve fails (expansion.eigh).
     """
     evals, evecs = eigh(hessian)
     safe = np.where(evals > eps, evals, 1.0)
     inv = (evecs / np.minimum(safe, 1e12 * safe.min(initial=np.inf))) @ evecs.T
-    # exact symmetry so downstream Cholesky-based checks accept it
+    # exact symmetry, which the BFGS update then preserves
     return (inv + inv.T) / 2.0
+
+
+# scipy.optimize's BFGS messages, verbatim, and the strong Wolfe constants
+_CONVERGED = "Optimization terminated successfully."
+_MAX_ITERATIONS = "Maximum number of iterations has been exceeded."
+_PRECISION_LOSS = "Desired error not necessarily achieved due to precision loss."
+_C1, _C2 = 1e-4, 0.9
+
+
+def _cubic_min(lo: tuple, hi: tuple) -> float:
+    """Minimizer of the cubic that matches f and f' at both trial points
+    (Nocedal & Wright eq. 3.59), moved into the middle 80% of the interval,
+    or the midpoint when it is not finite. A trial point is (alpha, f, g, f')."""
+    (a, fa, _, da), (b, fb, _, db) = lo, hi
+    d1 = da + db - 3 * (fa - fb) / (a - b)
+    d2 = np.sign(b - a) * np.sqrt(d1 * d1 - da * db)
+    t = b - (b - a) * (db + d2 - d1) / (db - da + 2 * d2)
+    if not np.isfinite(t):
+        return (a + b) / 2
+    margin = 0.1 * abs(b - a)
+    return min(max(t, min(a, b) + margin), max(a, b) - margin)
+
+
+def _zoom(phi, lo: tuple, hi: tuple, f0: float, d0: float) -> Optional[tuple]:
+    """Nocedal & Wright Alg. 3.6: shrink [lo, hi], where lo is the point of
+    least f that meets sufficient decrease, until a point meets both strong
+    Wolfe conditions; its (alpha, f, g), or None after 10 trials."""
+    for _ in range(10):
+        if lo[0] == hi[0]:
+            break
+        new = phi(_cubic_min(lo, hi))
+        if new[1] > f0 + _C1 * new[0] * d0 or new[1] >= lo[1]:
+            hi = new
+        elif abs(new[3]) <= -_C2 * d0:
+            return new[:3]
+        else:
+            if new[3] * (hi[0] - lo[0]) >= 0:
+                hi = lo
+            lo = new
+    return None
+
+
+def _line_search(
+    fg, x: np.ndarray, p: np.ndarray, f: float, g: np.ndarray, f_prev: float
+) -> Optional[tuple]:
+    """(alpha, f, g) at x + alpha p, where both strong Wolfe conditions hold
+    (Nocedal & Wright Alg. 3.5), or None when the search fails. The first
+    trial step is scipy's, min(1, 1.01 * 2 (f - f_prev) / g.p); it doubles
+    at most 50 times until a trial brackets the step, which a bounded f
+    does once c1 alpha |g.p| exceeds its range."""
+    d0 = g @ p
+    if not -np.inf < d0 < 0:  # p is no descent direction, or g.p overflowed
+        return None
+
+    alpha = min(1.0, 1.01 * 2 * (f - f_prev) / d0)
+    if not alpha > 0:  # no progress is left in floating point
+        return None
+
+    def phi(alpha: float) -> tuple:
+        f_a, g_a = fg(x + alpha * p)
+        return alpha, f_a, g_a, g_a @ p
+
+    prev = (0.0, f, g, d0)
+    for i in range(50):
+        new = phi(alpha)
+        if new[1] > f + _C1 * alpha * d0 or (i and new[1] >= prev[1]):
+            return _zoom(phi, prev, new, f, d0)
+        if abs(new[3]) <= -_C2 * d0:
+            return new[:3]
+        if new[3] >= 0:
+            return _zoom(phi, new, prev, f, d0)
+        prev, alpha = new, 2 * alpha
+    return None
+
+
+def _bfgs(fg, x: np.ndarray, hess_inv: Optional[np.ndarray], gtol: float,
+          max_iterations: int, record) -> Tuple[float, int, bool, str]:
+    """Minimize by BFGS (Nocedal & Wright Alg. 6.1) from x.
+
+    fg(x) returns (f, g); record(f, g) is called at x and at every accepted
+    point, with the values the line search computed there. The run stops
+    when max |g| <= gtol, after max_iterations steps, or when the line
+    search fails. Returns (f, iterations, converged, message).
+    """
+    f, g = fg(x)
+    record(f, g)
+    f_prev = f + np.linalg.norm(g) / 2  # so that the first step is about 1 long
+    eye = np.eye(x.size)
+    H = eye if hess_inv is None else hess_inv
+    k = 0
+    while np.abs(g).max(initial=0.0) > gtol:
+        if k == max_iterations:
+            return f, k, False, _MAX_ITERATIONS
+        p = -H @ g
+        step = _line_search(fg, x, p, f, g, f_prev)
+        if step is None:
+            return f, k, False, _PRECISION_LOSS
+        alpha, f_new, g_new = step
+        s, y = alpha * p, g_new - g
+        x, f_prev, f, g, k = x + s, f, f_new, g_new, k + 1
+        record(f, g)
+        ys = y @ s
+        rho = 1.0 / ys if ys else 1000.0  # scipy's guard against y.s = 0
+        V = eye - rho * np.outer(s, y)
+        H = V @ H @ V.T + rho * np.outer(s, s)
+    return f, k, True, _CONVERGED
 
 
 def optimize_bfgs(
@@ -476,16 +582,19 @@ def optimize_bfgs(
 
     init "zero" starts at theta = 0; "theta_star" at the quadratic model's
     stationary point; "theta_star_with_hessian" additionally seeds the
-    optimizer's inverse-Hessian estimate from the model Hessian. Gradients
-    are exact, from one forward and one backward (adjoint) statevector sweep
-    each over the ansatz in Pauli-rotation normal form (_normal_form): K
-    Pauli rotations applied to C_total|reference>, which is computed once.
-    The trace records the values of the last sweep, so it adds none, and
-    its timings split compiling the normal form (compile_s) from the BFGS
-    run (bfgs_s). Raises DimensionMismatchError when the observable and the
-    ansatz differ in width, CircuitFormatError for a malformed reference,
-    ValueError when theta* or the Hessian does not match the ansatz, and
-    SolveError when a sweep's energy or a gradient entry is not finite.
+    optimizer's inverse-Hessian estimate from the model Hessian. BFGS is
+    _bfgs: a strong Wolfe line search and the inverse-Hessian update, with
+    scipy.optimize's first trial step and messages. Gradients are exact,
+    from one forward and one backward (adjoint) statevector sweep each over
+    the ansatz in Pauli-rotation normal form (_normal_form): K Pauli
+    rotations applied to C_total|reference>, which is computed once. Every
+    trial point of the line search is one sweep, and the trace records the
+    values of the accepted points' sweeps, so it adds none. Its timings
+    split compiling the normal form (compile_s) from the BFGS run (bfgs_s).
+    Raises DimensionMismatchError when the observable and the ansatz differ
+    in width, CircuitFormatError for a malformed reference, ValueError when
+    theta* or the Hessian does not match the ansatz, and SolveError when a
+    sweep's energy or a gradient entry is not finite.
     """
     observable.check_width(ansatz.n_qubits)
     K = ansatz.n_params
@@ -494,7 +603,7 @@ def optimize_bfgs(
     if init != "zero" and expansion is None:
         raise ValueError(f"init={init!r} requires an expansion result")
 
-    options = {"gtol": gtol, "maxiter": max_iterations}
+    hess_inv0 = None
     if init == "zero":
         x0 = np.zeros(K)
     else:
@@ -505,27 +614,22 @@ def optimize_bfgs(
         hessian = expansion.hessian_full()
         if hessian.shape != (K, K):
             raise ValueError(f"Hessian has shape {hessian.shape}, ansatz has {K} parameters")
-        options["hess_inv0"] = warm_start_hess_inv(hessian)
+        hess_inv0 = warm_start_hess_inv(hessian)
 
     t0 = time.perf_counter()
     ops, start = _normal_form(ansatz, reference, cap)
     terms = _observable_actions(observable)
     t1 = time.perf_counter()
     trace = OptimizationTrace(init=init, gtol=gtol)
-    last = {}
 
     def cost_and_grad(theta: np.ndarray) -> Tuple[float, np.ndarray]:
-        if "theta" not in last or not np.array_equal(theta, last["theta"]):
-            last["theta"] = np.array(theta, dtype=float)
-            value = _energy_and_gradient(ops, terms, start, last["theta"], ansatz.n_qubits)
-            trace.n_evaluations += 1
-            if not np.isfinite(np.hstack(value)).all():
-                raise SolveError(f"BFGS sweep {trace.n_evaluations}: non-finite energy or gradient")
-            last["value"] = value
-        return last["value"]
+        value = _energy_and_gradient(ops, terms, start, theta, ansatz.n_qubits)
+        trace.n_evaluations += 1
+        if not np.isfinite(np.hstack(value)).all():
+            raise SolveError(f"BFGS sweep {trace.n_evaluations}: non-finite energy or gradient")
+        return value
 
-    def record(theta: np.ndarray) -> None:
-        cost, grad = cost_and_grad(theta)
+    def record(cost: float, grad: np.ndarray) -> None:
         trace.iterations.append(
             {
                 "iteration": len(trace.iterations),
@@ -535,23 +639,10 @@ def optimize_bfgs(
         )
 
     # A sweep that overflows is refused in cost_and_grad. A finite but huge
-    # cost overflows the line search's dot products, which scipy reports as
-    # precision loss. Neither prints a warning.
-    with np.errstate(over="ignore", invalid="ignore"):
-        record(x0)
-        if K == 0:  # theta = [] is the optimum, and scipy's BFGS rejects an empty x0
-            trace.final_cost = trace.iterations[0]["cost"]
-            trace.converged = True
-            trace.message = "no parameters to optimize"
-        else:
-            import scipy.optimize
-
-            res = scipy.optimize.minimize(
-                cost_and_grad, x0, jac=True, method="BFGS", options=options, callback=record
-            )
-            trace.final_cost = float(res.fun)
-            trace.n_iterations = int(res.nit)
-            trace.converged = bool(res.success)
-            trace.message = str(res.message)
+    # cost or gradient overflows the line search's products, which ends the
+    # run with the precision-loss message. Neither prints a warning.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        result = _bfgs(cost_and_grad, x0, hess_inv0, gtol, max_iterations, record)
+    trace.final_cost, trace.n_iterations, trace.converged, trace.message = result
     trace.timings = {"compile_s": t1 - t0, "bfgs_s": time.perf_counter() - t1}
     return trace

@@ -266,7 +266,9 @@ def test_warm_start_eigensolve_failure_is_exit_4(tmp_path, capsys, monkeypatch):
     assert not trace.exists()
 
 
-# the norm of theta* used to print numpy's overflow warning first
+# the norm of theta* used to print numpy's overflow warning first, and the
+# message used to name JSON ("Out of range float values are not JSON
+# compliant: inf"), not the key that held the value
 @pytest.mark.filterwarnings("error")
 def test_verify_of_an_overflowing_theta_norm_is_exit_1(tmp_path, toy, capsys):
     ham, ans = toy
@@ -274,13 +276,13 @@ def test_verify_of_an_overflowing_theta_norm_is_exit_1(tmp_path, toy, capsys):
     assert main(["expand", "--hamiltonian", str(ham), "--ansatz", str(ans),
                  "--reference", "0", "--out", str(res)]) == 0
     doc = json.loads(res.read_text())
-    res.write_text(json.dumps(doc | {"theta_star": [1e308]}))
+    res.write_text(json.dumps(doc | {"theta_star": [1e200]}))
     capsys.readouterr()
     rc = main(["verify", "--hamiltonian", str(ham), "--ansatz", str(ans),
                "--reference", "0", "--result", str(res), "--out", str(out)])
     assert rc == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert capsys.readouterr().err == ("error: output document not written: theta_star_norm "
+                                       "is inf, which strict JSON cannot hold\n")
     assert not out.exists()
 
 
@@ -746,6 +748,22 @@ def test_verify_arpack_failure_is_exit_4(tmp_path, capsys, monkeypatch):
     assert rc == 4
     assert stdout == "" and err.startswith("error: ") and len(err.splitlines()) == 1
     assert not out.exists()
+
+
+def test_optimize_loads_no_scipy(tmp_path):
+    files, res = _warm_start_files(tmp_path)
+    inits = ("zero", "pert-hessian")
+    runs = [["optimize", *files, "--init", init, "--result", str(res),
+             "--trace-out", str(tmp_path / f"{init}.json")] for init in inits]
+    code = ("import sys\nfrom cliffgrad.cli import main\n"
+            f"assert [main(argv) for argv in {runs!r}] == [0, 0]\n"
+            "print([m for m in sys.modules if m.startswith('scipy')])")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+    assert all(json.loads((tmp_path / f"{init}.json").read_text())["converged"] for init in inits)
 
 
 def test_importing_the_cli_loads_no_scipy():

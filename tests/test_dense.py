@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from cliffgrad import dense
-from cliffgrad.circuit import AnsatzCircuit, RotationGate, generate_hwe_ansatz
+from cliffgrad.circuit import AnsatzCircuit, RotationGate, generate_hwe_ansatz, select_ansatz
 from cliffgrad.dense import (
     DEFAULT_QUBIT_CAP,
     basis_state,
@@ -297,6 +297,71 @@ def test_trace_records_without_extra_sweeps(monkeypatch):
     # every sweep is at a new point: recording an iteration re-evaluates nothing
     assert len(swept) == len(set(swept)) == trace.n_evaluations
     assert trace.to_dict()["n_evaluations"] == trace.n_evaluations
+
+
+# the pipeline's instance (the select-ansatz winner of 32 real depth-2
+# candidates on chain8) cold and warm, and the stationary complex instance
+# cold, whose 141 iterations take many zooms and a long bracketing
+@pytest.mark.parametrize("instance, init", [
+    ("pipeline", "zero"), ("pipeline", "theta_star_with_hessian"), ("stationary", "zero"),
+])
+def test_every_bfgs_step_meets_the_strong_wolfe_conditions(monkeypatch, instance, init):
+    obs, ref = parse_observable(CHAIN8.read_text()), "01010101"
+    if instance == "pipeline":
+        circ, _ = select_ansatz(32, 8, 2, obs, ref, 5, "real")
+    else:
+        circ = generate_hwe_ansatz(8, 2, 6, "complex")
+    res = expand(circ, obs, ref)
+    swept = []
+    sweep = dense._energy_and_gradient
+
+    def recording(ops, terms, reference, theta, n):
+        value = sweep(ops, terms, reference, theta, n)
+        swept.append((theta.copy(), *value))
+        return value
+
+    monkeypatch.setattr(dense, "_energy_and_gradient", recording)
+    trace = optimize_bfgs(circ, obs, ref, init=init, expansion=res)
+    assert trace.converged and trace.n_iterations > 10
+    # each recorded iteration is the one sweep with its cost and gradient norm
+    accepted = []
+    for it in trace.iterations:
+        (point,) = [(x, f, g) for x, f, g in swept
+                    if f == it["cost"] and np.abs(g).max() == it["grad_norm"]]
+        accepted.append(point)
+    for (x, f, g), (x_next, f_next, g_next) in zip(accepted, accepted[1:]):
+        s = x_next - x
+        assert g @ s < 0
+        assert f_next <= f + 1e-4 * (g @ s)
+        assert abs(g_next @ s) <= 0.9 * abs(g @ s)
+
+
+def test_bfgs_with_the_exact_inverse_hessian_converges_in_one_iteration():
+    rng = np.random.default_rng(3)
+    q = np.linalg.qr(rng.standard_normal((5, 5)))[0]
+    A = q @ np.diag([2.0, 3.0, 5.0, 8.0, 13.0]) @ q.T
+    # |b| is small enough that scipy's first trial step is the full Newton step
+    b = 0.5 * rng.standard_normal(5)
+    recorded = []
+    f, k, converged, message = dense._bfgs(
+        lambda x: (0.5 * x @ A @ x - b @ x, A @ x - b), np.zeros(5), np.linalg.inv(A),
+        1e-6, 50, lambda f, g: recorded.append(f),
+    )
+    assert (k, converged, message) == (1, True, "Optimization terminated successfully.")
+    assert len(recorded) == 2 and f == pytest.approx(-0.5 * b @ np.linalg.solve(A, b), abs=1e-14)
+
+
+def test_a_failed_line_search_ends_with_scipys_precision_loss_message(monkeypatch):
+    # a flat energy whose sweep reports a gradient: no step decreases it
+    def flat(ops, terms, reference, theta, n):
+        return 1.5, np.ones(theta.size)
+
+    monkeypatch.setattr(dense, "_energy_and_gradient", flat)
+    obs = parse_observable("qubits 1\n1.0 X0\n2.0 Z0\n")
+    trace = optimize_bfgs(ry_circuit(), obs, "0", init="zero")
+    assert not trace.converged and trace.n_iterations == 0 and trace.final_cost == 1.5
+    assert trace.message == "Desired error not necessarily achieved due to precision loss."
+    assert len(trace.iterations) == 1 and trace.n_evaluations > 1
 
 
 @pytest.mark.parametrize(
