@@ -32,8 +32,9 @@ and writes no output file.
        observable terms (e0, a gradient or a Hessian entry, or a
        select-ansatz candidate's sum |g|) overflows it; or an optimize
        sweep's energy or gradient entry is not finite, or the warm start's
-       eigensolve failed; or ARPACK failed to converge on the exact ground
-       energy of verify --exact-ground (SolveError)
+       eigensolve failed; or Lanczos failed to converge on the exact ground
+       energy of verify --exact-ground, or that energy overflows the float
+       range (SolveError)
     5  resource cap: a dense simulation above --cap qubits, or exact
        diagonalization above 14 qubits (ResourceCapError)
 """
@@ -68,7 +69,7 @@ from .errors import (
     WireError,
 )
 from .expansion import ExpansionResult, expand
-from .observable import Observable, parse_observable
+from .observable import parse_observable
 
 EXIT_OK = 0
 EXIT_GENERIC = 1
@@ -109,17 +110,13 @@ def _read_text(path: str) -> str:
         raise _InputError(f"{p}: not UTF-8 text: {exc.reason} at byte {exc.start}")
 
 
-def _load_observable(path: str) -> Observable:
+def _load(path: str, parse):
+    """parse(the text of the file at path), an _InputError naming the file
+    when the text is no observable (parse_observable) or no ansatz
+    (AnsatzCircuit.deserialize)."""
     try:
-        return parse_observable(_read_text(path))
-    except ObservableFormatError as exc:
-        raise _InputError(f"{path}: {exc}")
-
-
-def _load_ansatz(path: str) -> AnsatzCircuit:
-    try:
-        return AnsatzCircuit.deserialize(_read_text(path))
-    except CircuitFormatError as exc:
+        return parse(_read_text(path))
+    except (ObservableFormatError, CircuitFormatError) as exc:
         raise _InputError(f"{path}: {exc}")
 
 
@@ -198,7 +195,7 @@ def cmd_gen_ansatz(args) -> int:
 
 
 def cmd_select_ansatz(args) -> int:
-    obs = _load_observable(args.hamiltonian)
+    obs = _load(args.hamiltonian, parse_observable)
     timings = {}
     best, sums = select_ansatz(
         args.count, args.qubits, args.depth, obs, args.reference, args.seed, args.variant,
@@ -235,8 +232,8 @@ def _check_at_least(flag: str, value: int, low: int) -> None:
 def cmd_expand(args) -> int:
     _check_non_negative("--dropout-threshold", args.dropout_threshold)
     _check_non_negative("--rtol", args.rtol)
-    obs = _load_observable(args.hamiltonian)
-    circ = _load_ansatz(args.ansatz)
+    obs = _load(args.hamiltonian, parse_observable)
+    circ = _load(args.ansatz, AnsatzCircuit.deserialize)
     result = expand(
         circ,
         obs,
@@ -275,8 +272,8 @@ def _load_result(path: str, circ: AnsatzCircuit) -> ExpansionResult:
 
 def cmd_verify(args) -> int:
     _check_at_least("--cap", args.cap, 1)  # a cap below one qubit admits no simulation
-    obs = _load_observable(args.hamiltonian)
-    circ = _load_ansatz(args.ansatz)
+    obs = _load(args.hamiltonian, parse_observable)
+    circ = _load(args.ansatz, AnsatzCircuit.deserialize)
     result = _load_result(args.result, circ)
     e_circuit = energy(circ, result.theta_star, args.reference, obs, cap=args.cap)
     with np.errstate(over="ignore"):  # an infinite norm is refused by _emit instead
@@ -301,8 +298,8 @@ def cmd_optimize(args) -> int:
     _check_non_negative("--gtol", args.gtol)
     _check_at_least("--max-iters", args.max_iters, 0)
     _check_at_least("--cap", args.cap, 1)
-    obs = _load_observable(args.hamiltonian)
-    circ = _load_ansatz(args.ansatz)
+    obs = _load(args.hamiltonian, parse_observable)
+    circ = _load(args.ansatz, AnsatzCircuit.deserialize)
     # a result given with --init zero is not used, but its hash is in the document
     expansion = _load_result(args.result, circ) if args.result else None
     if args.init != "zero" and expansion is None:
@@ -342,6 +339,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--variant", choices=("complex", "real"), default="complex")
 
+    def add_input_flags(p):
+        for flag in ("--hamiltonian", "--ansatz", "--reference"):
+            p.add_argument(flag, required=True)
+
     p = sub.add_parser("gen-ansatz", help="generate a brickwork ansatz file")
     add_gen_flags(p)
     p.add_argument("--out", required=True)
@@ -357,9 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_select_ansatz)
 
     p = sub.add_parser("expand", help="gradient/Hessian/theta* at theta=0")
-    p.add_argument("--hamiltonian", required=True)
-    p.add_argument("--ansatz", required=True)
-    p.add_argument("--reference", required=True)
+    add_input_flags(p)
     p.add_argument("--dropout-threshold", type=float, default=1e-6)
     p.add_argument("--rtol", type=float, default=1e-10)
     p.add_argument("--stable-subspace", action="store_true")
@@ -368,9 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_expand)
 
     p = sub.add_parser("verify", help="dense E(theta*) vs the quadratic model")
-    p.add_argument("--hamiltonian", required=True)
-    p.add_argument("--ansatz", required=True)
-    p.add_argument("--reference", required=True)
+    add_input_flags(p)
     p.add_argument("--result", required=True)
     p.add_argument("--cap", type=int, default=DEFAULT_QUBIT_CAP)
     p.add_argument("--exact-ground", action="store_true")
@@ -378,9 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("optimize", help="BFGS with zero/pert/pert-hessian init")
-    p.add_argument("--hamiltonian", required=True)
-    p.add_argument("--ansatz", required=True)
-    p.add_argument("--reference", required=True)
+    add_input_flags(p)
     p.add_argument("--result", default=None)
     p.add_argument("--init", choices=tuple(_INIT_MODES), default="zero")
     p.add_argument("--max-iters", type=int, default=500)

@@ -31,15 +31,15 @@ term order, so every value is bit-identical to a sweep that applies one
 term at a time. The normal form is built from the stabilizer engine's
 generators, so it cannot check them.
 
-exact_ground_energy builds the observable's CSR matrix from the same
-tables, one CSR per block of terms under the same budget.
+exact_ground_energy reads the same tables: it sums the terms' phases into
+one weight vector per distinct X part, block by block under the same
+budget, so that O v is one gather per X part, and runs Lanczos on that.
 
 Rotation convention matches the expansion: R(theta) = exp(i theta P)
 = cos(theta) I + i sin(theta) P.
 
-BFGS runs in this module (_bfgs, with a strong Wolfe line search), so
-optimize needs only numpy. scipy is imported inside exact_ground_energy,
-its one user, so verify --exact-ground is the only command that loads it.
+BFGS (_bfgs, with a strong Wolfe line search) and the Lanczos eigensolver
+both run in this module, so the package needs only numpy.
 """
 
 from __future__ import annotations
@@ -59,6 +59,11 @@ from .pauli import PHASES, _bits, _row_popcount, pack_masks
 from .tableau import CLIFFORD_1Q_WORDS, CliffordGate, check_reference
 
 DEFAULT_QUBIT_CAP = 20
+EXACT_GROUND_CAP = 14  # widest observable exact_ground_energy diagonalizes
+_LANCZOS_STEPS = 3000  # Lanczos steps exact_ground_energy takes before it gives up
+_KRYLOV_WIDTH = 40     # Lanczos vectors it holds before a thick restart
+_FLAT = 1e-8           # model curvature at or below it is flat to warm_start_hess_inv
+_EPS = np.finfo(float).eps
 
 _SQRT2 = np.sqrt(2.0)
 _MAT_1Q = {
@@ -382,44 +387,82 @@ def finite_diff_hessian(
 # ---------------------------------------------------------------------------
 
 
-def exact_ground_energy(observable: Observable, cap: int = 14) -> float:
-    """Minimum eigenvalue of the observable matrix (n <= cap).
+def exact_ground_energy(observable: Observable) -> float:
+    """Least eigenvalue of the observable matrix (n <= EXACT_GROUND_CAP), by
+    Lanczos with full reorthogonalization (Lanczos, J. Res. Natl. Bur.
+    Stand. 45, 255 (1950)).
 
-    H is built from the terms' gather tables as one CSR matrix per block of
-    at most _GATHER_ELEMENTS table entries (one block up to 1024 terms at
-    n = 12), row c holding c_i phase_i[c] at column idx_i[c] for every term
-    i of the block. Raises SolveError when ARPACK fails (n > 6).
+    O acts as one gather per distinct X part x of its terms: (O v)[c] is the
+    sum over x of d_x[c] v[c XOR x], where d_x sums c_i phase_i over the
+    terms with that X part. The gather tables and the d_x are read off the
+    terms' tables (_actions), one block of at most _GATHER_ELEMENTS entries
+    at a time; when every d_x is real the run is in real arithmetic. The
+    coefficients are first scaled by a power of two so that max |c| < 1,
+    which is exact and keeps every norm finite.
+
+    The run starts from a seeded vector, so the value is reproducible, and
+    orthogonalizes each new vector twice against all vectors it holds. When
+    it holds _KRYLOV_WIDTH of them, it keeps the Ritz vectors of the lower
+    half of the Ritz values and goes on from the residual (thick restart,
+    Wu & Simon, SIAM J. Matrix Anal. Appl. 22, 602 (2000)), so the work per
+    step stays bounded when the ground state converges slowly. Every fifth
+    step it stops once the least Ritz value's residual bound beta |s_m| is
+    below rounding, relative to max(1, |theta|), or when the Krylov space
+    is the whole space. Raises ResourceCapError above the cap, and
+    SolveError after _LANCZOS_STEPS steps without convergence or when the
+    value overflows the float range.
     """
     n = observable.n_qubits
-    if n > cap:
-        raise ResourceCapError(f"exact diagonalization refused for n={n} > {cap}")
-    if observable.n_terms == 0:
-        return 0.0
-    import scipy.sparse
-    import scipy.sparse.linalg
-
-    (x, z, p), coeffs, dim = observable.rows, observable.coeffs, 2**n
+    if n > EXACT_GROUND_CAP:
+        raise ResourceCapError(f"exact diagonalization refused for n={n} > {EXACT_GROUND_CAP}")
+    (x, z, p), dim = observable.rows, 2**n
+    scale = np.frexp(np.abs(observable.coeffs).max(initial=0.0))[1]
+    coeffs = np.ldexp(observable.coeffs, -scale)
+    flips, group = np.unique(x, axis=0, return_inverse=True)
+    masks, weights = np.zeros(len(flips), dtype=np.int64), np.zeros((len(flips), dim), dtype=complex)
     step = max(1, _GATHER_ELEMENTS // dim)
-    H = None
     for b in (slice(lo, lo + step) for lo in range(0, coeffs.size, step)):
         idx, phase = _actions(x[b], z[b], p[b], n)
-        data, m = (coeffs[b, None] * phase).T.ravel(), idx.shape[0]
-        block = scipy.sparse.csr_matrix(
-            (data, idx.T.ravel(), np.arange(0, dim * m + 1, m)), (dim, dim)
-        )
-        H = block if H is None else H + block
-    H.sum_duplicates()
-    if n <= 6:
-        return float(np.linalg.eigvalsh(H.toarray()).min())
-    # A seeded start vector makes the value reproducible; ARPACK's own is
-    # random. An all-ones vector would not do: it is invariant under every
-    # basis permutation, so orthogonal to ground states odd under one.
+        masks[group[b]] = idx[:, 0]  # the X part as a basis-index mask
+        for g, row in zip(group[b], coeffs[b, None] * phase):
+            weights[g] += row
+    if not weights.imag.any():  # a real matrix runs in real arithmetic
+        weights = weights.real.copy()
+    gathers = np.arange(dim) ^ masks[:, None]
+    width = min(_KRYLOV_WIDTH, dim)
+    basis, T = np.zeros((width, dim), dtype=weights.dtype), np.zeros((width, width))
+    # A seeded start vector makes the value reproducible. An all-ones vector
+    # would not do: it is invariant under every basis permutation, so
+    # orthogonal to ground states odd under one.
     v0 = np.random.default_rng(0).standard_normal(dim)
-    try:
-        vals = scipy.sparse.linalg.eigsh(H, k=1, which="SA", v0=v0, return_eigenvectors=False)
-    except scipy.sparse.linalg.ArpackError as exc:
-        raise SolveError(f"exact ground energy: ARPACK failed: {exc}") from exc
-    return float(vals[0])
+    basis[0], j = v0 / np.linalg.norm(v0), 0
+    for k in range(_LANCZOS_STEPS):
+        w, image = np.zeros((2, dim), dtype=weights.dtype)
+        for gather, d in zip(gathers, weights):
+            # every index is in range; "wrap" skips the copy that "raise" makes with out=
+            w += np.multiply(d, basis[j].take(gather, out=image, mode="wrap"), out=image)
+        T[j, j] = np.vdot(basis[j], w).real
+        for _ in range(2):
+            w -= (w.conj() @ basis[: j + 1].T).conj() @ basis[: j + 1]
+        beta = np.linalg.norm(w)
+        if beta <= _EPS or k % 5 == 4 or j + 1 == width:
+            theta, s = eigh(T[: j + 1, : j + 1])
+            if beta * abs(s[-1, 0]) <= _EPS * max(1.0, abs(theta[0])) or j + 1 == dim:
+                with np.errstate(over="ignore"):
+                    energy = float(np.ldexp(theta[0], scale))
+                if not np.isfinite(energy):
+                    raise SolveError("exact ground energy overflows the float range")
+                return energy
+        if j + 1 == width:  # thick restart from the lower half of the Ritz pairs
+            j, T[:] = width // 2, 0.0
+            basis[:j] = s[:, :j].T @ basis
+            T[range(j), range(j)] = theta[:j]
+            T[j, :j] = T[:j, j] = beta * s[-1, :j]
+        else:
+            j += 1
+            T[j, j - 1] = T[j - 1, j] = beta
+        basis[j] = w / beta
+    raise SolveError(f"exact ground energy: Lanczos did not converge in {_LANCZOS_STEPS} steps")
 
 
 # ---------------------------------------------------------------------------
@@ -445,10 +488,10 @@ class OptimizationTrace:
         return asdict(self)
 
 
-def warm_start_hess_inv(hessian: np.ndarray, eps: float = 1e-8) -> np.ndarray:
+def warm_start_hess_inv(hessian: np.ndarray) -> np.ndarray:
     """Initial inverse-Hessian estimate from the Clifford-point Hessian.
 
-    The quadratic model's curvature can be indefinite; eigenvalues <= eps
+    The quadratic model's curvature can be indefinite; eigenvalues <= _FLAT
     are replaced by identity-scale curvature (1.0) before inversion so the
     estimate stays positive definite, as BFGS requires. The curvature is
     capped at 1e12 times its least value, so that the estimate stays
@@ -456,13 +499,13 @@ def warm_start_hess_inv(hessian: np.ndarray, eps: float = 1e-8) -> np.ndarray:
     need not be. SolveError when the eigensolve fails (expansion.eigh).
     """
     evals, evecs = eigh(hessian)
-    safe = np.where(evals > eps, evals, 1.0)
+    safe = np.where(evals > _FLAT, evals, 1.0)
     inv = (evecs / np.minimum(safe, 1e12 * safe.min(initial=np.inf))) @ evecs.T
     # exact symmetry, which the BFGS update then preserves
     return (inv + inv.T) / 2.0
 
 
-# scipy.optimize's BFGS messages, verbatim, and the strong Wolfe constants
+# SciPy's BFGS messages, verbatim, and the strong Wolfe constants
 _CONVERGED = "Optimization terminated successfully."
 _MAX_ITERATIONS = "Maximum number of iterations has been exceeded."
 _PRECISION_LOSS = "Desired error not necessarily achieved due to precision loss."
@@ -507,7 +550,7 @@ def _line_search(
 ) -> Optional[tuple]:
     """(alpha, f, g) at x + alpha p, where both strong Wolfe conditions hold
     (Nocedal & Wright Alg. 3.5), or None when the search fails. The first
-    trial step is scipy's, min(1, 1.01 * 2 (f - f_prev) / g.p); it doubles
+    trial step is SciPy's, min(1, 1.01 * 2 (f - f_prev) / g.p); it doubles
     at most 50 times until a trial brackets the step, which a bounded f
     does once c1 alpha |g.p| exceeds its range."""
     d0 = g @ p
@@ -562,7 +605,7 @@ def _bfgs(fg, x: np.ndarray, hess_inv: Optional[np.ndarray], gtol: float,
         x, f_prev, f, g, k = x + s, f, f_new, g_new, k + 1
         record(f, g)
         ys = y @ s
-        rho = 1.0 / ys if ys else 1000.0  # scipy's guard against y.s = 0
+        rho = 1.0 / ys if ys else 1000.0  # SciPy's guard against y.s = 0
         V = eye - rho * np.outer(s, y)
         H = V @ H @ V.T + rho * np.outer(s, s)
     return f, k, True, _CONVERGED
@@ -584,7 +627,7 @@ def optimize_bfgs(
     stationary point; "theta_star_with_hessian" additionally seeds the
     optimizer's inverse-Hessian estimate from the model Hessian. BFGS is
     _bfgs: a strong Wolfe line search and the inverse-Hessian update, with
-    scipy.optimize's first trial step and messages. Gradients are exact,
+    SciPy's first trial step and messages. Gradients are exact,
     from one forward and one backward (adjoint) statevector sweep each over
     the ansatz in Pauli-rotation normal form (_normal_form): K Pauli
     rotations applied to C_total|reference>, which is computed once. Every

@@ -26,8 +26,9 @@ forward and one backward pass) at n = 8 and 12 on a real depth-2 ansatz and
 a chain Hamiltonian, over the gate-by-gate op list and over the
 Pauli-rotation normal form that BFGS uses, each with the compiled gather
 tables of its rotations and of the observable's terms. exact_ground_energy
-is timed on the same chain Hamiltonians at n = 8 (ARPACK on the one CSR
-matrix of the 21 terms) and n = 12 (33 terms), table building included.
+is timed on Heisenberg chains at n = 8 (Lanczos over the 8 flip patterns
+of the 21 terms) and n = 12 (12 patterns of 33 terms), the weight tables'
+building included.
 
 conftest.py pins the BLAS and OpenMP pools to one thread before numpy loads,
 as benchmark/run.py does, so the timings measure the kernels and not thread

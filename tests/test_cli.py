@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cliffgrad import AnsatzCircuit, parse_observable
+from cliffgrad import AnsatzCircuit, dense, parse_observable
 from cliffgrad.cli import main
 from cliffgrad.dense import energy
 
@@ -711,7 +711,7 @@ def test_verify_exact_ground_is_reproducible(tmp_path):
                  "--reference", "01010101", "--out", str(res)]) == 0
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     values = []
-    # n = 8 takes the Lanczos path; each process starts ARPACK afresh
+    # each process runs Lanczos afresh from its seeded start vector
     for k in range(2):
         out = tmp_path / f"verify{k}.json"
         proc = subprocess.run(
@@ -725,44 +725,42 @@ def test_verify_exact_ground_is_reproducible(tmp_path):
     assert values[0] == values[1]
 
 
-def test_verify_arpack_failure_is_exit_4(tmp_path, capsys, monkeypatch):
-    import scipy.sparse.linalg
-
-    ans = tmp_path / "ansatz.json"
-    res = tmp_path / "result.json"
-    assert main(["gen-ansatz", "--qubits", "8", "--depth", "1", "--variant", "real",
-                 "--out", str(ans)]) == 0
-    assert main(["expand", "--hamiltonian", str(CHAIN8), "--ansatz", str(ans),
-                 "--reference", "01010101", "--out", str(res)]) == 0
+def test_verify_lanczos_failure_is_exit_4(tmp_path, capsys, monkeypatch):
+    files, res = _warm_start_files(tmp_path)
     capsys.readouterr()
-
-    def no_convergence(*args, **kwargs):
-        raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", np.zeros(0), np.zeros(0))
-
-    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
+    monkeypatch.setattr(dense, "_LANCZOS_STEPS", 1)
     out = tmp_path / "verify.json"
-    rc = main(["verify", "--hamiltonian", str(CHAIN8), "--ansatz", str(ans),
-               "--reference", "01010101", "--result", str(res), "--exact-ground",
-               "--out", str(out)])
+    rc = main(["verify", *files, "--result", str(res), "--exact-ground", "--out", str(out)])
     stdout, err = capsys.readouterr()
     assert rc == 4
     assert stdout == "" and err.startswith("error: ") and len(err.splitlines()) == 1
-    assert not out.exists()
+    assert "Lanczos" in err and not out.exists()
 
 
 def test_optimize_loads_no_scipy(tmp_path):
-    files, res = _warm_start_files(tmp_path)
+    # one fresh interpreter runs the whole README flow on chain8
+    ansatz, res = tmp_path / "a.json", tmp_path / "r.json"
+    files = ["--hamiltonian", str(CHAIN8), "--ansatz", str(ansatz), "--reference", "01010101"]
     inits = ("zero", "pert-hessian")
-    runs = [["optimize", *files, "--init", init, "--result", str(res),
-             "--trace-out", str(tmp_path / f"{init}.json")] for init in inits]
+    runs = [
+        ["select-ansatz", "--qubits", "8", "--depth", "2", "--variant", "real", "--count", "8",
+         "--seed", "5", "--hamiltonian", str(CHAIN8), "--reference", "01010101",
+         "--out", str(ansatz)],
+        ["expand", *files, "--out", str(res)],
+        ["verify", *files, "--result", str(res), "--exact-ground",
+         "--out", str(tmp_path / "verify.json")],
+        *(["optimize", *files, "--init", init, "--result", str(res),
+           "--trace-out", str(tmp_path / f"{init}.json")] for init in inits),
+    ]
     code = ("import sys\nfrom cliffgrad.cli import main\n"
-            f"assert [main(argv) for argv in {runs!r}] == [0, 0]\n"
+            f"assert [main(argv) for argv in {runs!r}] == [0] * {len(runs)}\n"
             "print([m for m in sys.modules if m.startswith('scipy')])")
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.splitlines()[-1] == "[]"  # after select-ansatz's report
+    assert math.isfinite(json.loads((tmp_path / "verify.json").read_text())["exact_ground_energy"])
     assert all(json.loads((tmp_path / f"{init}.json").read_text())["converged"] for init in inits)
 
 

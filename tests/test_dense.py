@@ -149,35 +149,72 @@ def test_exact_ground_energy_sparse_path():
     assert exact_ground_energy(obs) == pytest.approx(-7.0)
 
 
+def _ground_instance(name: str) -> Observable:
+    """The shipped chains, random observables at n = 1-6, a four-fold
+    degenerate ground state and an observable whose only coefficient is 0."""
+    if name.startswith("chain"):
+        return parse_observable((DATA / f"{name}.txt").read_text())
+    if name.startswith("random"):
+        n = int(name[6:])
+        return random_observable(np.random.default_rng(n), n, max_terms=40)
+    if name == "degenerate":
+        return Observable.from_strings(3, {"Z0": 1.0})
+    return Observable.from_strings(3, {"X0 Y2": 0.0})
+
+
+GROUND_INSTANCES = ("chain8", "chain10", *(f"random{n}" for n in range(1, 7)), "degenerate", "zero")
+
+
 @pytest.mark.parametrize("budget", (None, 5))
-@pytest.mark.parametrize("path", (CHAIN8, CHAIN10))
-def test_exact_ground_energy_arpack_matches_dense_spectrum(monkeypatch, path, budget):
+@pytest.mark.parametrize("name", GROUND_INSTANCES)
+def test_exact_ground_energy_matches_dense_spectrum(monkeypatch, name, budget):
     # the shipped chains have XX and YY terms, so H has off-diagonal entries;
-    # budget 5 (in states) builds H from blocks of five terms
-    obs = parse_observable(path.read_text())
-    assert obs.n_qubits > 6
+    # budget 5 (in states) sums the flip weights from blocks of five terms
+    obs = _ground_instance(name)
     if budget is not None:
         monkeypatch.setattr(dense, "_GATHER_ELEMENTS", budget * 2**obs.n_qubits)
     want = np.linalg.eigvalsh(obs.to_matrix()).min()
-    assert abs(exact_ground_energy(obs) - want) <= 1e-10
+    assert abs(exact_ground_energy(obs) - want) <= 1e-12
+
+
+@pytest.mark.parametrize("width", (4, 10))
+@pytest.mark.parametrize("name", ("chain8", "chain10", "random5", "random6"))
+def test_thick_restarts_keep_the_ground_energy(monkeypatch, name, width):
+    # a narrow basis restarts long before the ground state converges
+    monkeypatch.setattr(dense, "_KRYLOV_WIDTH", width)
+    obs = _ground_instance(name)
+    want = np.linalg.eigvalsh(obs.to_matrix()).min()
+    assert abs(exact_ground_energy(obs) - want) <= 1e-12
 
 
 @pytest.mark.parametrize("n", (3, 8))
 def test_exact_ground_energy_of_constant_and_empty_observables(n):
-    # n = 3 takes the dense eigensolve, n = 8 ARPACK
+    # Lanczos stops at once: the first new vector is zero
     assert exact_ground_energy(Observable.from_strings(n, {"": 2.5})) == pytest.approx(2.5)
     assert exact_ground_energy(Observable.from_terms(n, [])) == 0.0
 
 
-def test_arpack_failure_is_a_solve_error(monkeypatch):
-    import scipy.sparse.linalg
-
-    def no_convergence(*args, **kwargs):
-        raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", np.zeros(0), np.zeros(0))
-
-    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
-    with pytest.raises(SolveError, match="ARPACK"):
+def test_lanczos_step_limit_is_a_solve_error(monkeypatch):
+    monkeypatch.setattr(dense, "_LANCZOS_STEPS", 1)
+    with pytest.raises(SolveError, match="Lanczos did not converge in 1 steps"):
         exact_ground_energy(parse_observable(CHAIN8.read_text()))
+
+
+# The coefficients are scaled by a power of two, so no norm overflows: the
+# first two values are those ARPACK gave, and at 1.7e308 ARPACK failed
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("coeff, want", (("1e200", -1.0000000000000003e200),
+                                         ("1e300", -1.0000000000000002e300),
+                                         ("1.7e308", -1.7e308)))
+def test_exact_ground_energy_of_a_huge_coefficient(coeff, want):
+    obs = parse_observable(CHAIN8.read_text().replace("0.094217 X0 X1\n", f"{coeff} X0 X1\n", 1))
+    assert exact_ground_energy(obs) == pytest.approx(want, rel=1e-12, abs=0)
+
+
+@pytest.mark.filterwarnings("error")
+def test_an_overflowing_ground_energy_is_a_solve_error():
+    with pytest.raises(SolveError, match="overflows"):
+        exact_ground_energy(Observable.from_strings(2, {"Z0": 1e308, "Z1": 1e308}))
 
 
 def test_resource_caps():
