@@ -20,12 +20,14 @@ and writes no output file.
        JSON cannot hold (NaN or infinity); the message names its key
     2  input error: a missing or malformed Hamiltonian, ansatz or result
        file, or one that is not UTF-8 text; an output path in a missing
-       directory, or one that is a directory; an out-of-range or
-       non-finite flag; a negative --seed; a --cap below 1; a
-       result whose width (counters.n_qubits) or parameter count differs
-       from the ansatz; a reference bitstring that is not n characters of
-       0/1 (CircuitFormatError); a Hamiltonian whose width differs from
-       the ansatz or --qubits (DimensionMismatchError)
+       directory, or one that is a directory; an input or output path
+       the operating system refuses, such as a file name longer than it
+       allows; an out-of-range or non-finite flag; a negative --seed; a
+       --cap below 1; a result whose width (counters.n_qubits) or
+       parameter count differs from the ansatz; a reference bitstring
+       that is not n characters of 0/1 (CircuitFormatError); a
+       Hamiltonian whose width differs from the ansatz or --qubits
+       (DimensionMismatchError)
     3  reserved; nothing raises it
     4  solve error: the quadratic model's eigensolve failed, its entries
        are not finite, its optimum overflows the float range, or a sum of
@@ -102,12 +104,14 @@ def _sha256(path: Path) -> str:
 
 def _read_text(path: str) -> str:
     p = Path(path)
-    if not p.is_file():
-        raise _InputError(f"input file not found: {p}")
     try:
+        if not p.is_file():
+            raise _InputError(f"input file not found: {p}")
         return p.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise _InputError(f"{p}: not UTF-8 text: {exc.reason} at byte {exc.start}")
+    except OSError as exc:  # a path the OS refuses, such as a name too long
+        raise _InputError(f"input file not readable: {p}: {exc.strerror}")
 
 
 def _load(path: str, parse):
@@ -147,10 +151,13 @@ def _check_output_paths(args: argparse.Namespace) -> None:
         if not path:  # unset; an empty --out means stdout where _emit writes
             continue
         flag = "--" + name.replace("_", "-")
-        if not Path(path).parent.is_dir():
-            raise _InputError(f"{flag}: output directory not found: {Path(path).parent}")
-        if Path(path).is_dir():
-            raise _InputError(f"{flag}: output path is a directory: {path}")
+        try:
+            if not Path(path).parent.is_dir():
+                raise _InputError(f"{flag}: output directory not found: {Path(path).parent}")
+            if Path(path).is_dir():
+                raise _InputError(f"{flag}: output path is a directory: {path}")
+        except OSError as exc:  # a path the OS refuses, such as a name too long
+            raise _InputError(f"{flag}: output path not usable: {path}: {exc.strerror}")
 
 
 def _non_finite(value, key: str = ""):

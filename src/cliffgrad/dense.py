@@ -11,6 +11,15 @@ _actions builds the tables of a whole set of packed rows in one
 vectorised call: the observable's terms, the conjugated generators, or
 the single-qubit rotations of an op list.
 
+The observable O is one operator. _operator sums its terms' phases into
+one weight vector d_x per distinct X part x, so that
+(O v)[c] = sum_x d_x[c] v[c XOR x], one gather per X part (_apply). It is
+built once per call and applied by every reader: energies_batch (and so
+energy and the finite-difference oracles), the adjoint sweep's
+lambda = O psi, and the Lanczos matvec of exact_ground_energy. An energy
+is always read as Re <psi|O psi> (_expectations), so the sweep's energy
+and energy() agree.
+
 An ansatz is compiled once into an op list (each Clifford gate's matrix and
 each rotation's gather table). Forward sweeps over it simulate batches of
 parameter vectors. The gate-by-gate op list stays the oracle: simulate,
@@ -24,16 +33,8 @@ U(theta) = R(theta_K, P'_K)...R(theta_1, P'_1) C_total, with the conjugated
 generators P'_k (signs included) that circuit.conjugate_generators
 returns. C_total|reference> is computed
 once, and each exact gradient is one forward and one backward (adjoint)
-sweep over the K rotations alone, with no gate matrices. The observable's
-term images are gathered as stacked blocks of at most _GATHER_ELEMENTS
-amplitudes, but the energy still sums term by term and O psi accumulates in
-term order, so every value is bit-identical to a sweep that applies one
-term at a time. The normal form is built from the stabilizer engine's
-generators, so it cannot check them.
-
-exact_ground_energy reads the same tables: it sums the terms' phases into
-one weight vector per distinct X part, block by block under the same
-budget, so that O v is one gather per X part, and runs Lanczos on that.
+sweep over the K rotations alone, with no gate matrices. The normal form
+is built from the stabilizer engine's generators, so it cannot check them.
 
 Rotation convention matches the expansion: R(theta) = exp(i theta P)
 = cos(theta) I + i sin(theta) P.
@@ -218,31 +219,54 @@ def _forward(ops: list, amps: np.ndarray, cos: np.ndarray, sin: np.ndarray, n: i
     return amps
 
 
-# Most complex amplitudes one gathered block of term images may hold; the
-# terms are gathered a block at a time so memory stays bounded at the cap.
+# Most entries one block of term tables may hold; _operator reads the
+# terms a block at a time so memory stays bounded at the cap.
 _GATHER_ELEMENTS = 1 << 22
 
 
-def _observable_actions(observable: Observable) -> Tuple[np.ndarray, ...]:
-    """(coeffs, idx, phase): the coefficients and the terms' gather tables."""
-    return (observable.coeffs, *_actions(*observable.rows, observable.n_qubits))
+def _operator(observable: Observable, scale: int = 0) -> Tuple[np.ndarray, np.ndarray]:
+    """(gathers, weights) of O / 2^scale, one row per distinct X part x.
 
-
-def _term_blocks(states: np.ndarray, terms: Tuple[np.ndarray, ...]):
-    """(coeffs, images, energies) per block of terms, in term order:
-    images[:, t] is P_t states and energies[:, t] the real <states|P_t|states>,
-    for at most _GATHER_ELEMENTS amplitudes of images (and at least one term)."""
-    coeffs, idx, phase = terms
-    step = max(1, _GATHER_ELEMENTS // states.size)
-    bra = states.conj()
+    (O v)[c] is the sum over x of d_x[c] v[c XOR x]: gathers[x, c] = c XOR x,
+    and d_x sums c_i phase_i in term order over the terms with that X part,
+    read off the terms' tables (_actions) one block of at most
+    _GATHER_ELEMENTS entries at a time. The weights are real when every
+    d_x is. Scaling by a power of two is exact.
+    """
+    (x, z, p), n = observable.rows, observable.n_qubits
+    coeffs, dim = np.ldexp(observable.coeffs, -scale), 2**n
+    flips, group = np.unique(x, axis=0, return_inverse=True)
+    masks, weights = np.zeros(len(flips), dtype=np.int64), np.zeros((len(flips), dim), dtype=complex)
+    step = max(1, _GATHER_ELEMENTS // dim)
     for b in (slice(lo, lo + step) for lo in range(0, coeffs.size, step)):
-        block = states.take(idx[b], axis=1) * phase[b]
-        # one einsum sums each term's products in the same order as one per term
-        yield coeffs[b], block, np.einsum("bi,bti->bt", bra, block).real
+        idx, phase = _actions(x[b], z[b], p[b], n)
+        masks[group[b]] = idx[:, 0]  # the X part as a basis-index mask
+        for g, row in zip(group[b], coeffs[b, None] * phase):
+            weights[g] += row
+    if not weights.imag.any():  # a real operator runs in real arithmetic
+        weights = weights.real.copy()
+    return np.arange(dim) ^ masks[:, None], weights
+
+
+def _apply(operator: Tuple[np.ndarray, np.ndarray], states: np.ndarray) -> np.ndarray:
+    """O states for states of shape (B, 2^n) or (2^n,): one gather per X
+    part. The gathers write into an array of the result's dtype, so the
+    states are complex, or real with real weights."""
+    gathers, weights = operator
+    out, image = np.zeros((2, *states.shape), dtype=np.result_type(states, weights))
+    for gather, d in zip(gathers, weights):
+        # every index is in range; "wrap" skips the copy that "raise" makes with out=
+        out += np.multiply(d, states.take(gather, axis=-1, out=image, mode="wrap"), out=image)
+    return out
+
+
+def _expectations(states: np.ndarray, images: np.ndarray) -> np.ndarray:
+    """Re <states[b]|images[b]> for each row b, the energy when images = O states."""
+    return np.einsum("bi,bi->b", states.conj(), images).real
 
 
 def _energy_and_gradient(
-    ops: list, terms: tuple, reference: np.ndarray, theta: np.ndarray, n: int
+    ops: list, operator: tuple, reference: np.ndarray, theta: np.ndarray, n: int
 ) -> Tuple[float, np.ndarray]:
     """Energy and its exact gradient by adjoint differentiation.
 
@@ -254,13 +278,9 @@ def _energy_and_gradient(
     """
     cos, sin = np.cos(theta), np.sin(theta)
     psi = _forward(ops, reference, cos[None], sin[None], n)
-    # the energy sums term by term as energies_batch does, so it equals energy()
-    value, lam = 0.0, np.zeros_like(psi)
-    for coeffs, images, energies in _term_blocks(psi, terms):
-        for c, e in zip(coeffs, energies[0]):
-            value += c * e
-        for weighted in (images * coeffs[:, None]).transpose(1, 0, 2):
-            lam += weighted
+    lam = _apply(operator, psi)
+    # the energy is read as energies_batch reads it, so it equals energy()
+    value = _expectations(psi, lam)[0]
     grad = np.zeros(theta.size)
     states = np.vstack([psi, lam])
     for op in reversed(ops):
@@ -325,11 +345,7 @@ def energies_batch(
     observable acts on the ansatz's qubits."""
     observable.check_width(ansatz.n_qubits)
     amps = simulate_batch(ansatz, thetas, reference, cap)
-    vals = np.zeros(amps.shape[0])
-    for coeffs, _, energies in _term_blocks(amps, _observable_actions(observable)):
-        for c, e in zip(coeffs, energies.T):
-            vals += c * e
-    return vals
+    return _expectations(amps, _apply(_operator(observable), amps))
 
 
 # ---------------------------------------------------------------------------
@@ -392,11 +408,8 @@ def exact_ground_energy(observable: Observable) -> float:
     Lanczos with full reorthogonalization (Lanczos, J. Res. Natl. Bur.
     Stand. 45, 255 (1950)).
 
-    O acts as one gather per distinct X part x of its terms: (O v)[c] is the
-    sum over x of d_x[c] v[c XOR x], where d_x sums c_i phase_i over the
-    terms with that X part. The gather tables and the d_x are read off the
-    terms' tables (_actions), one block of at most _GATHER_ELEMENTS entries
-    at a time; when every d_x is real the run is in real arithmetic. The
+    O acts through _operator and _apply, one gather per distinct X part;
+    when every weight is real the run is in real arithmetic. The
     coefficients are first scaled by a power of two so that max |c| < 1,
     which is exact and keeps every norm finite.
 
@@ -415,32 +428,17 @@ def exact_ground_energy(observable: Observable) -> float:
     n = observable.n_qubits
     if n > EXACT_GROUND_CAP:
         raise ResourceCapError(f"exact diagonalization refused for n={n} > {EXACT_GROUND_CAP}")
-    (x, z, p), dim = observable.rows, 2**n
-    scale = np.frexp(np.abs(observable.coeffs).max(initial=0.0))[1]
-    coeffs = np.ldexp(observable.coeffs, -scale)
-    flips, group = np.unique(x, axis=0, return_inverse=True)
-    masks, weights = np.zeros(len(flips), dtype=np.int64), np.zeros((len(flips), dim), dtype=complex)
-    step = max(1, _GATHER_ELEMENTS // dim)
-    for b in (slice(lo, lo + step) for lo in range(0, coeffs.size, step)):
-        idx, phase = _actions(x[b], z[b], p[b], n)
-        masks[group[b]] = idx[:, 0]  # the X part as a basis-index mask
-        for g, row in zip(group[b], coeffs[b, None] * phase):
-            weights[g] += row
-    if not weights.imag.any():  # a real matrix runs in real arithmetic
-        weights = weights.real.copy()
-    gathers = np.arange(dim) ^ masks[:, None]
+    dim, scale = 2**n, np.frexp(np.abs(observable.coeffs).max(initial=0.0))[1]
+    operator = _operator(observable, scale)
     width = min(_KRYLOV_WIDTH, dim)
-    basis, T = np.zeros((width, dim), dtype=weights.dtype), np.zeros((width, width))
+    basis, T = np.zeros((width, dim), dtype=operator[1].dtype), np.zeros((width, width))
     # A seeded start vector makes the value reproducible. An all-ones vector
     # would not do: it is invariant under every basis permutation, so
     # orthogonal to ground states odd under one.
     v0 = np.random.default_rng(0).standard_normal(dim)
     basis[0], j = v0 / np.linalg.norm(v0), 0
     for k in range(_LANCZOS_STEPS):
-        w, image = np.zeros((2, dim), dtype=weights.dtype)
-        for gather, d in zip(gathers, weights):
-            # every index is in range; "wrap" skips the copy that "raise" makes with out=
-            w += np.multiply(d, basis[j].take(gather, out=image, mode="wrap"), out=image)
+        w = _apply(operator, basis[j])
         T[j, j] = np.vdot(basis[j], w).real
         for _ in range(2):
             w -= (w.conj() @ basis[: j + 1].T).conj() @ basis[: j + 1]
@@ -661,12 +659,12 @@ def optimize_bfgs(
 
     t0 = time.perf_counter()
     ops, start = _normal_form(ansatz, reference, cap)
-    terms = _observable_actions(observable)
+    operator = _operator(observable)
     t1 = time.perf_counter()
     trace = OptimizationTrace(init=init, gtol=gtol)
 
     def cost_and_grad(theta: np.ndarray) -> Tuple[float, np.ndarray]:
-        value = _energy_and_gradient(ops, terms, start, theta, ansatz.n_qubits)
+        value = _energy_and_gradient(ops, operator, start, theta, ansatz.n_qubits)
         trace.n_evaluations += 1
         if not np.isfinite(np.hstack(value)).all():
             raise SolveError(f"BFGS sweep {trace.n_evaluations}: non-finite energy or gradient")

@@ -9,8 +9,8 @@ to their image and the sign flip. The single-qubit table has an entry for
 each of the 24 single-qubit Cliffords (H, S, SDG, X, Y, Z and C1 are all
 among them); the two-qubit table has one for each of CNOT, CZ and SWAP.
 The single-qubit entry may differ from row to row, which is how the stacked
-sweep in circuit.py conjugates many ansätze through one gate position at
-once. The destabilizer/stabilizer tableau applies gates the same way.
+sweep in circuit.py conjugates many dressings of one ansatz through one
+gate position at once. The destabilizer/stabilizer tableau applies gates the same way.
 
 One sign-exact reconstruction serves every expectation: input_frame maps a
 batch of rows Q to U†QU, the frame in which the state is |0...0>, as a few

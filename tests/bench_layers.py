@@ -22,13 +22,16 @@ rounds each: the skeleton and the dressings, one sweep of the skeleton per
 chunk of dressings, the gradients, and the winner's circuit.
 
 The dense simulator's gates are timed as one energy-and-gradient sweep (one
-forward and one backward pass) at n = 8 and 12 on a real depth-2 ansatz and
-a chain Hamiltonian, over the gate-by-gate op list and over the
+forward and one backward pass) over the gate-by-gate op list and over the
 Pauli-rotation normal form that BFGS uses, each with the compiled gather
-tables of its rotations and of the observable's terms. exact_ground_energy
-is timed on Heisenberg chains at n = 8 (Lanczos over the 8 flip patterns
-of the 21 terms) and n = 12 (12 patterns of 33 terms), the weight tables'
-building included.
+tables of its rotations and the observable's operator (one gather per
+distinct X part): at n = 8 and 12 on a real depth-2 ansatz and a chain
+Hamiltonian (chain-8, chain-12), and at n = 12 on a real depth-1 ansatz and
+the Jordan-Wigner-like document _jw_document(12, 900, 12) below (jw-12:
+639 terms, 368 X parts), where applying O is most of the sweep.
+exact_ground_energy is timed on Heisenberg chains at n = 8 (Lanczos over
+the 8 X parts of the 21 terms) and n = 12 (12 X parts of 33 terms), the
+operator's building included.
 
 conftest.py pins the BLAS and OpenMP pools to one thread before numpy loads,
 as benchmark/run.py does, so the timings measure the kernels and not thread
@@ -162,20 +165,23 @@ def test_select_ansatz(benchmark, n, variant):
 
 
 @pytest.mark.parametrize("form", ("gates", "normal"))
-@pytest.mark.parametrize("n", (8, 12))
-def test_energy_and_gradient(benchmark, n, form):
-    circ = generate_hwe_ansatz(n, 2, 1, "real")
-    terms = {f"{a}{q} {a}{q + 1}": 1.0 for q in range(n - 1) for a in "XYZ"}
-    obs = Observable.from_strings(n, terms)
+@pytest.mark.parametrize("name, n", (("chain", 8), ("chain", 12), ("jw", 12)))
+def test_energy_and_gradient(benchmark, name, n, form):
+    if name == "jw":
+        circ, obs = generate_hwe_ansatz(n, 1, 1, "real"), parse_observable(_jw_document(n, 900, n))
+    else:
+        circ = generate_hwe_ansatz(n, 2, 1, "real")
+        terms = {f"{a}{q} {a}{q + 1}": 1.0 for q in range(n - 1) for a in "XYZ"}
+        obs = Observable.from_strings(n, terms)
     reference = "01" * (n // 2)
     if form == "gates":
         ops = dense._op_list(circ, dense.DEFAULT_QUBIT_CAP)
         start = dense.basis_state(reference, n)
     else:
         ops, start = dense._normal_form(circ, reference, dense.DEFAULT_QUBIT_CAP)
-    actions = dense._observable_actions(obs)
+    operator = dense._operator(obs)
     theta = np.random.default_rng(n).uniform(-np.pi, np.pi, circ.n_params)
-    benchmark(dense._energy_and_gradient, ops, actions, start, theta, n)
+    benchmark(dense._energy_and_gradient, ops, operator, start, theta, n)
 
 
 @pytest.mark.parametrize("n", (8, 12))

@@ -702,6 +702,36 @@ def test_mismatched_input_is_exit_2(tmp_path, toy, capsys, argv):
     assert sorted(tmp_path.iterdir()) == before
 
 
+# A 300-character file name is longer than the OS allows (255 on common
+# file systems), so Path.is_file / is_dir raise OSError instead of answering
+@pytest.mark.parametrize("flag", ("hamiltonian", "ansatz", "result", "out", "report-out",
+                                  "trace-out"))
+def test_over_long_path_is_exit_2(tmp_path, toy, capsys, flag):
+    ham, ans = toy
+    res, out = tmp_path / "result.json", tmp_path / "out"
+    assert main(["expand", "--hamiltonian", str(ham), "--ansatz", str(ans),
+                 "--reference", "0", "--out", str(res)]) == 0
+    capsys.readouterr()
+    paths = {"hamiltonian": ham, "ansatz": ans, "result": res, "out": out,
+             "report-out": out, "trace-out": out, flag: tmp_path / ("a" * 300)}
+    files = ["--hamiltonian", str(paths["hamiltonian"]), "--ansatz", str(paths["ansatz"]),
+             "--reference", "0"]
+    argv = {
+        "report-out": ["select-ansatz", "--qubits", "1", "--depth", "1", "--count", "2",
+                       "--hamiltonian", str(ham), "--reference", "0", "--out", str(out) + ".a",
+                       "--report-out", str(paths["report-out"])],
+        "trace-out": ["optimize", *files, "--init", "zero", "--trace-out",
+                      str(paths["trace-out"])],
+    }.get(flag, ["verify", *files, "--result", str(paths["result"]), "--out",
+                 str(paths["out"])])
+    before = sorted(tmp_path.iterdir())
+    rc = main(argv)
+    stdout, err = capsys.readouterr()
+    assert rc == 2 and stdout == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "too long" in err
+    assert sorted(tmp_path.iterdir()) == before
+
+
 def test_verify_exact_ground_is_reproducible(tmp_path):
     ans = tmp_path / "ansatz.json"
     res = tmp_path / "result.json"

@@ -149,6 +149,64 @@ def test_exact_ground_energy_sparse_path():
     assert exact_ground_energy(obs) == pytest.approx(-7.0)
 
 
+# ---------------------------------------------------------------------------
+# The observable as one operator: one gather per distinct X part
+# ---------------------------------------------------------------------------
+
+
+def assert_applies_matrix(obs, states):
+    got = dense._apply(dense._operator(obs), states)
+    assert got.shape == states.shape
+    assert np.abs(got - states @ obs.to_matrix().T).max() <= 1e-13
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_operator_applies_the_observable_matrix(n):
+    rng = np.random.default_rng(100 + n)
+    for _ in range(5):
+        obs = random_observable(rng, n, max_terms=40)
+        states = rng.normal(size=(4, 2**n)) + 1j * rng.normal(size=(4, 2**n))
+        states /= np.linalg.norm(states, axis=1, keepdims=True)
+        assert_applies_matrix(obs, states)  # a (B, 2^n) batch
+        assert_applies_matrix(obs, states[0])  # one state
+
+
+def test_operator_sums_terms_that_share_an_x_part():
+    # X0, X0 Z1 and Y0 Z1 share one X part, and Y0 makes the weights complex
+    obs = Observable.from_strings(2, {"X0": 0.5, "X0 Z1": -1.25, "Y0 Z1": 0.75,
+                                      "Y0 X1": 2.0, "Z1": 0.3})
+    gathers, weights = dense._operator(obs)
+    assert gathers.shape == weights.shape == (3, 4) and weights.dtype == complex
+    assert sorted(gathers[:, 0]) == [0, 2, 3]  # X parts 00, 10 and 11 as basis masks
+    assert_applies_matrix(obs, np.eye(4, dtype=complex))
+
+
+def test_operator_of_chain8_is_real_with_eight_gathers():
+    obs = parse_observable(CHAIN8.read_text())
+    gathers, weights = dense._operator(obs)
+    assert gathers.shape == weights.shape == (8, 256) and weights.dtype == float
+    assert_applies_matrix(obs, np.random.default_rng(8).normal(size=(3, 256)))
+
+
+def test_operator_without_terms_is_zero():
+    gathers, weights = dense._operator(Observable.from_terms(3, []))
+    assert gathers.shape == weights.shape == (0, 8)
+    states = np.ones((2, 8), dtype=complex)
+    assert np.array_equal(dense._apply((gathers, weights), states), np.zeros((2, 8)))
+
+
+@pytest.mark.parametrize("name", ("chain8", "random5", "random6"))
+def test_operator_weights_do_not_depend_on_the_gather_budget(monkeypatch, name):
+    # budget 0 reads one term's tables per block, 3 three terms' per block
+    obs = _ground_instance(name)
+    want = dense._operator(obs)
+    for budget in (0, 3):
+        monkeypatch.setattr(dense, "_GATHER_ELEMENTS", budget * 2**obs.n_qubits)
+        got = dense._operator(obs)
+        assert np.array_equal(got[0], want[0])
+        assert got[1].dtype == want[1].dtype and got[1].tobytes() == want[1].tobytes()
+
+
 def _ground_instance(name: str) -> Observable:
     """The shipped chains, random observables at n = 1-6, a four-fold
     degenerate ground state and an observable whose only coefficient is 0."""
@@ -169,7 +227,7 @@ GROUND_INSTANCES = ("chain8", "chain10", *(f"random{n}" for n in range(1, 7)), "
 @pytest.mark.parametrize("name", GROUND_INSTANCES)
 def test_exact_ground_energy_matches_dense_spectrum(monkeypatch, name, budget):
     # the shipped chains have XX and YY terms, so H has off-diagonal entries;
-    # budget 5 (in states) sums the flip weights from blocks of five terms
+    # budget 5 (in states) sums the X parts' weights from blocks of five terms
     obs = _ground_instance(name)
     if budget is not None:
         monkeypatch.setattr(dense, "_GATHER_ELEMENTS", budget * 2**obs.n_qubits)
@@ -270,7 +328,7 @@ def test_trace_document_schema():
 def adjoint_energy_and_gradient(circ, obs, ref, theta):
     return dense._energy_and_gradient(
         dense._op_list(circ, DEFAULT_QUBIT_CAP),
-        dense._observable_actions(obs),
+        dense._operator(obs),
         basis_state(ref, circ.n_qubits),
         theta,
         circ.n_qubits,
@@ -289,7 +347,8 @@ def test_adjoint_gradient_matches_finite_differences(rng, kind):
         ref = random_bitstring(rng, n)
         theta = rng.uniform(-np.pi, np.pi, circ.n_params)
         e, g = adjoint_energy_and_gradient(circ, obs, ref, theta)
-        assert e == pytest.approx(energy(circ, theta, ref, obs), abs=1e-12)
+        # one operator and one reduction read both, over the same op list
+        assert e == energy(circ, theta, ref, obs)
         g_fd = finite_diff_gradient(circ, obs, ref, theta0=theta)
         assert (np.abs(g - g_fd) / (1.0 + np.abs(g))).max() <= 1e-6
 
@@ -307,10 +366,10 @@ def test_normal_form_sweep_matches_gate_by_gate_sweep(rng, kind):
         ref = random_bitstring(rng, n)
         rotations, start = dense._normal_form(circ, ref, DEFAULT_QUBIT_CAP)
         assert np.abs(start[0] - simulate(circ, np.zeros(circ.n_params), ref)).max() <= 1e-15
-        terms = dense._observable_actions(obs)
+        operator = dense._operator(obs)
         for _ in range(3):
             theta = rng.uniform(-np.pi, np.pi, circ.n_params)
-            e, g = dense._energy_and_gradient(rotations, terms, start, theta, n)
+            e, g = dense._energy_and_gradient(rotations, operator, start, theta, n)
             e_ref, g_ref = adjoint_energy_and_gradient(circ, obs, ref, theta)
             assert abs(e - e_ref) <= 1e-12
             assert (np.abs(g - g_ref) / (1.0 + np.abs(g_ref))).max() <= 1e-12
@@ -322,9 +381,9 @@ def test_trace_records_without_extra_sweeps(monkeypatch):
     swept = []
     sweep = dense._energy_and_gradient
 
-    def counting(ops, terms, reference, theta, n):
+    def counting(ops, operator, reference, theta, n):
         swept.append(tuple(theta))
-        return sweep(ops, terms, reference, theta, n)
+        return sweep(ops, operator, reference, theta, n)
 
     monkeypatch.setattr(dense, "_energy_and_gradient", counting)
     circ = generate_hwe_ansatz(3, 1, 5, "real")
@@ -352,8 +411,8 @@ def test_every_bfgs_step_meets_the_strong_wolfe_conditions(monkeypatch, instance
     swept = []
     sweep = dense._energy_and_gradient
 
-    def recording(ops, terms, reference, theta, n):
-        value = sweep(ops, terms, reference, theta, n)
+    def recording(ops, operator, reference, theta, n):
+        value = sweep(ops, operator, reference, theta, n)
         swept.append((theta.copy(), *value))
         return value
 
@@ -421,7 +480,7 @@ def test_optimize_rejects_expansion_of_another_width(monkeypatch, init, theta_st
 
 
 # ---------------------------------------------------------------------------
-# Reference sweep: one scatter per Pauli action, term by term
+# Reference sweep: one scatter per rotation and per X part of O
 # ---------------------------------------------------------------------------
 
 
@@ -440,6 +499,35 @@ def scatter(states, perm, phase):
     out = np.empty_like(states)
     out[:, perm] = states * phase
     return out
+
+
+def scatter_parts(obs):
+    """[(perm, weights)] of O, one per distinct X part in the order of
+    np.unique over the packed X rows: the weights sum c_t times the source
+    phases of scatter_action in term order, real when every part's are."""
+    n, xs = obs.n_qubits, obs.rows[0]
+    parts = []
+    for flip in np.unique(xs, axis=0):
+        perm, weights = None, np.zeros(2**n, dtype=complex)
+        for (c, p), x in zip(obs.terms, xs):
+            if np.array_equal(x, flip):
+                perm, phase = scatter_action(n, p)
+                weights += c * phase
+        parts.append((perm, weights))
+    if not any(w.imag.any() for _, w in parts):
+        parts = [(perm, w.real.copy()) for perm, w in parts]
+    return parts
+
+
+def scatter_apply(obs, psi):
+    lam = np.zeros_like(psi)
+    for perm, weights in scatter_parts(obs):
+        part = np.empty_like(psi)
+        # weights times amplitudes, in this order: with FMA, complex products
+        # need not commute in their last bit
+        part[:, perm] = weights * psi
+        lam += part
+    return lam
 
 
 def scatter_ops(circ, ref, form):
@@ -473,21 +561,14 @@ def scatter_forward(ops, start, thetas, n):
 
 def scatter_energies(ops, obs, start, thetas, n):
     psi = scatter_forward(ops, start, thetas, n)
-    vals = np.zeros(psi.shape[0])
-    for c, p in obs.terms:
-        vals += c * np.einsum("bi,bi->b", psi.conj(), scatter(psi, *scatter_action(n, p))).real
-    return vals
+    return np.einsum("bi,bi->b", psi.conj(), scatter_apply(obs, psi)).real
 
 
 def scatter_sweep(ops, obs, start, theta, n):
-    """Energy and adjoint gradient, one scatter per rotation and per term."""
+    """Energy and adjoint gradient, one scatter per rotation and per X part."""
     psi = scatter_forward(ops, start, theta[None, :], n)
-    value = 0.0
-    lam = np.zeros_like(psi)
-    for c, p in obs.terms:
-        p_psi = scatter(psi, *scatter_action(n, p))
-        value += c * np.einsum("bi,bi->b", psi.conj(), p_psi).real[0]
-        lam += c * p_psi
+    lam = scatter_apply(obs, psi)
+    value = np.einsum("bi,bi->b", psi.conj(), lam).real[0]
     grad = np.zeros(theta.size)
     states = np.vstack([psi, lam])
     for op in reversed(ops):
@@ -518,7 +599,7 @@ def assert_bit_identical(got, want):
 @pytest.mark.parametrize("form", ("gates", "normal"))
 @pytest.mark.parametrize("kind", ("real", "complex", "general"))
 def test_gather_sweep_is_bit_identical_to_scatter_sweep(rng, monkeypatch, kind, form, budget):
-    # budget 3 (in states) gathers three terms per block, 0 one term per block
+    # budget 3 (in states) reads three terms' tables per block, 0 one term per block
     for _ in range(4):
         n = int(rng.integers(2, 7))
         if kind == "general":
@@ -530,13 +611,13 @@ def test_gather_sweep_is_bit_identical_to_scatter_sweep(rng, monkeypatch, kind, 
         if budget is not None:
             monkeypatch.setattr(dense, "_GATHER_ELEMENTS", budget * 2**n)
         ops, start = compiled(circ, ref, form)
-        terms = dense._observable_actions(obs)
+        operator = dense._operator(obs)
         want_ops, want_start = scatter_ops(circ, ref, form)
         assert np.array_equal(start, want_start)
         for _ in range(3):
             theta = rng.uniform(-np.pi, np.pi, circ.n_params)
             assert_bit_identical(
-                dense._energy_and_gradient(ops, terms, start, theta, n),
+                dense._energy_and_gradient(ops, operator, start, theta, n),
                 scatter_sweep(want_ops, obs, want_start, theta, n),
             )
         if form == "gates":
@@ -565,7 +646,7 @@ def test_gather_sweep_of_an_observable_without_terms(rng, form):
     obs = Observable.from_terms(4, [])
     ops, start = compiled(circ, "0110", form)
     theta = rng.uniform(-np.pi, np.pi, circ.n_params)
-    got = dense._energy_and_gradient(ops, dense._observable_actions(obs), start, theta, 4)
+    got = dense._energy_and_gradient(ops, dense._operator(obs), start, theta, 4)
     want_ops, want_start = scatter_ops(circ, "0110", form)
     assert_bit_identical(got, scatter_sweep(want_ops, obs, want_start, theta, 4))
     assert got[0] == 0.0 and not got[1].any()
@@ -578,7 +659,7 @@ def test_bfgs_trace_is_identical_under_the_scatter_sweep(monkeypatch):
     compiled_trace = optimize_bfgs(circ, obs, ref, init="zero").to_dict()
     want_ops, want_start = scatter_ops(circ, ref, "normal")
 
-    def scatter_energy_and_gradient(ops, terms, start, theta, n):
+    def scatter_energy_and_gradient(ops, operator, start, theta, n):
         return scatter_sweep(want_ops, obs, want_start, theta, n)
 
     monkeypatch.setattr(dense, "_energy_and_gradient", scatter_energy_and_gradient)
