@@ -8,7 +8,10 @@ state (e.g. a Hartree-Fock occupation bitstring) is injected at the input.
 The theta = 0 stabilizer state is the reference's tableau taken through
 the Clifford gates (clifford_point_state); one sweep over the same gates
 gives the conjugated rotation generators P'_k as packed rows
-(conjugate_generators, ConjugatedGenerators).
+(conjugate_generators, ConjugatedGenerators). Both carry every row as
+(x, z, phase), packed words plus an exponent of i, as every other row in
+the package does. A rotation names its generator as text (RotationGate.pauli,
+such as "Y3"), and pauli.read_pauli reads every seed of the sweep from it.
 
 A generated ansatz is a skeleton plus a dressing. The skeleton (_skeleton)
 is fixed by the width, depth and variant: the gate positions, the CZ gates
@@ -36,7 +39,7 @@ from typing import List, Optional, Tuple, Union
 import numpy as np
 
 from .errors import CircuitFormatError, SolveError, WireError
-from .pauli import PauliString, _WORD_BITS, _n_words
+from .pauli import PauliString, _n_words, pack_masks, read_pauli
 from .tableau import (
     CLIFFORD_1Q_HADAMARD,
     CLIFFORD_1Q_IDENTITY,
@@ -72,6 +75,11 @@ class RotationGate:
             raise CircuitFormatError(f"rotation axis must be X/Y/Z, got {self.axis!r}")
         if self.param < 0:
             raise CircuitFormatError(f"negative param id {self.param}")
+
+    @property
+    def pauli(self) -> str:
+        """The generator P as text, in pauli.read_pauli's syntax: 'X0', 'Z3'."""
+        return f"{self.axis}{self.wire}"
 
 
 Element = Union[CliffordGate, RotationGate]
@@ -189,7 +197,7 @@ class AnsatzCircuit:
     def deserialize(cls, text: str) -> "AnsatzCircuit":
         try:
             doc = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # the latter: nested too deeply
             raise CircuitFormatError(f"invalid JSON: {exc}") from exc
         return cls.from_dict(doc)
 
@@ -230,11 +238,13 @@ SWEEP_ROWS = 1 << 14
 def conjugate_generators(ansatz: AnsatzCircuit, dressings=None):
     """P'_k for every rotation, from one left-to-right sweep of the Clifford gates.
 
-    The K generator rows form one packed block. Row k is seeded with
-    rotation k's generator when the sweep reaches it, and every later
-    Clifford gate conjugates the block (tableau.conjugate_rows), so it ends
-    as P'_k, the image of the generator under the Clifford content after
-    its rotation (rotations at zero are identity). Unseeded rows are the
+    The K generator rows form one packed block of (x, z, phase) rows. Row
+    k is seeded with rotation k's generator when the sweep reaches it: the
+    generator is read by pauli.read_pauli from its text (RotationGate.pauli),
+    all K seeds packed by one pack_masks call. Every later Clifford gate
+    conjugates the block (tableau.conjugate_rows), so row k ends as P'_k,
+    the image of the generator under the Clifford content after its
+    rotation (rotations at zero are identity). Unseeded rows are the
     identity, which no gate changes, and every P'_k comes out Hermitian.
 
     `dressings`, an (A, G) array of C1 table entries with one column per
@@ -254,15 +264,14 @@ def conjugate_generators(ansatz: AnsatzCircuit, dressings=None):
             raise ValueError(f"dressings must be an (A, {G}) array of C1 entries 0..23")
     A = 1 if dressings is None else len(dressings)
     x, z = np.zeros((2, A, K, W), dtype=np.uint64)
-    r = np.zeros((A, K), dtype=np.uint8)
+    phase = np.zeros((A, K), dtype=np.int64)
     # the same memory as one (A * K)-row block, which conjugate_rows updates
-    rows = x.reshape(A * K, W), z.reshape(A * K, W), r.reshape(A * K)
+    rows = x.reshape(A * K, W), z.reshape(A * K, W), phase.reshape(A * K)
+    seeds = zip(*pack_masks([read_pauli(e.pauli, n) for e in ansatz.rotation_gates()], n))
     positions, column = [0] * K, 0
     for pos, e in enumerate(ansatz.elements):
-        if isinstance(e, RotationGate):  # the row is still the identity: set the axis's letter
-            w, bit = divmod(e.wire, _WORD_BITS)
-            x[:, e.param, w] = (e.axis != "Z") << bit
-            z[:, e.param, w] = (e.axis != "X") << bit
+        if isinstance(e, RotationGate):  # the row is still the identity: seed the generator
+            x[:, e.param], z[:, e.param] = next(seeds)
             positions[e.param] = pos
             continue
         _check_wires(e, n)
@@ -270,7 +279,6 @@ def conjugate_generators(ansatz: AnsatzCircuit, dressings=None):
         if dressings is not None and len(e.wires) == 1:
             index, column = np.repeat(dressings[:, column], K), column + 1
         conjugate_rows(*rows, e, index)
-    phase = 2 * r.astype(np.int64)
     swept = [ConjugatedGenerators(n, x[a], z[a], phase[a], list(positions)) for a in range(A)]
     return swept[0] if dressings is None else swept
 

@@ -19,15 +19,16 @@ and writes no output file.
     1  any other package error, such as an output document that strict
        JSON cannot hold (NaN or infinity); the message names its key
     2  input error: a missing or malformed Hamiltonian, ansatz or result
-       file, or one that is not UTF-8 text; an output path in a missing
-       directory, or one that is a directory; an input or output path
-       the operating system refuses, such as a file name longer than it
-       allows; an out-of-range or non-finite flag; a negative --seed; a
-       --cap below 1; a result whose width (counters.n_qubits) or
-       parameter count differs from the ansatz; a reference bitstring
-       that is not n characters of 0/1 (CircuitFormatError); a
-       Hamiltonian whose width differs from the ansatz or --qubits
-       (DimensionMismatchError)
+       file (JSON nested too deeply to read included), or one that is not
+       UTF-8 text; an output path in a missing directory, or one that is a
+       directory; an input or output path the operating system refuses,
+       such as a file name longer than it allows; a missing flag or a flag
+       value that does not parse; an out-of-range or non-finite flag; a
+       negative --seed; a --cap below 1; a result whose width
+       (counters.n_qubits) or parameter count differs from the ansatz; a
+       reference bitstring that is not n characters of 0/1
+       (CircuitFormatError); a Hamiltonian whose width differs from the
+       ansatz or --qubits (DimensionMismatchError)
     3  reserved; nothing raises it
     4  solve error: the quadratic model's eigensolve failed, its entries
        are not finite, its optimum overflows the float range, or a sum of
@@ -38,7 +39,11 @@ and writes no output file.
        energy of verify --exact-ground, or that energy overflows the float
        range (SolveError)
     5  resource cap: a dense simulation above --cap qubits, or exact
-       diagonalization above 14 qubits (ResourceCapError)
+       diagonalization above 14 qubits (ResourceCapError); or an array the
+       machine cannot allocate, such as the dense operator of a Hamiltonian
+       with thousands of X parts (MemoryError; the message names the
+       allocation). Whether a too-large allocation fails at once or later
+       depends on the operating system's memory overcommit.
 """
 
 from __future__ import annotations
@@ -84,6 +89,14 @@ class _InputError(CliffgradError):
     """Command-line input that no library call checks: files, flags, results."""
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors (a missing flag, a value that
+    is no number) are _InputErrors, so main prints them as one line."""
+
+    def error(self, message):
+        raise _InputError(f"{self.prog}: {message}")
+
+
 # Error class -> exit code; main takes the first class the error belongs to.
 EXIT_CODES = {
     _InputError: EXIT_INPUT,
@@ -94,6 +107,7 @@ EXIT_CODES = {
     DimensionMismatchError: EXIT_INPUT,
     SolveError: EXIT_SOLVE,
     ResourceCapError: EXIT_CAP,
+    MemoryError: EXIT_CAP,
     CliffgradError: EXIT_GENERIC,
 }
 
@@ -264,7 +278,8 @@ def _load_result(path: str, circ: AnsatzCircuit) -> ExpansionResult:
     try:
         doc = json.loads(_read_text(path))
         result = ExpansionResult.from_dict(doc)
-    except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:
+        # JSONDecodeError is a ValueError; JSON nested too deeply is a RecursionError
         raise _InputError(f"{path}: invalid result document: {exc}")
     if result.n_qubits != circ.n_qubits:
         raise _InputError(
@@ -331,7 +346,7 @@ def cmd_optimize(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cliffgrad",
         description="Quadratic model of a Clifford+rotation ansatz cost surface "
         "at theta=0: exact gradient/Hessian, pseudo-inverse solve, dense "
@@ -395,13 +410,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         _check_output_paths(args)
         return args.func(args)
-    except CliffgradError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (CliffgradError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return next(code for cls, code in EXIT_CODES.items() if isinstance(exc, cls))
 
 

@@ -56,7 +56,7 @@ from .circuit import AnsatzCircuit, RotationGate, conjugate_generators
 from .errors import ResourceCapError, SolveError
 from .expansion import ExpansionResult, eigh
 from .observable import Observable
-from .pauli import PHASES, _bits, _row_popcount, pack_masks
+from .pauli import PHASES, _bits, _row_popcount, pack_masks, read_pauli
 from .tableau import CLIFFORD_1Q_WORDS, CliffordGate, check_reference
 
 DEFAULT_QUBIT_CAP = 20
@@ -174,17 +174,17 @@ def _gate(gate: CliffordGate) -> _Gate:
 def _op_list(ansatz: AnsatzCircuit, cap: int) -> list:
     """The ansatz in time order as _Rotation / _Gate ops, each built once.
 
-    Rotations about one Pauli (axis, wire) share one gather table: at most
-    3n tables of 2^n entries, however many rotations there are.
+    Rotations about one Pauli share one gather table, keyed on its text
+    (RotationGate.pauli, read by pauli.read_pauli): at most 3n tables of
+    2^n entries, however many rotations there are.
     """
     n = ansatz.n_qubits
     _check_cap(n, cap)
-    paulis = sorted({(e.axis, e.wire) for e in ansatz.elements if isinstance(e, RotationGate)})
-    masks = [((axis != "Z") << wire, (axis != "X") << wire) for axis, wire in paulis]
-    actions = _actions(*pack_masks(masks, n), np.zeros(len(masks), dtype=np.int64), n)
-    tables = dict(zip(paulis, zip(*actions)))
+    paulis = sorted({e.pauli for e in ansatz.rotation_gates()})
+    x, z = pack_masks([read_pauli(text, n) for text in paulis], n)
+    tables = dict(zip(paulis, zip(*_actions(x, z, np.zeros(len(paulis), dtype=np.int64), n))))
     return [
-        _Rotation(e.param, *tables[e.axis, e.wire]) if isinstance(e, RotationGate) else _gate(e)
+        _Rotation(e.param, *tables[e.pauli]) if isinstance(e, RotationGate) else _gate(e)
         for e in ansatz.elements
     ]
 

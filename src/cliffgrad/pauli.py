@@ -111,11 +111,9 @@ class PauliString:
 
     @classmethod
     def single(cls, n_qubits: int, letter: str, qubit: int, phase: int = 0) -> "PauliString":
-        """A single-site Pauli letter on the given qubit."""
-        if not 0 <= qubit < n_qubits:
-            raise ValueError(f"qubit {qubit} out of range for {n_qubits} qubits")
-        if letter not in _LETTER_BITS:
-            raise PauliFormatError(f"unknown Pauli letter {letter!r}")
+        """A single-site Pauli letter on the given qubit, read as the text
+        f"{letter}{qubit}" by read_pauli, as every rotation's generator is;
+        PauliFormatError (a ValueError) for a bad letter or qubit."""
         return parse_pauli(f"{letter}{qubit}", n_qubits).with_phase(phase)
 
     # -- bit access ---------------------------------------------------------

@@ -1,11 +1,13 @@
 """Tableau-based Clifford simulation on bit-packed Pauli rows.
 
-Every Pauli row uses PauliString's layout: x and z bits packed 64 qubits to
-a uint64 word, plus a sign bit; pauli._pack and pauli._bits pack and unpack
-them. conjugate_rows, the one row-batched gate update, conjugates any
-number of rows through a Clifford gate as one gather from an update table:
-the table maps a row's bits on the gate's wires to the XOR that takes them
-to their image and the sign flip. The single-qubit table has an entry for
+Every Pauli row is (x, z, phase), the package's one row format: x and z
+bits packed 64 qubits to a uint64 word in PauliString's layout, plus an
+exponent of i; pauli._pack and pauli._bits pack and unpack the words.
+conjugate_rows, the one row-batched gate update, conjugates any number of
+rows of any phase through a Clifford gate as one gather from an update
+table: the table maps a row's bits on the gate's wires to the XOR that
+takes them to their image and the exponent increment, 0 or 2 (a sign flip
+adds 2 mod 4). The single-qubit table has an entry for
 each of the 24 single-qubit Cliffords (H, S, SDG, X, Y, Z and C1 are all
 among them); the two-qubit table has one for each of CNOT, CZ and SWAP.
 The single-qubit entry may differ from row to row, which is how the stacked
@@ -213,8 +215,8 @@ def _update_table(gates) -> np.ndarray:
     """A gather table of conjugate_rows, read straight off _conjugate_masks.
 
     Entry e holds, at e << 2k | code, the XOR that takes the code to its
-    image's and, at bit 2k, the sign flip: one walk of gate e, on wires
-    0..k-1 of a k-qubit register, per code.
+    image's and, from bit 2k up, the exponent increment (0 or 2): one walk
+    of gate e, on wires 0..k-1 of a k-qubit register, per code.
     """
     k = len(gates[0].wires)
     out = np.zeros(len(gates) << 2 * k, dtype=np.uint64)
@@ -222,7 +224,7 @@ def _update_table(gates) -> np.ndarray:
         for x, z in itertools.product(range(1 << k), repeat=2):
             x2, z2, phase = _conjugate_masks([gate], k, x, z, 0)
             code = _code(x, z, k)
-            out[e << 2 * k | code] = phase // 2 << 2 * k | _code(x2, z2, k) ^ code
+            out[e << 2 * k | code] = phase << 2 * k | _code(x2, z2, k) ^ code
     return out
 
 
@@ -236,13 +238,14 @@ def _move(words: np.ndarray, src: int, dst: int) -> np.ndarray:
 
 
 def conjugate_rows(
-    x: np.ndarray, z: np.ndarray, r: np.ndarray, gate: CliffordGate, index=None
+    x: np.ndarray, z: np.ndarray, phase: np.ndarray, gate: CliffordGate, index=None
 ) -> None:
     """Replace every row P by g P g† in place, for the Clifford gate g.
 
-    Row i is the Hermitian Pauli (-1)^r[i] * (x[i], z[i]) in PauliString's
-    packed layout: x and z are (rows, words) uint64 arrays, r the (rows,)
-    sign bits. The caller checks the gate's wires against the width.
+    Row i is i^phase[i] * (x[i], z[i]) in PauliString's packed layout: x
+    and z are (rows, words) uint64 arrays, phase the (rows,) int64
+    exponents of i, of any value 0..3; a sign flip XORs 2 into the
+    exponent. The caller checks the gate's wires against the width.
 
     Every gate is one gather from an update table, indexed by the gate's
     entry (table_index) and the row's bits on the gate's wires: the
@@ -263,7 +266,7 @@ def conjugate_rows(
     for j, (w, b) in enumerate(at):
         x[:, w] ^= _move(delta, 2 * j + 1, b)
         z[:, w] ^= _move(delta, 2 * j, b)
-    r ^= delta >> 2 * k
+    phase ^= (delta >> 2 * k).view(np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -275,8 +278,8 @@ class StabilizerTableau:
     """Destabilizer/stabilizer tableau of a Clifford-evolved basis state.
 
     Rows 0..n-1 are destabilizers, rows n..2n-1 stabilizers. x and z are
-    (2n, words) uint64 arrays in PauliString's packed layout; r holds the
-    sign bit of each row ((-1)^r, letter convention with Y at x=z=1).
+    (2n, words) uint64 arrays in PauliString's packed layout; phase holds
+    each row's exponent of i, 0 or 2 (letter convention with Y at x=z=1).
     """
 
     def __init__(self, n_qubits: int, bitstring: Optional[str] = None):
@@ -287,17 +290,17 @@ class StabilizerTableau:
         zero = np.zeros_like(eye)
         self.x = np.vstack([eye, zero])  # destabilizer X_j
         self.z = np.vstack([zero, eye])  # stabilizer Z_j
-        self.r = np.zeros(2 * n_qubits, dtype=np.uint8)
+        self.phase = np.zeros(2 * n_qubits, dtype=np.int64)
         if bitstring is not None:
             check_reference(bitstring, n_qubits)
-            self.r[n_qubits:] = [c == "1" for c in bitstring]
+            self.phase[n_qubits:] = [2 * (c == "1") for c in bitstring]
         self._frame = None
 
     # -- gate application ---------------------------------------------------
 
     def apply(self, gate: CliffordGate) -> "StabilizerTableau":
         _check_wires(gate, self.n)
-        conjugate_rows(self.x, self.z, self.r, gate)
+        conjugate_rows(self.x, self.z, self.phase, gate)
         self._frame = None
         return self
 
@@ -310,10 +313,10 @@ class StabilizerTableau:
 
     def stabilizer(self, j: int) -> PauliString:
         i = self.n + j
-        return PauliString(self.n, self.x[i], self.z[i], 2 * int(self.r[i]))
+        return PauliString(self.n, self.x[i], self.z[i], int(self.phase[i]))
 
     def destabilizer(self, j: int) -> PauliString:
-        return PauliString(self.n, self.x[j], self.z[j], 2 * int(self.r[j]))
+        return PauliString(self.n, self.x[j], self.z[j], int(self.phase[j]))
 
     def stabilizers(self) -> list:
         return [self.stabilizer(j) for j in range(self.n)]
@@ -341,7 +344,7 @@ class StabilizerTableau:
         if self._frame is None:
             tx, tz = _bits(self.x, self.n), _bits(self.z, self.n)
             t = np.hstack([tx, tz])
-            base = 2 * self.r + _row_popcount(self.x & self.z)
+            base = self.phase + _row_popcount(self.x & self.z)
             # select[a, i] = T[(i + n) % 2n, (a + n) % 2n]: q @ select is Q's
             # symplectic parity with each row's partner, s
             select = np.roll(t, self.n, axis=(0, 1)).T
@@ -356,7 +359,7 @@ class StabilizerTableau:
         takes them: (M, words) uint64 x and z, (M,) phase exponents of i.
         Then <psi|Q|psi> = [x~ = 0] * i^k~ for any Q (frame_values).
 
-        Rows 0..2n-1 (T_i, bits (x_i, z_i), sign bit r_i) form a symplectic
+        Rows 0..2n-1 (T_i, bits (x_i, z_i), exponent p_i) form a symplectic
         basis in which row j anticommutes only with row (j + n) mod 2n. So
         Q = i^phase L(x, z) is, up to a phase, the product of the rows i
         with s_i = 1, where s_i is Q's symplectic parity with row
@@ -365,13 +368,13 @@ class StabilizerTableau:
         the tableau.
 
         The phase is a quadratic form in s over GF(2). With L the letter
-        convention (Y at x = z = 1), T_i = i^(2 r_i + y_i) X^x_i Z^z_i with
+        convention (Y at x = z = 1), T_i = i^(p_i + y_i) X^x_i Z^z_i with
         y_i = |x_i ∧ z_i|. Multiplying the selected rows in index order and
         moving every X^x_j left past the Z^z_i of the earlier rows i < j
         costs (-1)^|z_i ∧ x_j| per pair, and X^x Z^z = i^(-|x ∧ z|) L(x, z).
         So the product is i^acc L(x, z) with
 
-            acc = Σ_i s_i (2 r_i + y_i) + 2 sᵀ U s - |x ∧ z|  (mod 4),
+            acc = Σ_i s_i (p_i + y_i) + 2 sᵀ U s - |x ∧ z|  (mod 4),
             U_ij = |z_i ∧ x_j| mod 2 for i < j, and 0 otherwise.
 
         Multiplying the rows one at a time (pauli_mul, mul_rows) charges

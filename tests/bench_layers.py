@@ -129,12 +129,12 @@ def test_expectation(benchmark, n):
 @pytest.mark.parametrize("n", WIDTHS)
 def test_conjugate_rows(benchmark, n):
     x, z, _ = _rows(n, ROWS, 2)
-    r = np.zeros(ROWS, dtype=np.uint8)
+    phase = np.zeros(ROWS, dtype=np.int64)
     gates = random_clifford_gates(np.random.default_rng(3), n, 32)
 
     def sweep():
         for g in gates:
-            conjugate_rows(x, z, r, g)
+            conjugate_rows(x, z, phase, g)
 
     benchmark(sweep)
 
@@ -142,13 +142,13 @@ def test_conjugate_rows(benchmark, n):
 @pytest.mark.parametrize("n", WIDTHS)
 def test_conjugate_rows_1q(benchmark, n):
     x, z, _ = _rows(n, ROWS, 2)
-    r = np.zeros(ROWS, dtype=np.uint8)
+    phase = np.zeros(ROWS, dtype=np.int64)
     rng = np.random.default_rng(4)
     gates = [g for g in random_clifford_gates(rng, n, 96) if len(g.wires) == 1][:32]
 
     def sweep():
         for g in gates:
-            conjugate_rows(x, z, r, g)
+            conjugate_rows(x, z, phase, g)
 
     benchmark(sweep)
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import os
 
 # Pin the BLAS/OpenMP pools before numpy loads, as benchmark/run.py does:
@@ -15,10 +16,10 @@ import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
 from cliffgrad.circuit import AnsatzCircuit, RotationGate, generate_hwe_ansatz  # noqa: E402
-from cliffgrad.dense import _apply_matrix, gate_matrix  # noqa: E402
+from cliffgrad.dense import _MAT_1Q, _MAT_C1, _apply_matrix, gate_matrix  # noqa: E402
 from cliffgrad.observable import Observable  # noqa: E402
 from cliffgrad.pauli import PauliString  # noqa: E402
-from cliffgrad.tableau import CliffordGate  # noqa: E402
+from cliffgrad.tableau import CliffordGate, StabilizerTableau  # noqa: E402
 
 GATE_KINDS = ["H", "S", "SDG", "X", "Y", "Z", "CNOT", "CZ", "SWAP", "C1"]
 
@@ -105,6 +106,63 @@ def statevector_of(gates, n: int, bitstring: str) -> np.ndarray:
     for g in gates:
         psi = _apply_matrix(psi, gate_matrix(g), g.wires, n)
     return psi[0]
+
+
+# ---------------------------------------------------------------------------
+# Shift-rule oracle: e0, g and A from energies at Clifford points
+#
+# Along one parameter E(t) = α + β cos 2t + γ sin 2t, and at t = m·π/4 each
+# rotation exp(i t P) is a single-qubit Clifford gate up to a global phase.
+# So g and A follow exactly from energies of Clifford circuits, each read
+# off one stabilizer state: no generator is conjugated, no frame product is
+# formed and no derivative identity is used (Mitarai et al.,
+# arXiv:1803.00745; Schuld et al., arXiv:1811.11184).
+# ---------------------------------------------------------------------------
+
+
+def _rotation_as_c1(axis: str, m: int) -> int:
+    """The C1 entry equal to exp(i·m·π/4·P) up to phase, P the axis's Pauli."""
+    u = np.cos(m * np.pi / 4) * np.eye(2) + 1j * np.sin(m * np.pi / 4) * _MAT_1Q[axis]
+    # |tr(C† U)| = 2 exactly when C equals U up to a phase
+    (entry,) = [i for i, c in enumerate(_MAT_C1) if abs(abs(np.trace(c.conj().T @ u)) - 2) < 1e-9]
+    return entry
+
+
+SHIFT_C1 = {(axis, m): _rotation_as_c1(axis, m) for axis in "XYZ" for m in (-1, 1, 2)}
+
+
+def clifford_point_energy(ansatz: AnsatzCircuit, obs: Observable, reference: str,
+                          shifts: dict) -> float:
+    """E(θ) at θ_k = shifts[k]·π/4, every other θ 0: rotation k becomes the
+    C1 gate SHIFT_C1[axis, shifts[k]], every other rotation is dropped, and
+    E is read off the stabilizer state of that Clifford circuit."""
+    gates = [
+        e if isinstance(e, CliffordGate)
+        else CliffordGate("C1", (e.wire,), SHIFT_C1[e.axis, shifts[e.param]])
+        for e in ansatz.elements
+        if isinstance(e, CliffordGate) or shifts.get(e.param)
+    ]
+    state = StabilizerTableau(ansatz.n_qubits, reference).apply_circuit(gates)
+    return obs.expectation_at_clifford_point(state)
+
+
+def shift_rule_derivatives(ansatz: AnsatzCircuit, obs: Observable, reference: str, params):
+    """(e0, g, A) over the parameters `params`, by the exact shift rule:
+
+        g_k  = E(+π/4·e_k) − E(−π/4·e_k)
+        A_kk = 2 (E(π/2·e_k) − e0)
+        A_kl = E(++) − E(+−) − E(−+) + E(−−), with shifts ±π/4 of θ_k and θ_l.
+    """
+    def E(shifts: dict) -> float:
+        return clifford_point_energy(ansatz, obs, reference, shifts)
+
+    e0 = E({})
+    g = np.array([E({k: 1}) - E({k: -1}) for k in params])
+    A = np.diag([2.0 * (E({k: 2}) - e0) for k in params])
+    for (s, k), (t, l) in itertools.combinations(enumerate(params), 2):
+        A[s, t] = A[t, s] = (E({k: 1, l: 1}) - E({k: 1, l: -1})
+                             - E({k: -1, l: 1}) + E({k: -1, l: -1}))
+    return e0, g, A
 
 
 @pytest.fixture

@@ -146,7 +146,7 @@ def test_criterion_5_generated_ansatzes_are_identity_at_zero():
         assert (
             np.array_equal(t.x, want.x)
             and np.array_equal(t.z, want.z)
-            and np.array_equal(t.r, want.r)
+            and np.array_equal(t.phase, want.phase)
         )
     print("criterion 5: PASS (100 seeded ansatzes, both variants, exact tableau identity)")
 

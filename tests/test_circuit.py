@@ -31,7 +31,7 @@ def tableaus_equal(a: StabilizerTableau, b: StabilizerTableau) -> bool:
     return (
         np.array_equal(a.x, b.x)
         and np.array_equal(a.z, b.z)
-        and np.array_equal(a.r, b.r)
+        and np.array_equal(a.phase, b.phase)
     )
 
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cliffgrad import AnsatzCircuit, dense, parse_observable
+from cliffgrad import AnsatzCircuit, dense, generate_hwe_ansatz, parse_observable
 from cliffgrad.cli import main
 from cliffgrad.dense import energy
 
@@ -801,3 +801,63 @@ def test_importing_the_cli_loads_no_scipy():
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+# json.loads raises RecursionError, not a JSONDecodeError, on deep nesting;
+# it used to escape main as a traceback and exit 1
+@pytest.mark.parametrize("flag", ("ansatz", "verify-result", "optimize-result"))
+def test_deeply_nested_json_is_exit_2(tmp_path, capsys, flag):
+    files, res = _warm_start_files(tmp_path)
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000)
+    if flag == "ansatz":
+        files[files.index("--ansatz") + 1] = str(deep)
+    out = tmp_path / "out.json"
+    capsys.readouterr()
+    argv = {
+        "ansatz": ["expand", *files, "--out", str(out)],
+        "verify-result": ["verify", *files, "--result", str(deep), "--out", str(out)],
+        "optimize-result": ["optimize", *files, "--init", "pert", "--result", str(deep),
+                            "--trace-out", str(out)],
+    }[flag]
+    rc = main(argv)
+    stdout, err = capsys.readouterr()
+    assert rc == 2 and stdout == ""
+    assert err.startswith(f"error: {deep}: ") and err.count("\n") == 1 and "recursion" in err
+    assert not out.exists()
+
+
+def test_dense_operator_that_cannot_be_allocated_is_exit_5(tmp_path):
+    # 4000 Jordan-Wigner-like lines on 16 qubits have 1340 distinct X parts,
+    # so the dense operator's weights take 1.31 GiB; the child's address
+    # space is limited to 1 GiB. Without such a limit, whether the
+    # allocation fails at once depends on the kernel's memory overcommit.
+    resource = pytest.importorskip("resource")
+    from bench_layers import _jw_document
+
+    n = 16
+    ham, ans, res = tmp_path / "ham.txt", tmp_path / "a.json", tmp_path / "r.json"
+    ham.write_text(_jw_document(n, 4000, n))
+    ans.write_text(generate_hwe_ansatz(n, 1, 3, "real").serialize())
+    files = ["--hamiltonian", str(ham), "--ansatz", str(ans), "--reference", "0" * n]
+    # every gradient entry is dropped, so expand skips the Hessian
+    assert main(["expand", *files, "--dropout-threshold", "1e300", "--out", str(res)]) == 0
+    outs = [tmp_path / "t.json", tmp_path / "v.json"]
+    runs = [["optimize", *files, "--init", "zero", "--trace-out", str(outs[0])],
+            ["verify", *files, "--result", str(res), "--out", str(outs[1])]]
+    code = ("import sys\nfrom cliffgrad.cli import main\n"
+            f"for argv in {runs!r}:\n    print(main(argv), file=sys.stderr)\n")
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120, preexec_fn=limit)
+    assert proc.returncode == 0 and proc.stdout == "", proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 4, proc.stderr
+    for error, rc in zip(lines[::2], lines[1::2]):
+        assert rc == "5" and error.startswith("error: ") and "allocate" in error, proc.stderr
+        assert "(1340, 65536)" in error, proc.stderr
+    assert not any(out.exists() for out in outs)

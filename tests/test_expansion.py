@@ -34,6 +34,7 @@ from conftest import (
     random_clifford_gates,
     random_instance,
     random_observable,
+    shift_rule_derivatives,
 )
 
 
@@ -323,10 +324,11 @@ def assert_hessian_is_two_product_formula(obs, state0, circ, mask):
     return A
 
 
-@pytest.mark.parametrize("n", (3, 65, 130))
-def test_hessian_matches_two_product_formula_on_general_clifford_part(rng, n):
-    draws, off_diagonal_nonzeros = 2, 0
-    while draws:
+def signed_general_clifford_instance(rng, n):
+    """(circuit, reference, state0, generators): a general Clifford circuit
+    of 10 rotations whose P'_k carry signs, on a state that is not a basis
+    state."""
+    while True:
         # rotations on the top four wires, which straddle a word boundary at
         # n = 65 and 130, so that many P'_k anticommute; a tail of 2n gates
         # reaches those wires, so P'_k carry sign bits
@@ -339,22 +341,32 @@ def test_hessian_matches_two_product_formula_on_general_clifford_part(rng, n):
         ref = random_bitstring(rng, n)
         state0 = circ.clifford_point_state(ref)
         gens = conjugate_generators(circ)
-        # signed generators on a state that is not a basis state
-        if not (any(p.phase == 2 for p in gens.paulis)
+        if (any(p.phase for p in gens.paulis)
                 and any(state0.stabilizer(j).x.any() for j in range(n))):
-            continue
-        draws -= 1
-        # terms s·P'_k·P'_m, s in the stabilizer group, make A_km nonzero
-        terms = {}
-        for _ in range(20):
-            s = PauliString.identity(n)
-            for j in np.flatnonzero(rng.integers(0, 2, n)):
-                s = pauli_mul(s, state0.stabilizer(int(j)))
-            k, m = rng.choice(gens.n_params, 2, replace=False)
-            terms[pauli_mul(pauli_mul(s, gens.paulis[k]), gens.paulis[m]).to_text()] = float(
-                rng.normal()
-            )
-        obs = Observable.from_strings(n, terms)
+            return circ, ref, state0, gens
+
+
+def stabilizer_pair_terms(rng, state0, gens, params) -> Observable:
+    """20 terms s·P'_k·P'_m, s in the stabilizer group and k != m drawn from
+    `params` (a count or an array of param ids): they make A_km nonzero."""
+    n, terms = state0.n, {}
+    for _ in range(20):
+        s = PauliString.identity(n)
+        for j in np.flatnonzero(rng.integers(0, 2, n)):
+            s = pauli_mul(s, state0.stabilizer(int(j)))
+        k, m = rng.choice(params, 2, replace=False)
+        terms[pauli_mul(pauli_mul(s, gens.paulis[k]), gens.paulis[m]).to_text()] = float(
+            rng.normal()
+        )
+    return Observable.from_strings(n, terms)
+
+
+@pytest.mark.parametrize("n", (3, 65, 130))
+def test_hessian_matches_two_product_formula_on_general_clifford_part(rng, n):
+    off_diagonal_nonzeros = 0
+    for _ in range(2):
+        circ, ref, state0, gens = signed_general_clifford_instance(rng, n)
+        obs = stabilizer_pair_terms(rng, state0, gens, gens.n_params)
         for mask in dropout_masks(rng, circ.n_params):
             A = assert_hessian_is_two_product_formula(obs, state0, circ, mask)
             if mask.all():
@@ -366,6 +378,49 @@ def test_hessian_matches_two_product_formula_on_general_clifford_part(rng, n):
         assert_bit_identical(res.gradient, compute_gradient(obs, state0, gens))
         assert_bit_identical(res.hessian_kept, compute_hessian(obs, state0, gens, None, e0))
     assert off_diagonal_nonzeros > 0
+
+
+def assert_matches_shift_rule(circ, obs, ref, params) -> None:
+    """e0, compute_gradient and compute_hessian over the sorted param ids
+    `params` against the shift-rule oracle (conftest.shift_rule_derivatives):
+    e0 exactly, g and A to 1e-13 * sum |c_i|. The oracle's A must have an
+    off-diagonal entry above that tolerance, or the check would be weak."""
+    e0, g, A = shift_rule_derivatives(circ, obs, ref, params)
+    state0, gens = circ.clifford_point_state(ref), conjugate_generators(circ)
+    mask = np.isin(np.arange(circ.n_params), params)
+    tol = 1e-13 * np.abs(obs.coeffs).sum()
+    assert e0 == expansion._Frame(obs, state0, gens).e0
+    assert np.abs(compute_gradient(obs, state0, gens)[params] - g).max() <= tol
+    assert np.abs(compute_hessian(obs, state0, gens, mask) - A).max() <= tol
+    assert (np.abs(A - np.diag(np.diag(A))) > tol).any()
+
+
+def test_shift_rule_oracle_on_chain8_all_pairs():
+    obs = parse_observable(CHAIN8.read_text())
+    circ = generate_hwe_ansatz(8, 1, 3, "real")
+    assert_matches_shift_rule(circ, obs, "01010101", np.arange(circ.n_params))
+
+
+@pytest.mark.parametrize("n", (3, 65, 130))
+def test_shift_rule_oracle_on_general_clifford_part(rng, n):
+    circ, ref, state0, gens = signed_general_clifford_instance(rng, n)
+    params = np.sort(rng.choice(circ.n_params, 6, replace=False))
+    obs = stabilizer_pair_terms(rng, state0, gens, params)
+    assert_matches_shift_rule(circ, obs, ref, params)
+
+
+@pytest.mark.parametrize("n", (65, 130))
+def test_shift_rule_oracle_on_a_wide_hea(n):
+    # a real depth-1 HEA (3 rotation layers of Ry) over a Heisenberg chain;
+    # six rotations on three wires that straddle a word boundary
+    rng = np.random.default_rng(n)
+    obs = Observable.from_strings(
+        n, {f"{a}{j} {a}{j + 1}": float(rng.normal()) for j in range(n - 1) for a in "XYZ"}
+    )
+    circ = generate_hwe_ansatz(n, 1, n, "real")
+    wires = np.arange(62, 65) if n == 65 else np.arange(126, 129)
+    params = np.sort(rng.choice((np.arange(3)[:, None] * n + wires).ravel(), 6, replace=False))
+    assert_matches_shift_rule(circ, obs, random_bitstring(rng, n), params)
 
 
 def test_hessian_cache_misses_match_two_product_formula_on_chain8():

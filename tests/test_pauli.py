@@ -148,7 +148,7 @@ def test_bit_packing_beyond_one_word(rng):
         for j in range(n):
             assert np.array_equal(t.x[j], shifted_words([j], n)) and not t.z[j].any()
             assert np.array_equal(t.z[n + j], shifted_words([j], n)) and not t.x[n + j].any()
-        assert np.array_equal(t.r, np.concatenate([np.zeros(n), zb]))
+        assert np.array_equal(t.phase, 2 * np.concatenate([np.zeros(n), zb]))
 
 
 @pytest.mark.parametrize("n", (3, 65, 130))

@@ -106,14 +106,14 @@ def test_conjugation_composes_and_preserves_commutation(rng):
 @pytest.mark.parametrize("n", WIDTHS)
 def test_conjugate_rows_matches_conjugate_pauli(rng, n):
     rows = [random_pauli(rng, n, hermitian=True) for _ in range(12)]
-    x = np.array([p.x for p in rows])
-    z = np.array([p.z for p in rows])
-    r = np.array([p.phase // 2 for p in rows], dtype=np.uint8)
     gates = random_clifford_gates(rng, n, 60)
+    # and rows of every exponent 0..3, to which a sign flip adds 2 mod 4
+    rows += [random_pauli(rng, n).with_phase(i) for i in range(12)]
+    x, z, phase = stack_rows(rows, n)
     for g in gates:
-        conjugate_rows(x, z, r, g)
+        conjugate_rows(x, z, phase, g)
     for i, p in enumerate(rows):
-        assert PauliString(n, x[i], z[i], 2 * int(r[i])) == conjugate_pauli(gates, p)
+        assert PauliString(n, x[i], z[i], int(phase[i])) == conjugate_pauli(gates, p)
 
 
 SINGLE_QUBIT_KINDS = [(k, None) for k in ("H", "S", "SDG", "X", "Y", "Z")] + [
@@ -153,12 +153,11 @@ def _every_letter_rows(rng, n: int, wires, count: int) -> list:
 
 
 def _packed(rows):
-    x, z = np.array([p.x for p in rows]), np.array([p.z for p in rows])
-    return x, z, np.array([p.phase // 2 for p in rows], dtype=np.uint8)
+    return stack_rows(rows, rows[0].n_qubits)
 
 
-def _unpacked(n, x, z, r) -> list:
-    return [PauliString(n, x[i], z[i], 2 * int(r[i])) for i in range(len(r))]
+def _unpacked(n, x, z, phase) -> list:
+    return [PauliString(n, x[i], z[i], int(phase[i])) for i in range(len(phase))]
 
 
 @pytest.mark.parametrize("n", WIDTHS)
@@ -167,9 +166,9 @@ def test_single_qubit_table_matches_conjugate_pauli(rng, n):
         rows = _every_letter_rows(rng, n, (wire,), 12)
         for kind, index in SINGLE_QUBIT_KINDS:
             gate = CliffordGate(kind, (wire,), index)
-            x, z, r = _packed(rows)
-            conjugate_rows(x, z, r, gate)
-            assert _unpacked(n, x, z, r) == [conjugate_pauli([gate], p) for p in rows], gate
+            x, z, phase = _packed(rows)
+            conjugate_rows(x, z, phase, gate)
+            assert _unpacked(n, x, z, phase) == [conjugate_pauli([gate], p) for p in rows], gate
 
 
 @pytest.mark.parametrize("n", WIDTHS)
@@ -178,15 +177,15 @@ def test_single_qubit_table_takes_one_index_per_row(rng, n):
     # row i carries letter i % 4 on the wire and goes through C1 entry i // 4
     rows = _every_letter_rows(rng, n, (wire,), 96)
     index = np.arange(96) // 4
-    x, z, r = _packed(rows)
-    conjugate_rows(x, z, r, CliffordGate("C1", (wire,), 0), index)
-    assert _unpacked(n, x, z, r) == [
+    x, z, phase = _packed(rows)
+    conjugate_rows(x, z, phase, CliffordGate("C1", (wire,), 0), index)
+    assert _unpacked(n, x, z, phase) == [
         conjugate_pauli([CliffordGate("C1", (wire,), int(i))], p) for i, p in zip(index, rows)
     ]
     # all-identity entries leave every row as it was
-    x, z, r = _packed(rows)
-    conjugate_rows(x, z, r, CliffordGate("H", (wire,)), np.zeros(96, dtype=int))
-    assert _unpacked(n, x, z, r) == rows
+    x, z, phase = _packed(rows)
+    conjugate_rows(x, z, phase, CliffordGate("H", (wire,)), np.zeros(96, dtype=int))
+    assert _unpacked(n, x, z, phase) == rows
 
 
 @pytest.mark.parametrize("n", WIDTHS)
@@ -196,9 +195,9 @@ def test_two_qubit_table_matches_conjugate_pauli(rng, n):
         rows = _every_letter_rows(rng, n, wires, 32)  # all 16 letter pairs, both signs
         for kind in ("CNOT", "CZ", "SWAP"):
             gate = CliffordGate(kind, wires)
-            x, z, r = _packed(rows)
-            conjugate_rows(x, z, r, gate)
-            assert _unpacked(n, x, z, r) == [conjugate_pauli([gate], p) for p in rows], gate
+            x, z, phase = _packed(rows)
+            conjugate_rows(x, z, phase, gate)
+            assert _unpacked(n, x, z, phase) == [conjugate_pauli([gate], p) for p in rows], gate
 
 
 def _input_frame_expectation(gates, bits: str, q: PauliString) -> complex:
