@@ -14,27 +14,32 @@ the single-qubit rotations of an op list.
 The observable O is one operator. _operator sums its terms' phases into
 one weight vector d_x per distinct X part x, so that
 (O v)[c] = sum_x d_x[c] v[c XOR x], one gather per X part (_apply). It is
-built once per call and applied by every reader: energies_batch (and so
-energy and the finite-difference oracles), the adjoint sweep's
-lambda = O psi, and the Lanczos matvec of exact_ground_energy. An energy
-is always read as Re <psi|O psi> (_expectations), so the sweep's energy
-and energy() agree.
+built once per call, before any state is swept, and applied by every
+reader: energies_batch (and so energy and the finite-difference oracles),
+the adjoint sweep's lambda = O psi, and the Lanczos matvec of
+exact_ground_energy. An energy is always read as Re <psi|O psi>
+(_expectations), so the sweep's energy and energy() agree.
 
 An ansatz is compiled once into an op list (each Clifford gate's matrix and
 each rotation's gather table). Forward sweeps over it simulate batches of
-parameter vectors. The gate-by-gate op list stays the oracle: simulate,
+parameter vectors. The gate-by-gate op list is the oracle only: simulate,
 energy and the finite-difference gradient and Hessian sweep it, and the
 tests compare against them.
 
-BFGS sweeps the ansatz in Pauli-rotation normal form instead, over the
-generators' gather tables. Moving each rotation left through the Clifford
-gates after it rewrites the circuit as
+BFGS sweeps the ansatz in Pauli-rotation normal form in the state's input
+frame instead, and applies no gate matrix. Moving each rotation left
+through the Clifford gates after it rewrites the circuit as
 U(theta) = R(theta_K, P'_K)...R(theta_1, P'_1) C_total, with the conjugated
 generators P'_k (signs included) that circuit.conjugate_generators
-returns. C_total|reference> is computed
-once, and each exact gradient is one forward and one backward (adjoint)
-sweep over the K rotations alone, with no gate matrices. The normal form
-is built from the stabilizer engine's generators, so it cannot check them.
+returns. The Clifford U with U|0...0> = C_total|reference> is simulable,
+so the expansion's frame (expansion._Frame, Aaronson & Gottesman,
+arXiv:quant-ph/0406196) maps each P'_k and each term O_i to its image
+U† . U, and <O>(theta) = <0...0|R~† O~ R~|0...0> with R~_k about the
+generator image P~_k and O~ the sum of the term images. Each exact
+gradient is one forward and one backward (adjoint) sweep over the K
+rotations alone, from the basis state |0...0>. The normal form is built
+from the stabilizer engine's frame, so it cannot check it; the op list
+does.
 
 Rotation convention matches the expansion: R(theta) = exp(i theta P)
 = cos(theta) I + i sin(theta) P.
@@ -54,7 +59,7 @@ import numpy as np
 
 from .circuit import AnsatzCircuit, RotationGate, conjugate_generators
 from .errors import ResourceCapError, SolveError
-from .expansion import ExpansionResult, eigh
+from .expansion import ExpansionResult, _Frame, eigh
 from .observable import Observable
 from .pauli import PHASES, _bits, _row_popcount, pack_masks, read_pauli
 from .tableau import CLIFFORD_1Q_WORDS, CliffordGate, check_reference
@@ -101,9 +106,7 @@ def gate_matrix(gate: CliffordGate) -> np.ndarray:
 
 def _check_cap(n_qubits: int, cap: int) -> None:
     if n_qubits > cap:
-        raise ResourceCapError(
-            f"dense simulation of {n_qubits} qubits exceeds the cap of {cap}"
-        )
+        raise ResourceCapError(f"dense simulation of {n_qubits} qubits exceeds the cap of {cap}")
 
 
 def _apply_matrix(states: np.ndarray, u: np.ndarray, wires: Tuple[int, ...], n: int) -> np.ndarray:
@@ -189,21 +192,30 @@ def _op_list(ansatz: AnsatzCircuit, cap: int) -> list:
     ]
 
 
-def _normal_form(ansatz: AnsatzCircuit, reference: str, cap: int) -> Tuple[list, np.ndarray]:
-    """The ansatz as (rotations, start) with U(theta)|reference> = R_K...R_1 start.
+def _normal_form(ansatz: AnsatzCircuit, observable: Observable, reference: str, cap: int) -> tuple:
+    """The ansatz and observable in the state's input frame, as
+    (rotations, operator, start) with <O>(theta) = <start|R~† O~ R~|start>.
 
-    One _Rotation per parameter, R(theta_k, P'_k) in circuit time order, and
-    the (1, 2^n) start state C_total|reference> from one gate-by-gate sweep.
+    One expansion._Frame maps the terms O_i and the conjugated generators
+    P'_k through U† . U, where U|0...0> = C_total|reference> up to a global
+    phase, so that U(theta)|reference> = U R~_K...R~_1 |0...0> with
+    R~_k = exp(i theta_k P~_k), up to the same phase.
+    rotations holds one _Rotation per parameter, about P~_k, in circuit time
+    order; operator is _operator of sum_i c_i O~_i, each image's phase i^0
+    or i^2 (the terms are Hermitian) moved into its coefficient's sign; and
+    start is the (1, 2^n) basis state |0...0>. No gate matrix is applied.
+    The reference is checked first, then the cap, and the operator is
+    built before the rotations' tables.
     """
-    n = ansatz.n_qubits
-    basis = basis_state(reference, n, cap=cap)
-    gens = conjugate_generators(ansatz)
-    order = sorted(range(gens.n_params), key=gens.positions.__getitem__)
-    idx, phase = _actions(gens.x[order], gens.z[order], gens.phase[order], n)
+    n, state = ansatz.n_qubits, ansatz.clifford_point_state(reference)
+    _check_cap(n, cap)
+    frame = _Frame(observable, state, conjugate_generators(ansatz))
+    (x, z, k), c = frame.terms, observable.coeffs
+    operator = _operator(Observable(n, x, z, np.where(k == 2, -c, c)))
+    order = sorted(range(frame.gens.n_params), key=frame.gens.positions.__getitem__)
+    idx, phase = _actions(*(r[order] for r in frame.generators), n)
     rotations = [_Rotation(*op) for op in zip(order, idx, phase)]
-    gates = [_gate(e) for e in ansatz.clifford_elements()]
-    no_theta = np.empty((1, 0))
-    return rotations, _forward(gates, basis, no_theta, no_theta, n)
+    return rotations, operator, basis_state("0" * n, n, cap=cap)
 
 
 def _forward(ops: list, amps: np.ndarray, cos: np.ndarray, sin: np.ndarray, n: int) -> np.ndarray:
@@ -303,7 +315,7 @@ def simulate(
     cap: int = DEFAULT_QUBIT_CAP,
 ) -> np.ndarray:
     """Exact U(theta)|reference> as a 2^n amplitude vector."""
-    return simulate_batch(ansatz, np.asarray(theta, dtype=float)[None, :], reference, cap)[0]
+    return simulate_batch(ansatz, [theta], reference, cap)[0]
 
 
 def simulate_batch(
@@ -329,9 +341,7 @@ def energy(
     observable: Observable,
     cap: int = DEFAULT_QUBIT_CAP,
 ) -> float:
-    return float(
-        energies_batch(ansatz, np.asarray(theta, dtype=float)[None, :], reference, observable, cap)[0]
-    )
+    return float(energies_batch(ansatz, [theta], reference, observable, cap)[0])
 
 
 def energies_batch(
@@ -342,10 +352,14 @@ def energies_batch(
     cap: int = DEFAULT_QUBIT_CAP,
 ) -> np.ndarray:
     """<O> at each parameter vector; DimensionMismatchError unless the
-    observable acts on the ansatz's qubits."""
+    observable acts on the ansatz's qubits. The reference and the cap are
+    checked, and the operator is built, before any state is swept."""
     observable.check_width(ansatz.n_qubits)
+    check_reference(reference, ansatz.n_qubits)
+    _check_cap(ansatz.n_qubits, cap)
+    operator = _operator(observable)
     amps = simulate_batch(ansatz, thetas, reference, cap)
-    return _expectations(amps, _apply(_operator(observable), amps))
+    return _expectations(amps, _apply(operator, amps))
 
 
 # ---------------------------------------------------------------------------
@@ -627,13 +641,16 @@ def optimize_bfgs(
     _bfgs: a strong Wolfe line search and the inverse-Hessian update, with
     SciPy's first trial step and messages. Gradients are exact,
     from one forward and one backward (adjoint) statevector sweep each over
-    the ansatz in Pauli-rotation normal form (_normal_form): K Pauli
-    rotations applied to C_total|reference>, which is computed once. Every
-    trial point of the line search is one sweep, and the trace records the
+    the ansatz in Pauli-rotation normal form in the input frame
+    (_normal_form): K Pauli rotations about the generator images, applied
+    to |0...0>, read by the operator of the term images. No gate matrix
+    is applied. Every trial point of the line search is one sweep, and the trace records the
     values of the accepted points' sweeps, so it adds none. Its timings
     split compiling the normal form (compile_s) from the BFGS run (bfgs_s).
     Raises DimensionMismatchError when the observable and the ansatz differ
-    in width, CircuitFormatError for a malformed reference, ValueError when
+    in width, CircuitFormatError for a malformed reference, then
+    ResourceCapError above the cap and MemoryError for an operator that
+    cannot be allocated, all before any state is swept, ValueError when
     theta* or the Hessian does not match the ansatz, and SolveError when a
     sweep's energy or a gradient entry is not finite.
     """
@@ -658,8 +675,7 @@ def optimize_bfgs(
         hess_inv0 = warm_start_hess_inv(hessian)
 
     t0 = time.perf_counter()
-    ops, start = _normal_form(ansatz, reference, cap)
-    operator = _operator(observable)
+    ops, operator, start = _normal_form(ansatz, observable, reference, cap)
     t1 = time.perf_counter()
     trace = OptimizationTrace(init=init, gtol=gtol)
 

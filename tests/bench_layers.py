@@ -23,12 +23,17 @@ chunk of dressings, the gradients, and the winner's circuit.
 
 The dense simulator's gates are timed as one energy-and-gradient sweep (one
 forward and one backward pass) over the gate-by-gate op list and over the
-Pauli-rotation normal form that BFGS uses, each with the compiled gather
-tables of its rotations and the observable's operator (one gather per
-distinct X part): at n = 8 and 12 on a real depth-2 ansatz and a chain
+Pauli-rotation normal form in the input frame that BFGS uses, each with
+the compiled gather tables of its rotations and its operator (one gather
+per distinct X part): at n = 8 and 12 on a real depth-2 ansatz and a chain
 Hamiltonian (chain-8, chain-12), and at n = 12 on a real depth-1 ansatz and
 the Jordan-Wigner-like document _jw_document(12, 900, 12) below (jw-12:
 639 terms, 368 X parts), where applying O is most of the sweep.
+normal_form times what BFGS builds before its first sweep on chain-8 and
+jw-12: the whole _normal_form (the input frame, the term images'
+operator, the rotations' gather tables and e_0), the _Frame alone, and
+the frame's (K, N_o) product table alone, which the normal form builds
+and does not read.
 exact_ground_energy is timed on Heisenberg chains at n = 8 (Lanczos over
 the 8 X parts of the 21 terms) and n = 12 (12 X parts of 33 terms), the
 operator's building included.
@@ -164,24 +169,44 @@ def test_select_ansatz(benchmark, n, variant):
     )
 
 
-@pytest.mark.parametrize("form", ("gates", "normal"))
-@pytest.mark.parametrize("name, n", (("chain", 8), ("chain", 12), ("jw", 12)))
-def test_energy_and_gradient(benchmark, name, n, form):
+def _dense_instance(name: str, n: int):
+    """(ansatz, observable, reference) of the dense layers: chain-n or jw-n."""
     if name == "jw":
         circ, obs = generate_hwe_ansatz(n, 1, 1, "real"), parse_observable(_jw_document(n, 900, n))
     else:
         circ = generate_hwe_ansatz(n, 2, 1, "real")
         terms = {f"{a}{q} {a}{q + 1}": 1.0 for q in range(n - 1) for a in "XYZ"}
         obs = Observable.from_strings(n, terms)
-    reference = "01" * (n // 2)
+    return circ, obs, "01" * (n // 2)
+
+
+@pytest.mark.parametrize("form", ("gates", "normal"))
+@pytest.mark.parametrize("name, n", (("chain", 8), ("chain", 12), ("jw", 12)))
+def test_energy_and_gradient(benchmark, name, n, form):
+    circ, obs, reference = _dense_instance(name, n)
     if form == "gates":
-        ops = dense._op_list(circ, dense.DEFAULT_QUBIT_CAP)
+        ops, operator = dense._op_list(circ, dense.DEFAULT_QUBIT_CAP), dense._operator(obs)
         start = dense.basis_state(reference, n)
     else:
-        ops, start = dense._normal_form(circ, reference, dense.DEFAULT_QUBIT_CAP)
-    operator = dense._operator(obs)
+        ops, operator, start = dense._normal_form(circ, obs, reference, dense.DEFAULT_QUBIT_CAP)
     theta = np.random.default_rng(n).uniform(-np.pi, np.pi, circ.n_params)
     benchmark(dense._energy_and_gradient, ops, operator, start, theta, n)
+
+
+@pytest.mark.parametrize("part", ("build", "frame", "products"))
+@pytest.mark.parametrize("name, n", (("chain", 8), ("jw", 12)))
+def test_normal_form(benchmark, name, n, part):
+    circ, obs, reference = _dense_instance(name, n)
+    if part == "build":
+        benchmark(dense._normal_form, circ, obs, reference, dense.DEFAULT_QUBIT_CAP)
+        return
+    state, gens = circ.clifford_point_state(reference), conjugate_generators(circ)
+    if part == "frame":
+        benchmark(_Frame, obs, state, gens)
+    else:  # the frame's (K, N_o) products O~_i P~_k, which the normal form does not read
+        frame = _Frame(obs, state, gens)
+        terms, images = frame.terms, frame.generators
+        benchmark(mul_rows, *[r[None] for r in terms], *[r[:, None] for r in images])
 
 
 @pytest.mark.parametrize("n", (8, 12))

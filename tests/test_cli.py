@@ -561,11 +561,13 @@ def test_optimize_zero_parameter_ansatz(tmp_path, toy, init):
                "--trace-out", str(trace)])
     assert rc == 0
     doc = json.loads(trace.read_text())
-    circ = AnsatzCircuit.from_dict(json.loads(ans.read_text()))
-    e = energy(circ, [], "0", parse_observable(ham.read_text()))
-    assert doc["iterations"] == [{"iteration": 0, "cost": e, "grad_norm": 0.0}]
-    assert doc["final_cost"] == e == pytest.approx(1.0)  # H|0> = |+>: <X> = 1, <Z> = 0
+    # H|0> = |+>: <X> = 1, <Z> = 0, read exactly in the input frame
+    assert doc["iterations"] == [{"iteration": 0, "cost": 1.0, "grad_norm": 0.0}]
+    assert doc["final_cost"] == 1.0
     assert doc["n_iterations"] == 0 and doc["converged"]
+    # the gate-by-gate oracle agrees to rounding
+    circ = AnsatzCircuit.from_dict(json.loads(ans.read_text()))
+    assert energy(circ, [], "0", parse_observable(ham.read_text())) == pytest.approx(1.0)
 
 
 def test_select_ansatz_report(tmp_path):
@@ -861,3 +863,31 @@ def test_dense_operator_that_cannot_be_allocated_is_exit_5(tmp_path):
         assert rc == "5" and error.startswith("error: ") and "allocate" in error, proc.stderr
         assert "(1340, 65536)" in error, proc.stderr
     assert not any(out.exists() for out in outs)
+
+
+def test_dense_operator_is_built_before_any_statevector_work(tmp_path, monkeypatch):
+    # verify and optimize size the operator first: when it cannot be
+    # allocated, neither builds a gather table nor sweeps a state
+    n = 4
+    ham, ans, res = tmp_path / "ham.txt", tmp_path / "a.json", tmp_path / "r.json"
+    ham.write_text("qubits 4\n1.0 X0 X1\n0.5 Z2 Z3\n-0.3 Y1 Y2\n")
+    ans.write_text(generate_hwe_ansatz(n, 1, 3, "real").serialize())
+    files = ["--hamiltonian", str(ham), "--ansatz", str(ans), "--reference", "0101"]
+    assert main(["expand", *files, "--out", str(res)]) == 0
+    calls = []
+
+    def refuse(*args, **kwargs):
+        raise MemoryError("Unable to allocate the dense operator")
+
+    def record(name):
+        real = getattr(dense, name)
+        return lambda *args: calls.append(name) or real(*args)
+
+    monkeypatch.setattr(dense, "_operator", refuse)
+    for name in ("_actions", "_forward"):
+        monkeypatch.setattr(dense, name, record(name))
+    out = tmp_path / "out.json"
+    for argv in (["verify", *files, "--result", str(res), "--out", str(out)],
+                 ["optimize", *files, "--init", "zero", "--trace-out", str(out)]):
+        assert main(argv) == 5
+        assert calls == [] and not out.exists(), argv[0]

@@ -18,7 +18,7 @@ from cliffgrad.dense import (
     warm_start_hess_inv,
 )
 from cliffgrad.errors import ResourceCapError, SolveError
-from cliffgrad.expansion import conjugate_generators, expand
+from cliffgrad.expansion import _Frame, conjugate_generators, expand
 from cliffgrad.observable import Observable, parse_observable
 from cliffgrad.pauli import PHASES, PauliString, stack_rows
 from cliffgrad.tableau import StabilizerTableau
@@ -355,7 +355,8 @@ def test_adjoint_gradient_matches_finite_differences(rng, kind):
 
 @pytest.mark.parametrize("kind", ("real", "complex", "general"))
 def test_normal_form_sweep_matches_gate_by_gate_sweep(rng, kind):
-    # the normal form comes from the stabilizer generators; the op list is the oracle
+    # the normal form comes from the stabilizer engine's input frame; the op
+    # list is the oracle
     for _ in range(4):
         n = int(rng.integers(2, 7))
         if kind == "general":
@@ -364,9 +365,8 @@ def test_normal_form_sweep_matches_gate_by_gate_sweep(rng, kind):
             circ = generate_hwe_ansatz(n, int(rng.integers(1, 3)), int(rng.integers(0, 1000)), kind)
         obs = random_observable(rng, n, max_terms=8)
         ref = random_bitstring(rng, n)
-        rotations, start = dense._normal_form(circ, ref, DEFAULT_QUBIT_CAP)
-        assert np.abs(start[0] - simulate(circ, np.zeros(circ.n_params), ref)).max() <= 1e-15
-        operator = dense._operator(obs)
+        rotations, operator, start = dense._normal_form(circ, obs, ref, DEFAULT_QUBIT_CAP)
+        assert np.array_equal(start, basis_state("0" * n, n))  # exactly e_0
         for _ in range(3):
             theta = rng.uniform(-np.pi, np.pi, circ.n_params)
             e, g = dense._energy_and_gradient(rotations, operator, start, theta, n)
@@ -395,21 +395,65 @@ def test_trace_records_without_extra_sweeps(monkeypatch):
     assert trace.to_dict()["n_evaluations"] == trace.n_evaluations
 
 
-# the pipeline's instance (the select-ansatz winner of 32 real depth-2
-# candidates on chain8) cold and warm, and the stationary complex instance
-# cold, whose 141 iterations take many zooms and a long bracketing
+def bfgs_instance(name):
+    """(circuit, observable, reference): the pipeline's instance (the
+    select-ansatz winner of 32 real depth-2 candidates on chain8), the
+    stationary complex depth-2 instance on chain8, or a complex depth-2
+    ansatz on chain10."""
+    obs, ref = parse_observable(CHAIN8.read_text()), "01010101"
+    if name == "pipeline":
+        return select_ansatz(32, 8, 2, obs, ref, 5, "real")[0], obs, ref
+    if name == "stationary":
+        return generate_hwe_ansatz(8, 2, 6, "complex"), obs, ref
+    return generate_hwe_ansatz(10, 2, 0, "complex"), parse_observable(CHAIN10.read_text()), "01" * 5
+
+
+@pytest.mark.parametrize("instance", ("pipeline", "stationary"))
+def test_normal_form_sweep_is_exact_at_the_clifford_point(instance):
+    # at theta = 0 the sweep reads O~ at e_0, so the entries that the
+    # stabilizer expansion finds exactly 0 come out exactly 0
+    circ, obs, ref = bfgs_instance(instance)
+    res = expand(circ, obs, ref, threshold=0.0)
+    rotations, operator, start = dense._normal_form(circ, obs, ref, DEFAULT_QUBIT_CAP)
+    assert np.array_equal(start, basis_state("0" * 8, 8))
+    e, g = dense._energy_and_gradient(rotations, operator, start, np.zeros(circ.n_params), 8)
+    zero = res.gradient == 0
+    assert zero.any() and not g[zero].any()
+    bound = 1e-14 * np.abs(obs.coeffs).sum()
+    assert abs(e - res.e0) <= bound and np.abs(g - res.gradient).max() <= bound
+
+
+def test_optimize_applies_no_clifford_gate(monkeypatch):
+    circ, obs, ref = bfgs_instance("pipeline")
+    res = expand(circ, obs, ref)
+
+    def no_gate(*args):
+        raise AssertionError("applied a gate matrix")
+
+    monkeypatch.setattr(dense, "_apply_matrix", no_gate)
+    for init in ("zero", "theta_star_with_hessian"):
+        assert optimize_bfgs(circ, obs, ref, init=init, expansion=res).converged
+    # the oracle still sweeps the gate-by-gate op list
+    with pytest.raises(AssertionError, match="gate matrix"):
+        energy(circ, res.theta_star, ref, obs)
+
+
+# the pipeline's instance cold and warm; the stationary instance cold, which
+# stops at its saddle after 18 iterations and 2 zooms; and the chain10
+# instance cold, whose 27 iterations take 9 zooms and keep the zoom covered
 @pytest.mark.parametrize("instance, init", [
     ("pipeline", "zero"), ("pipeline", "theta_star_with_hessian"), ("stationary", "zero"),
+    ("chain10", "zero"),
 ])
 def test_every_bfgs_step_meets_the_strong_wolfe_conditions(monkeypatch, instance, init):
-    obs, ref = parse_observable(CHAIN8.read_text()), "01010101"
-    if instance == "pipeline":
-        circ, _ = select_ansatz(32, 8, 2, obs, ref, 5, "real")
-    else:
-        circ = generate_hwe_ansatz(8, 2, 6, "complex")
+    circ, obs, ref = bfgs_instance(instance)
     res = expand(circ, obs, ref)
-    swept = []
-    sweep = dense._energy_and_gradient
+    swept, zooms = [], []
+    sweep, zoom = dense._energy_and_gradient, dense._zoom
+
+    def counting_zoom(*args):
+        zooms.append(args)
+        return zoom(*args)
 
     def recording(ops, operator, reference, theta, n):
         value = sweep(ops, operator, reference, theta, n)
@@ -417,8 +461,11 @@ def test_every_bfgs_step_meets_the_strong_wolfe_conditions(monkeypatch, instance
         return value
 
     monkeypatch.setattr(dense, "_energy_and_gradient", recording)
+    monkeypatch.setattr(dense, "_zoom", counting_zoom)
     trace = optimize_bfgs(circ, obs, ref, init=init, expansion=res)
     assert trace.converged and trace.n_iterations > 10
+    if instance == "chain10":  # the case that keeps the zoom covered
+        assert len(zooms) >= 5
     # each recorded iteration is the one sweep with its cost and gradient norm
     accepted = []
     for it in trace.iterations:
@@ -530,9 +577,12 @@ def scatter_apply(obs, psi):
     return lam
 
 
-def scatter_ops(circ, ref, form):
-    """(ops, start) of the gate-by-gate op list or the normal form, with each
-    rotation as (param, perm, phase) for scatter."""
+def scatter_ops(circ, obs, ref, form):
+    """(ops, observable, start) of the gate-by-gate op list or the normal
+    form, with each rotation as (param, perm, phase) for scatter. The normal
+    form rotates about the input frame's generator images, in time order,
+    applies the term images (each image's sign in its coefficient) and
+    starts from e_0."""
     n = circ.n_qubits
     if form == "gates":
         ops = [
@@ -541,11 +591,16 @@ def scatter_ops(circ, ref, form):
             else dense._gate(e)
             for e in circ.elements
         ]
-        return ops, basis_state(ref, n)
+        return ops, obs, basis_state(ref, n)
     gens = conjugate_generators(circ)
+    frame = _Frame(obs, circ.clifford_point_state(ref), gens)
+    images = [PauliString(n, x, z, int(p)) for x, z, p in zip(*frame.generators)]
     order = sorted(range(gens.n_params), key=gens.positions.__getitem__)
-    ops = [(k, *scatter_action(n, gens.paulis[k])) for k in order]
-    return ops, dense._normal_form(circ, ref, DEFAULT_QUBIT_CAP)[1]
+    ops = [(k, *scatter_action(n, images[k])) for k in order]
+    x, z, k = frame.terms
+    start = np.zeros((1, 2**n), dtype=complex)
+    start[0, 0] = 1.0
+    return ops, Observable(n, x, z, obs.coeffs * np.array(PHASES)[k].real), start
 
 
 def scatter_forward(ops, start, thetas, n):
@@ -582,10 +637,12 @@ def scatter_sweep(ops, obs, start, theta, n):
     return float(value), grad
 
 
-def compiled(circ, ref, form):
+def compiled(circ, obs, ref, form):
+    """(ops, operator, start) of the op list or of the normal form."""
     if form == "gates":
-        return dense._op_list(circ, DEFAULT_QUBIT_CAP), basis_state(ref, circ.n_qubits)
-    return dense._normal_form(circ, ref, DEFAULT_QUBIT_CAP)
+        ops = dense._op_list(circ, DEFAULT_QUBIT_CAP)
+        return ops, dense._operator(obs), basis_state(ref, circ.n_qubits)
+    return dense._normal_form(circ, obs, ref, DEFAULT_QUBIT_CAP)
 
 
 def assert_bit_identical(got, want):
@@ -610,15 +667,14 @@ def test_gather_sweep_is_bit_identical_to_scatter_sweep(rng, monkeypatch, kind, 
         ref = random_bitstring(rng, n)
         if budget is not None:
             monkeypatch.setattr(dense, "_GATHER_ELEMENTS", budget * 2**n)
-        ops, start = compiled(circ, ref, form)
-        operator = dense._operator(obs)
-        want_ops, want_start = scatter_ops(circ, ref, form)
+        ops, operator, start = compiled(circ, obs, ref, form)
+        want_ops, want_obs, want_start = scatter_ops(circ, obs, ref, form)
         assert np.array_equal(start, want_start)
         for _ in range(3):
             theta = rng.uniform(-np.pi, np.pi, circ.n_params)
             assert_bit_identical(
                 dense._energy_and_gradient(ops, operator, start, theta, n),
-                scatter_sweep(want_ops, obs, want_start, theta, n),
+                scatter_sweep(want_ops, want_obs, want_start, theta, n),
             )
         if form == "gates":
             thetas = rng.uniform(-np.pi, np.pi, (5, circ.n_params))
@@ -644,11 +700,11 @@ def test_op_list_holds_one_gather_table_per_distinct_pauli():
 def test_gather_sweep_of_an_observable_without_terms(rng, form):
     circ = generate_hwe_ansatz(4, 1, 3, "complex")
     obs = Observable.from_terms(4, [])
-    ops, start = compiled(circ, "0110", form)
+    ops, operator, start = compiled(circ, obs, "0110", form)
     theta = rng.uniform(-np.pi, np.pi, circ.n_params)
-    got = dense._energy_and_gradient(ops, dense._operator(obs), start, theta, 4)
-    want_ops, want_start = scatter_ops(circ, "0110", form)
-    assert_bit_identical(got, scatter_sweep(want_ops, obs, want_start, theta, 4))
+    got = dense._energy_and_gradient(ops, operator, start, theta, 4)
+    want_ops, want_obs, want_start = scatter_ops(circ, obs, "0110", form)
+    assert_bit_identical(got, scatter_sweep(want_ops, want_obs, want_start, theta, 4))
     assert got[0] == 0.0 and not got[1].any()
 
 
@@ -657,10 +713,10 @@ def test_bfgs_trace_is_identical_under_the_scatter_sweep(monkeypatch):
     circ = generate_hwe_ansatz(8, 1, 2, "real")
     ref = "01010101"
     compiled_trace = optimize_bfgs(circ, obs, ref, init="zero").to_dict()
-    want_ops, want_start = scatter_ops(circ, ref, "normal")
+    want_ops, want_obs, want_start = scatter_ops(circ, obs, ref, "normal")
 
     def scatter_energy_and_gradient(ops, operator, start, theta, n):
-        return scatter_sweep(want_ops, obs, want_start, theta, n)
+        return scatter_sweep(want_ops, want_obs, want_start, theta, n)
 
     monkeypatch.setattr(dense, "_energy_and_gradient", scatter_energy_and_gradient)
     scatter_trace = optimize_bfgs(circ, obs, ref, init="zero").to_dict()
